@@ -15,7 +15,6 @@ InternalInconsistencyError, which signals a bug, never a user error.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -301,7 +300,7 @@ def _midpoints(lo: Fraction, hi: Fraction, n: int):
     return [lo + step * Fraction(2 * k + 1, 2) for k in range(n)]
 
 
-def scan_grid(a_range, b_range, resolution: int, threads: int = 1) -> ScanResult:
+def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     """Region map over a rectangle of the parameter plane.
 
     Cells are classified at their exact rational midpoints; the
@@ -319,14 +318,7 @@ def scan_grid(a_range, b_range, resolution: int, threads: int = 1) -> ScanResult
     a_vals = _midpoints(a_lo, a_hi, resolution)
     b_vals = _midpoints(b_lo, b_hi, resolution)
 
-    def row(b):
-        return tuple(classify_region(a, b) for a in a_vals)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = tuple(pool.map(row, b_vals))
-    else:
-        cells = tuple(row(b) for b in b_vals)
+    cells = tuple(tuple(classify_region(a, b) for a in a_vals) for b in b_vals)
 
     def in_a(v):
         return a_lo < v <= a_hi

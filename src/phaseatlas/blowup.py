@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import dynamics
 from .desing import PolyField
 from .equilibria import ClassificationKind, classify_linear, classify_point, jacobian_at
@@ -36,12 +34,26 @@ from .errors import DomainError, InternalInconsistencyError, PreconditionError, 
 from .polycore import (
     BiPoly,
     NewtonWeights,
-    as_rational,
+    axis_restriction,
+    divisor_power,
     is_nilpotent_origin,
     newton_weights,
+    real_roots,
 )
 
 DIRECTIONS = ("+x", "-x", "+y", "-y")
+
+
+def blow_down(direction: str, weights, xb, yb):
+    """Plane point of the chart point (x̄, ȳ) of a directional blow-up."""
+    alpha, beta = weights
+    if direction == "+x":
+        return (xb**alpha, xb**beta * yb)
+    if direction == "-x":
+        return (-(xb**alpha), xb**beta * yb)
+    if direction == "+y":
+        return (xb * yb**alpha, yb**beta)
+    return (xb * yb**alpha, -(yb**beta))
 
 
 @dataclass(frozen=True)
@@ -70,16 +82,9 @@ class BlowupChart:
     def field(self) -> PolyField:
         return PolyField(self.px, self.py, provenance=("blowup", self.direction, tuple(self.weights)))
 
-    def substitution(self, u, v=None):
-        """Plane point of chart coordinates; accepts (x̄, ȳ) in chart layout."""
-        alpha, beta = self.weights
-        if self.direction in ("+x", "-x"):
-            xb, yb = u, v
-            sx = 1 if self.direction == "+x" else -1
-            return (sx * xb**alpha, xb**beta * yb)
-        xb, yb = u, v
-        sy = 1 if self.direction == "+y" else -1
-        return (xb * yb**alpha, sy * yb**beta)
+    def substitution(self, u, v):
+        """Plane point of the chart point (x̄, ȳ) = (u, v)."""
+        return blow_down(self.direction, self.weights, u, v)
 
     def substitution_jacobian(self, u, v):
         alpha, beta = self.weights
@@ -129,15 +134,7 @@ def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> Blowup
         denom_coeff = Fraction(beta)
         var = "y"
 
-    radial_num = n1 if var == "x" else n2
-    orders = [p.monomial_order(var) for p in (n1, n2) if not p.is_zero()]
-    if not orders:
-        s = 0
-    else:
-        s = min(orders)
-        if not radial_num.is_zero():
-            s = min(s, radial_num.monomial_order(var) - 1)
-        s = max(s, 0)
+    s = divisor_power(n1, n2, var) if var == "x" else divisor_power(n2, n1, var)
     px = n1.div_monomial(var, s)
     py = n2.div_monomial(var, s)
     k = s - (alpha + beta - 1)
@@ -178,105 +175,16 @@ class DivisorContinuum:
     kind: ClassificationKind
 
 
-def _univariate_real_roots(coeffs: list[Fraction]):
-    """Real roots of a rational-coefficient polynomial.
-
-    Rational roots are found exactly (rational-root theorem) and deflated;
-    the rest come from numpy with a Newton polish.  Returns (exact_roots,
-    float_roots, complex_count).
-    """
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        raise DomainError("zero polynomial has no root list")
-    # strip the root at 0 explicitly
-    exact: list[Fraction] = []
-    while c[0] == 0:
-        exact.append(Fraction(0))
-        c.pop(0)
-    # integerize
-    den = 1
-    for v in c:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ic = [int(v * den) for v in c]
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out or {1}
-
-    changed = True
-    while changed and len(ic) > 1:
-        changed = False
-        for p in sorted(divisors(ic[0])):
-            if changed:
-                break
-            for q in sorted(divisors(ic[-1])):
-                for sgn in (1, -1):
-                    r = Fraction(sgn * p, q)
-                    val = Fraction(0)
-                    for coef in reversed(ic):
-                        val = val * r + coef
-                    if val == 0:
-                        exact.append(r)
-                        # synthetic division by (x - r)
-                        out = [Fraction(v) for v in ic]
-                        new = [Fraction(0)] * (len(out) - 1)
-                        carry = Fraction(0)
-                        for i in range(len(out) - 1, 0, -1):
-                            new[i - 1] = out[i] + carry
-                            carry = new[i - 1] * r
-                        den2 = 1
-                        for v in new:
-                            den2 = den2 * v.denominator // math.gcd(den2, v.denominator)
-                        ic = [int(v * den2) for v in new]
-                        changed = True
-                        break
-                if changed:
-                    break
-
-    floats: list[float] = []
-    complex_count = 0
-    if len(ic) > 1:
-        roots = np.roots(list(reversed([float(v) for v in ic])))
-        scale = max(1.0, max(abs(r) for r in roots))
-        for r in roots:
-            if abs(r.imag) < 1e-9 * scale:
-                floats.append(float(r.real))
-            else:
-                complex_count += 1
-    return sorted(exact), sorted(floats), complex_count
-
-
 def _divisor_restriction(chart: BlowupChart):
-    """Tangential component restricted to the divisor, as coefficient list."""
+    """Tangential component on the divisor, as coefficient list; None if dicritical."""
     if chart.radial_var == "x":
-        tang, radial, tvar = chart.py, chart.px, "y"
+        tang, radial = chart.py, chart.px
     else:
-        tang, radial, tvar = chart.px, chart.py, "x"
+        tang, radial = chart.px, chart.py
     # invariance: the radial component must vanish identically on the divisor
-    rvar_idx = 0 if chart.radial_var == "x" else 1
-    for (i, j), c in radial.terms.items():
-        if (i, j)[rvar_idx] == 0 and c != 0:
-            return None, None  # dicritical: flow crosses the divisor
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), c in tang.terms.items():
-        if (i, j)[rvar_idx] == 0:
-            deg = (i, j)[1 - rvar_idx]
-            coeffs[deg] = coeffs.get(deg, Fraction(0)) + c
-    if not coeffs:
-        return [], None
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return out, tang
+    if axis_restriction(radial, chart.radial_var):
+        return None
+    return axis_restriction(tang, chart.radial_var)
 
 
 def _chart_point(chart: BlowupChart, u):
@@ -289,7 +197,7 @@ def divisor_stationary_points(chart: BlowupChart):
     Complex roots are reflected only in the returned count.  A divisor made
     entirely of stationary points comes back as a DivisorContinuum.
     """
-    coeffs, _ = _divisor_restriction(chart)
+    coeffs = _divisor_restriction(chart)
     if coeffs is None:
         raise PreconditionError(
             f"divisor of the {chart.direction} chart is not invariant (dicritical blow-up)"
@@ -297,17 +205,7 @@ def divisor_stationary_points(chart: BlowupChart):
     if coeffs == []:
         return [DivisorContinuum(chart.direction, ClassificationKind("degenerate_curve"))], 0
 
-    exact, floats, complex_count = _univariate_real_roots(coeffs)
-    # stationary points are a set: collapse root multiplicities
-    exact = sorted(set(exact))
-    deduped = []
-    for u in floats:
-        if any(abs(u - float(e)) < 1e-9 for e in exact):
-            continue
-        if any(abs(u - v) < 1e-9 for v in deduped):
-            continue
-        deduped.append(u)
-    floats = deduped
+    exact, floats, complex_count = real_roots(coeffs)
     f = chart.field()
     points = []
     for u in exact:
@@ -364,18 +262,10 @@ class SectorDecomposition:
         to the curve y = u·(±x)^β; seeds sit on those curves close to the
         origin, where separatrix tracing starts.
         """
-        alpha, beta = self.weights
         seeds = []
         for direction, u, label, _ in self.boundary_directions:
-            uf = float(u)
-            if direction == "+x":
-                seeds.append((label, (r**alpha, uf * r**beta)))
-            elif direction == "-x":
-                seeds.append((label, (-(r**alpha), uf * r**beta)))
-            elif direction == "+y":
-                seeds.append((label, (uf * r**alpha, r**beta)))
-            else:
-                seeds.append((label, (uf * r**alpha, -(r**beta))))
+            chart_point = (r, float(u)) if direction in ("+x", "-x") else (float(u), r)
+            seeds.append((label, blow_down(direction, self.weights, *chart_point)))
         return seeds
 
 
@@ -409,7 +299,7 @@ class _CycleEntry:
 
 
 def _tangential_value(chart: BlowupChart, u):
-    coeffs, _ = _divisor_restriction(chart)
+    coeffs = _divisor_restriction(chart)
     val = Fraction(0) if isinstance(u, Fraction) or isinstance(u, int) else 0.0
     for c in reversed(coeffs):
         val = val * u + (c if not isinstance(val, float) else float(c))
@@ -479,47 +369,34 @@ def _arc_flow_ccw(samples) -> bool:
     return verdicts[0]
 
 
-def classify_nilpotent_origin(f: PolyField, depth: int = 3) -> SectorDecomposition:
+# the counterclockwise walk around the divisor: +x ascending, the +y axis
+# point, -x descending, the -y axis point
+_CYCLE_ORDER = (("+x", 1), ("+y", 0), ("-x", -1), ("-y", 0))
+
+
+def classify_nilpotent_origin(f: PolyField) -> SectorDecomposition:
     """Sector structure of an isolated nilpotent stationary point at the origin.
 
     Runs the Newton-polygon weights, all four directional blow-ups,
     classifies the divisor stationary points, and assembles the sector
     cycle by blow-down.  Raises UnresolvedError when a divisor point is
-    itself non-elementary (the recursion guard) or when the divisor carries
-    a continuum.
+    itself non-elementary or when the divisor carries a continuum.
     """
-    if depth <= 0:
-        raise UnresolvedError("blow-up recursion depth exhausted")
     if not is_nilpotent_origin(f.P, f.Q):
         raise PreconditionError("origin is not a nilpotent stationary point")
     w = newton_weights(f.P, f.Q)
     charts = {d: blowup_directional(f, d, w) for d in DIRECTIONS}
 
     cycle: list[_CycleEntry] = []
-    for d in ("+x",):
+    for d, order in _CYCLE_ORDER:
         pts, _ = divisor_stationary_points(charts[d])
         if pts and isinstance(pts[0], DivisorContinuum):
             raise UnresolvedError("continuum of stationary points on the divisor", partial=pts[0])
-        for p in sorted(pts, key=lambda p: float(p.coordinate)):
-            cycle.append(_CycleEntry(p, _nominal_angle(d, p.coordinate)))
-    for d in ("+y",):
-        pts, _ = divisor_stationary_points(charts[d])
-        if pts and isinstance(pts[0], DivisorContinuum):
-            raise UnresolvedError("continuum of stationary points on the divisor", partial=pts[0])
-        for p in pts:
-            if p.coordinate == 0:
-                cycle.append(_CycleEntry(p, _nominal_angle(d, 0)))
-    mx_pts, _ = divisor_stationary_points(charts["-x"])
-    if mx_pts and isinstance(mx_pts[0], DivisorContinuum):
-        raise UnresolvedError("continuum of stationary points on the divisor", partial=mx_pts[0])
-    for p in sorted(mx_pts, key=lambda p: -float(p.coordinate)):
-        cycle.append(_CycleEntry(p, _nominal_angle("-x", p.coordinate)))
-    my_pts, _ = divisor_stationary_points(charts["-y"])
-    if my_pts and isinstance(my_pts[0], DivisorContinuum):
-        raise UnresolvedError("continuum of stationary points on the divisor", partial=my_pts[0])
-    for p in my_pts:
-        if p.coordinate == 0:
-            cycle.append(_CycleEntry(p, _nominal_angle("-y", 0)))
+        if order:
+            pts = sorted(pts, key=lambda p: order * float(p.coordinate))
+        else:
+            pts = [p for p in pts if p.coordinate == 0]
+        cycle.extend(_CycleEntry(p, _nominal_angle(d, p.coordinate)) for p in pts)
 
     if not cycle:
         # no characteristic directions: monodromic point (focus/center-like)

@@ -15,14 +15,13 @@ from a spec file (two rational expressions, optional "param n = v" lines).
 Rational flags accept "n/d" or decimal literals; decimals are rationalized
 exactly from their digits.  Exit codes: 0 success, 2 usage or parse error,
 3 precondition or domain violation, 4 internal inconsistency.
-Deterministic output; ATLAS_THREADS caps scan parallelism.
+Output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -252,10 +251,7 @@ def cmd_index(args):
 def cmd_omega(args):
     system = _System(args)
     f = system.field
-    if system.kind == "cdk":
-        points, circle = _stationary_pieces(system)
-        eqs = tuple(p.location_floats() for p in points)
-    elif system.kind == "sprott":
+    if system.kind == "sprott":
         eqs = (f.fixed_point(),)
     else:
         points, _ = _stationary_pieces(system)
@@ -303,8 +299,7 @@ def cmd_region(args):
 
 
 def cmd_scan(args):
-    threads = int(os.environ.get("ATLAS_THREADS", "1"))
-    res = atlas.scan_grid(args.a_range, args.b_range, args.resolution, threads=threads)
+    res = atlas.scan_grid(args.a_range, args.b_range, args.resolution)
     doc = {
         "a_values": [str(v) for v in res.a_values],
         "b_values": [str(v) for v in res.b_values],

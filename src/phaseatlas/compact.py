@@ -19,16 +19,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blowup import _univariate_real_roots
 from .desing import PolyField
 from .equilibria import ClassificationKind, classify_linear, jacobian_at
 from .errors import DomainError, PreconditionError
-from .polycore import BiPoly
+from .polycore import BiPoly, axis_restriction, divisor_power, real_roots
 
 CHART_IDS = ("U1", "U2", "V1", "V2")
 
 # chart -> the axis direction of its u = 0 divisor point
 _CHART_AXIS = {"U1": "+x", "V1": "-x", "U2": "+y", "V2": "-y"}
+
+# chart -> (polar angle of its u = 0 point, sign of dθ/du): the chart maps
+# send u to the plane directions (1, u), (-1, -u), (u, 1) and (-u, -1)
+_CHART_ANGLE = {
+    "U1": (0.0, 1),
+    "V1": (math.pi, 1),
+    "U2": (math.pi / 2, -1),
+    "V2": (-math.pi / 2, -1),
+}
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,11 @@ class InfinitePoint:
     kind: ClassificationKind
     transverse_eigenvalue: object
     antipode_chart: str
+
+    def angle(self) -> float:
+        """Polar angle of the plane direction this equator point represents."""
+        base, sign = _CHART_ANGLE[self.chart]
+        return base + sign * math.atan(float(self.u))
 
 
 @dataclass(frozen=True)
@@ -95,30 +108,14 @@ def compactify_chart(f: PolyField, chart: str) -> PolyField:
     pz = BiPoly(z_terms) * sign
 
     # cancel a shared z power, keeping the divisor {z = 0} invariant
-    orders = [p.monomial_order("y") for p in (pu, pz) if not p.is_zero()]
-    s = min(orders) if orders else 0
-    if not pz.is_zero():
-        s = min(s, pz.monomial_order("y") - 1)
-    s = max(s, 0)
-    if s:
-        pu = pu.div_monomial("y", s)
-        pz = pz.div_monomial("y", s)
+    s = divisor_power(pz, pu, "y")
+    pu, pz = pu.div_monomial("y", s), pz.div_monomial("y", s)
     return PolyField(pu, pz, provenance=("compactified", chart))
 
 
 def divisor_polynomial(f: PolyField, chart: str) -> list[Fraction]:
     """Coefficients (ascending) of u̇(u, 0) in the chart."""
-    cf = compactify_chart(f, chart)
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), c in cf.P.terms.items():
-        if j == 0:
-            coeffs[i] = coeffs.get(i, Fraction(0)) + c
-    if not coeffs:
-        return []
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for i, c in coeffs.items():
-        out[i] = c
-    return out
+    return axis_restriction(compactify_chart(f, chart).P, "y")
 
 
 _ANTIPODE = {"U1": "V1", "V1": "U1", "U2": "V2", "V2": "U2"}
@@ -148,9 +145,8 @@ def infinite_stationary_points(f: PolyField):
     points = []
     for chart in CHART_IDS:
         cf = compactify_chart(f, chart)
-        coeffs = divisor_polynomial(f, chart)
-        exact, floats, _ = _univariate_real_roots(coeffs)
-        exact = sorted(set(exact))
+        coeffs = axis_restriction(cf.P, "y")
+        exact, floats, _ = real_roots(coeffs)
         roots = [(u, True) for u in exact] + [(u, False) for u in floats]
         for u, is_exact in roots:
             au = abs(float(u))

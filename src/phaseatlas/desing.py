@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import DomainError, UndefinedPointError, ZeroDenominatorError
-from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_gcd, poly_lcm
+from .errors import DomainError, UndefinedPointError
+from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_gcd, poly_lcm, reduce_fraction
 
 
 @dataclass(frozen=True)
@@ -38,26 +37,10 @@ class RationalField:
     s: BiPoly
 
     def __post_init__(self):
-        if self.q.is_zero() or self.s.is_zero():
-            raise ZeroDenominatorError("denominator is the zero polynomial")
-        gx = poly_gcd(self.p, self.q) if not self.p.is_zero() else BiPoly.const(1)
-        gy = poly_gcd(self.r, self.s) if not self.r.is_zero() else BiPoly.const(1)
-        p, q = self.p, self.q
-        r, s = self.r, self.s
-        if not gx.is_constant():
-            p, q = poly_divexact(p, gx), poly_divexact(q, gx)
-        if not gy.is_constant():
-            r, s = poly_divexact(r, gy), poly_divexact(s, gy)
-        # normalize denominators to primitive with positive leading coefficient
-        for num, den, keyn, keyd in ((p, q, "p", "q"), (r, s, "r", "s")):
-            dprim = den.primitive()
-            scale = None
-            for e, c in den.terms.items():
-                scale = c / dprim.terms[e]
-                break
-            num = BiPoly({e: c / scale for e, c in num.terms.items()})
-            object.__setattr__(self, keyn, num)
-            object.__setattr__(self, keyd, dprim)
+        p, q = reduce_fraction(self.p, self.q)
+        r, s = reduce_fraction(self.r, self.s)
+        for key, value in (("p", p), ("q", q), ("r", r), ("s", s)):
+            object.__setattr__(self, key, value)
 
     def eval(self, x, y):
         """Exact value of (p/q, r/s); raises off the domain."""

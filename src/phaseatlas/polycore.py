@@ -3,7 +3,8 @@
 A polynomial in x, y is stored sparsely as a mapping from exponent pairs
 (i, j) to nonzero Fraction coefficients.  The zero polynomial is the empty
 mapping.  All arithmetic is exact; floating point appears only at the
-evaluation boundary (`BiPoly.eval` with float coordinates).
+evaluation boundary (`BiPoly.eval` with float coordinates) and for the
+irrational roots that `real_roots` takes from numpy.
 
 Rationals are plain `fractions.Fraction` values: they are always stored in
 lowest terms with a positive denominator, which is exactly the invariant
@@ -20,7 +21,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
 
-from .errors import DomainError, PreconditionError
+import numpy as np
+
+from .errors import DomainError, PreconditionError, ZeroDenominatorError
 
 Rational = Fraction
 Exponent = Tuple[int, int]
@@ -383,7 +386,7 @@ def format_poly(p: BiPoly) -> str:
     return out
 
 
-# -- univariate helpers over Q[x], used by the bivariate gcd -----------------
+# -- univariate helpers over Q[x]: the bivariate gcd and real roots ----------
 #
 # A univariate polynomial is a plain list of Fractions, index = degree,
 # trailing zeros stripped.  The empty list is zero.
@@ -467,6 +470,79 @@ def _ugcd(a, b):
         _, r = _udivmod(a, b)
         a, b = b, r
     return _uprimitive(a)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out or {1})
+
+
+def _integerize(c: list[Fraction]) -> list[int]:
+    den = 1
+    for v in c:
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return [int(v * den) for v in c]
+
+
+def _rational_root(ic: list[int]):
+    """First root ±p/q of an integer polynomial in trial order, or None."""
+    for p in _divisors(ic[0]):
+        for q in _divisors(ic[-1]):
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                val = Fraction(0)
+                for coef in reversed(ic):
+                    val = val * r + coef
+                if val == 0:
+                    return r
+    return None
+
+
+def real_roots(coeffs: list[Fraction]):
+    """Distinct real roots of a rational univariate polynomial (ascending coefficients).
+
+    Rational roots are found exactly (rational-root theorem) and deflated;
+    the rest come from numpy.  Float roots within 1e-9 of an exact root or
+    of each other are merged.  Returns (exact_roots, float_roots,
+    complex_count), the root lists ascending.
+    """
+    c = _utrim(list(coeffs))
+    if not c:
+        raise DomainError("zero polynomial has no root list")
+    exact: set[Fraction] = set()
+    while c[0] == 0:
+        exact.add(Fraction(0))
+        c.pop(0)
+    ic = _integerize(c)
+    while len(ic) > 1:
+        r = _rational_root(ic)
+        if r is None:
+            break
+        exact.add(r)
+        quotient, _ = _udivmod(ic, [-r, Fraction(1)])
+        ic = _integerize(quotient)
+
+    floats: list[float] = []
+    complex_count = 0
+    if len(ic) > 1:
+        roots = np.roots(list(reversed([float(v) for v in ic])))
+        scale = max(1.0, max(abs(r) for r in roots))
+        for r in roots:
+            if abs(r.imag) < 1e-9 * scale:
+                floats.append(float(r.real))
+            else:
+                complex_count += 1
+    distinct: list[float] = []
+    for u in sorted(floats):
+        if all(abs(u - v) >= 1e-9 for v in [float(e) for e in exact] + distinct):
+            distinct.append(u)
+    return sorted(exact), distinct, complex_count
 
 
 def _to_y_coeffs(p: BiPoly) -> list[list[Fraction]]:
@@ -623,6 +699,51 @@ def poly_divides(d: BiPoly, p: BiPoly) -> bool:
         return True
     except DomainError:
         return False
+
+
+def reduce_fraction(n: BiPoly, d: BiPoly) -> tuple[BiPoly, BiPoly]:
+    """n/d in lowest terms, d primitive with positive leading coefficient; 0/d gives 0/1."""
+    if d.is_zero():
+        raise ZeroDenominatorError("right-hand side normalizes to a zero denominator")
+    if n.is_zero():
+        return n, BiPoly.const(1)
+    g = poly_gcd(n, d)
+    if not g.is_constant():
+        n, d = poly_divexact(n, g), poly_divexact(d, g)
+    scale = d.content()
+    if d.leading_coefficient() < 0:
+        scale = -scale
+    return BiPoly({e: c / scale for e, c in n}), BiPoly({e: c / scale for e, c in d})
+
+
+# -- restriction to an exceptional divisor {var = 0} ---------------------------------
+
+
+def axis_restriction(p: BiPoly, var: str) -> list[Fraction]:
+    """Ascending coefficients of p on {var = 0}, a polynomial in the other variable."""
+    k = 0 if var == "x" else 1
+    out: list[Fraction] = []
+    for e, c in p:
+        if e[k] == 0:
+            deg = e[1 - k]
+            out.extend([Fraction(0)] * (deg + 1 - len(out)))
+            out[deg] = c
+    return out
+
+
+def divisor_power(radial: BiPoly, tangential: BiPoly, var: str) -> int:
+    """Largest power of var that a chart field can shed with {var = 0} kept invariant.
+
+    Both components must stay divisible, and the radial one must keep at
+    least one factor of var so the divisor remains a union of orbits.
+    """
+    orders = [p.monomial_order(var) for p in (radial, tangential) if not p.is_zero()]
+    if not orders:
+        return 0
+    s = min(orders)
+    if not radial.is_zero():
+        s = min(s, radial.monomial_order(var) - 1)
+    return max(s, 0)
 
 
 # -- Newton polygon weights ---------------------------------------------------

@@ -315,15 +315,8 @@ def render_portrait(f: PolyField, style: PortraitStyle | None = None, a=None, b=
         doc.add_marker(shape, compact.disc_coords(p.location_floats()), style.glyph_size, color)
     if not isinstance(infinity, compact.InfinityContinuum):
         for p in infinity:
-            angle = {"+x": 0.0, "-x": math.pi, "+y": math.pi / 2, "-y": -math.pi / 2}.get(
-                p.direction_label
-            )
-            if angle is None:
-                u = float(p.u)
-                base = 0.0 if p.chart == "U1" else (math.pi if p.chart == "V1" else math.pi / 2)
-                angle = base + math.atan(u)
             shape, color = glyph_for(style, p.kind)
-            doc.add_marker(shape, compact.boundary_point(angle), style.glyph_size, color)
+            doc.add_marker(shape, compact.boundary_point(p.angle()), style.glyph_size, color)
 
     doc.add_circle((0.0, 0.0), 1.0, "#000000", 0.01)
     return doc

@@ -27,13 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .desing import RationalField
-from .errors import (
-    ParseError,
-    UnknownSymbolError,
-    UnsupportedConstructError,
-    ZeroDenominatorError,
-)
-from .polycore import BiPoly, format_poly, format_rational, poly_gcd
+from .errors import ParseError, UnknownSymbolError, UnsupportedConstructError
+from .polycore import BiPoly, format_poly, format_rational, reduce_fraction
 
 # -- tokenizer ---------------------------------------------------------------------
 
@@ -250,22 +245,6 @@ def _to_ratfunc(node, bindings):
     raise ParseError(f"malformed expression node {op!r}")
 
 
-def _reduce(n: BiPoly, d: BiPoly):
-    if d.is_zero():
-        raise ZeroDenominatorError("right-hand side normalizes to a zero denominator")
-    if n.is_zero():
-        return BiPoly.zero(), BiPoly.const(1)
-    from .polycore import poly_divexact
-
-    g = poly_gcd(n, d)
-    if not g.is_constant():
-        n, d = poly_divexact(n, g), poly_divexact(d, g)
-    dprim = d.primitive()
-    scale = next(iter((c / dprim.terms[e]) for e, c in d.terms.items()))
-    n = BiPoly({e: c / scale for e, c in n.terms.items()})
-    return n, dprim
-
-
 # -- SystemSpec --------------------------------------------------------------------------
 
 
@@ -283,13 +262,11 @@ class SystemSpec:
     def normalized(self):
         """Reduced (p, q), (r, s) pairs with parameters substituted."""
         b = self.bindings()
-        px, qx = _reduce(*_to_ratfunc(self.rhs_x, b))
-        py, qy = _reduce(*_to_ratfunc(self.rhs_y, b))
-        return (px, qx), (py, qy)
+        return tuple(reduce_fraction(*_to_ratfunc(rhs, b)) for rhs in (self.rhs_x, self.rhs_y))
 
     def to_rational_field(self) -> RationalField:
-        (px, qx), (py, qy) = self.normalized()
-        return RationalField(px, qx, py, qy)
+        b = self.bindings()
+        return RationalField(*_to_ratfunc(self.rhs_x, b), *_to_ratfunc(self.rhs_y, b))
 
     def canonical_text(self) -> str:
         lines = [f"param {name} = {format_rational(v)}" for name, v in self.parameters if v is not None]

@@ -167,10 +167,3 @@ def test_scan_degenerate_single_cell():
 def test_scan_resolution_200_hits_all_sixteen():
     res = scan_grid((0, 3), (0, 3), 200)
     assert res.distinct_regions() == set(REGION_IDS)
-
-
-def test_scan_threads_deterministic():
-    serial = scan_grid((0, 3), (0, 3), 24)
-    threaded = scan_grid((0, 3), (0, 3), 24, threads=4)
-    assert serial.cells == threaded.cells
-    assert serial.boundary_loci == threaded.boundary_loci

@@ -15,7 +15,11 @@ from phaseatlas.polycore import (
     poly_divexact,
     poly_gcd,
     poly_lcm,
+    real_roots,
+    reduce_fraction,
 )
+
+F = Fraction
 
 
 def cdk_rhs(a, b):
@@ -236,3 +240,49 @@ def test_format_examples():
 def test_format_graded_lex_order():
     p = Y**2 + X**2 + X * Y + X + Y + 1
     assert format_poly(p) == "x^2 + x*y + y^2 + x + y + 1"
+
+
+# -- univariate real roots ------------------------------------------------------
+
+
+def test_real_roots_strips_root_at_zero():
+    # x^2 (x - 1): the double root at 0 is split off before the search
+    exact, floats, complex_count = real_roots([F(0), F(0), F(-1), F(1)])
+    assert exact == [0, 1]
+    assert floats == [] and complex_count == 0
+
+
+def test_real_roots_repeated_rational_root_once():
+    # (2x - 1)^2 (x + 3)
+    exact, floats, complex_count = real_roots([F(3), F(-11), F(8), F(4)])
+    assert exact == [F(-3), F(1, 2)]
+    assert floats == [] and complex_count == 0
+
+
+def test_real_roots_irrational_roots_are_floats():
+    # x^2 - 2
+    exact, floats, complex_count = real_roots([F(-2), F(0), F(1)])
+    assert exact == []
+    assert floats == pytest.approx([-(2**0.5), 2**0.5], abs=1e-12)
+    assert complex_count == 0
+
+
+def test_real_roots_counts_complex_roots():
+    # (x^2 + 1)(x - 2)(3x^2 + 3x + 1)
+    coeffs = [F(-2), F(-5), F(-5), F(-2), F(-3), F(3)]
+    exact, floats, complex_count = real_roots(coeffs)
+    assert exact == [2]
+    assert floats == [] and complex_count == 4
+
+
+def test_real_roots_zero_polynomial_rejected():
+    for coeffs in ([], [F(0), F(0)]):
+        with pytest.raises(DomainError):
+            real_roots(coeffs)
+
+
+def test_reduce_fraction_normalizes_denominator():
+    n, d = reduce_fraction((X - Y) * X, -2 * (X - Y) * (X**2 + 1))
+    assert d == X**2 + 1
+    assert n == F(-1, 2) * X
+    assert reduce_fraction(BiPoly.zero(), 3 * X + 1) == (BiPoly.zero(), BiPoly.const(1))

@@ -117,3 +117,15 @@ def test_glyphs_match_stationary_point_kinds():
         markers = [el for el in doc.elements if el[0] == "marker"]
         finite_markers = sorted((el[1], el[4]) for el in markers[: len(pts)])
         assert finite_markers == expected, (a, b)
+
+
+def test_slope_points_at_infinity_sit_at_their_directions():
+    # saddle with invariant directions (1, 2) and (1, -2): one equator point
+    # in each quadrant, all four owned by the y-direction charts
+    doc = render_portrait(PolyField(X + 2 * Y, 8 * X + Y))
+    markers = [el[2] for el in doc.elements if el[0] == "marker"]
+    rim = [(x, y) for x, y in markers if abs(math.hypot(x, y) - 1) < 1e-9]
+    got = sorted(math.degrees(math.atan2(y, x)) % 360 for x, y in rim)
+    directions = ((1, 2), (-1, 2), (-1, -2), (1, -2))
+    want = sorted(math.degrees(math.atan2(dy, dx)) % 360 for dx, dy in directions)
+    assert got == pytest.approx(want, abs=1e-9)

@@ -9,8 +9,9 @@ regions of their own.  Regions are labeled 1, 2a-2c, 3a-3l.
 qualitative content (stationary points and their kinds, the sector
 structure at the origin, the behaviour at infinity, the almost-attractor
 list) is cross-validated at runtime against the closed-form solver, the
-blow-up machinery, and the compactification; any mismatch raises
-InternalInconsistencyError, which signals a bug, never a user error.
+blow-up machinery, and the compactification, and the computed objects are
+returned with it; any mismatch raises InternalInconsistencyError, which
+signals a bug, never a user error.
 """
 
 from __future__ import annotations
@@ -157,12 +158,17 @@ _CASE_INDEX = {"1": 2, "2": 0, "3a": 2, "3b": 2, "3c": 2, "3d": 0}
 
 @dataclass(frozen=True)
 class RegionSummary:
+    """The region's expected content, with the computed objects it was checked against."""
+
     region: str
     finite_points: dict
     s1_sectors: str
     infinity: object
     homoclinic: bool
     almost_attractors: tuple
+    stationary: object  # list of StationaryPoint, or the StationaryCircle in region 1
+    sectors: object  # SectorDecomposition of the origin; None in region 1
+    at_infinity: object  # list of InfinitePoint, or an InfinityContinuum
 
 
 def _kind_string(kind) -> str:
@@ -197,74 +203,69 @@ def _validate_sectors(dec, case: str):
         raise InternalInconsistencyError("homoclinic flag inconsistent with sectors")
 
 
-def region_summary(a, b, validate: bool = True) -> RegionSummary:
+def region_summary(a, b) -> RegionSummary:
     """Full qualitative record of the region of (a, b).
 
-    With validate=True (the default) every claim in the record is
-    recomputed from the constituent modules and compared; a mismatch
-    raises InternalInconsistencyError.
+    Every claim in the record is recomputed from the constituent modules
+    and compared; a mismatch raises InternalInconsistencyError.  The
+    computed objects are returned with the record.
     """
     a, b = _rationalize(a), _rationalize(b)
     region = classify_region(a, b)
     expected = REGION_TABLE[region]
     f = cdk_poly_field(a, b)
+    stationary = equilibria.cdk_stationary_points(a, b)
+    sectors = None
 
     finite: dict = {}
     if region == "1":
         finite["circle"] = "stationary_circle"
-        if validate:
-            circle = equilibria.cdk_stationary_points(a, b)
-            if not isinstance(circle, equilibria.StationaryCircle):
-                raise InternalInconsistencyError("expected a stationary circle at a=b=1")
-            for t in (Fraction(0), Fraction(1), Fraction(-2, 3)):
-                x = t / (1 + t * t)
-                y = 1 / (1 + t * t)
-                if f.P.eval(x, y) != 0 or f.Q.eval(x, y) != 0:
-                    raise InternalInconsistencyError("field does not vanish on the circle")
+        if not isinstance(stationary, equilibria.StationaryCircle):
+            raise InternalInconsistencyError("expected a stationary circle at a=b=1")
+        for t in (Fraction(0), Fraction(1), Fraction(-2, 3)):
+            x = t / (1 + t * t)
+            y = 1 / (1 + t * t)
+            if f.P.eval(x, y) != 0 or f.Q.eval(x, y) != 0:
+                raise InternalInconsistencyError("field does not vanish on the circle")
     else:
-        pts = equilibria.cdk_stationary_points(a, b)
-        by_label = {p.label: p for p in pts}
+        by_label = {p.label: p for p in stationary}
         finite["s1"] = f"nilpotent (case {expected.s1_case})"
         finite["s2"] = expected.s2_kind
-        if validate:
-            got = _kind_string(by_label["s2"].kind)
-            if got != expected.s2_kind:
-                raise InternalInconsistencyError(
-                    f"s2 kind {got} != expected {expected.s2_kind} in region {region}"
-                )
+        got = _kind_string(by_label["s2"].kind)
+        if got != expected.s2_kind:
+            raise InternalInconsistencyError(
+                f"s2 kind {got} != expected {expected.s2_kind} in region {region}"
+            )
         if expected.s34_kind is not None:
             finite["s3"] = finite["s4"] = expected.s34_kind
-            if validate:
-                if "s3" not in by_label:
-                    raise InternalInconsistencyError(f"s3/s4 missing in region {region}")
-                got = _kind_string(by_label["s3"].kind)
-                if got != expected.s34_kind:
-                    raise InternalInconsistencyError(
-                        f"s3/s4 kind {got} != expected {expected.s34_kind}"
-                    )
-        elif validate and "s3" in by_label:
+            if "s3" not in by_label:
+                raise InternalInconsistencyError(f"s3/s4 missing in region {region}")
+            got = _kind_string(by_label["s3"].kind)
+            if got != expected.s34_kind:
+                raise InternalInconsistencyError(
+                    f"s3/s4 kind {got} != expected {expected.s34_kind}"
+                )
+        elif "s3" in by_label:
             raise InternalInconsistencyError(f"unexpected s3/s4 in region {region}")
-        if validate:
-            dec = blowup.classify_nilpotent_origin(f)
-            _validate_sectors(dec, expected.s1_case)
+        sectors = blowup.classify_nilpotent_origin(f)
+        _validate_sectors(sectors, expected.s1_case)
 
-    if validate:
-        inf = compact.infinite_stationary_points(f)
-        if expected.infinity == "continuum":
-            if not isinstance(inf, compact.InfinityContinuum):
-                raise InternalInconsistencyError(f"expected infinity continuum in {region}")
-            if not inf.one_outgoing_trajectory_each():
-                raise InternalInconsistencyError("continuum transverse eigenvalues not positive")
-        else:
-            if isinstance(inf, compact.InfinityContinuum):
-                raise InternalInconsistencyError(f"unexpected infinity continuum in {region}")
-            x_kind, y_kind = expected.infinity
-            for p in inf:
-                want = x_kind if p.direction_label in ("+x", "-x") else y_kind
-                if p.kind.name != want:
-                    raise InternalInconsistencyError(
-                        f"infinite point {p.direction_label} is {p.kind.name}, expected {want}"
-                    )
+    inf = compact.infinite_stationary_points(f)
+    if expected.infinity == "continuum":
+        if not isinstance(inf, compact.InfinityContinuum):
+            raise InternalInconsistencyError(f"expected infinity continuum in {region}")
+        if not inf.one_outgoing_trajectory_each():
+            raise InternalInconsistencyError("continuum transverse eigenvalues not positive")
+    else:
+        if isinstance(inf, compact.InfinityContinuum):
+            raise InternalInconsistencyError(f"unexpected infinity continuum in {region}")
+        x_kind, y_kind = expected.infinity
+        for p in inf:
+            want = x_kind if p.direction_label in ("+x", "-x") else y_kind
+            if p.kind.name != want:
+                raise InternalInconsistencyError(
+                    f"infinite point {p.direction_label} is {p.kind.name}, expected {want}"
+                )
 
     return RegionSummary(
         region=region,
@@ -273,6 +274,9 @@ def region_summary(a, b, validate: bool = True) -> RegionSummary:
         infinity=expected.infinity,
         homoclinic=expected.homoclinic,
         almost_attractors=expected.almost_attractors,
+        stationary=stationary,
+        sectors=sectors,
+        at_infinity=inf,
     )
 
 

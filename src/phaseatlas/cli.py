@@ -66,7 +66,7 @@ def _range(text: str) -> tuple[Fraction, Fraction]:
 class _System:
     """Resolved system source: field, parameters, description."""
 
-    def __init__(self, args, need_field=True):
+    def __init__(self, args):
         self.kind = args.system
         self.a = self.b = None
         self.spec = None
@@ -107,19 +107,14 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _stationary_pieces(system):
-    """(points, circle) from the closed form for cdk, numerically otherwise."""
-    if system.kind == "cdk":
-        result = equilibria.cdk_stationary_points(system.a, system.b)
-        if isinstance(result, equilibria.StationaryCircle):
-            return [], result
-        return result, None
-    found = equilibria.find_stationary(system.field, (-8, 8, -8, 8), tol=1e-10)
+def _stationary_pieces(f):
+    """(points, circle) of a polynomial field; a continuum is a precondition error."""
+    found = equilibria.finite_stationary(f, tol=1e-10)
     if isinstance(found, equilibria.Continuum):
         raise PreconditionError(
             "continuum of stationary points detected; no point list to report"
         )
-    return found, None
+    return found
 
 
 def _base_diagnostics(args):
@@ -134,11 +129,19 @@ def _base_diagnostics(args):
 def cmd_analyze(args):
     system = _System(args)
     f = system.require_polynomial()
-    points, circle = _stationary_pieces(system)
     diagnostics = _base_diagnostics(args)
-    sectors = None
-    region = None
-    if circle is None and not any(v != 0 for v in f.eval(0, 0)):
+    if system.kind == "cdk":
+        # region_summary computes and checks the whole analysis; print what it checked
+        summary = atlas.region_summary(system.a, system.b)
+        region, sectors, inf = summary.region, summary.sectors, summary.at_infinity
+        if isinstance(summary.stationary, equilibria.StationaryCircle):
+            points, circle = [], summary.stationary
+        else:
+            points, circle = summary.stationary, None
+        diagnostics.append(f"almost attractors: {', '.join(summary.almost_attractors)}")
+    else:
+        points, circle = _stationary_pieces(f)
+        region = sectors = None
         from .polycore import is_nilpotent_origin
 
         if is_nilpotent_origin(f.P, f.Q):
@@ -146,13 +149,9 @@ def cmd_analyze(args):
                 sectors = blowup.classify_nilpotent_origin(f)
             except PhaseAtlasError as exc:
                 diagnostics.append(f"origin sectors unresolved: {exc}")
-    inf = compact.infinite_stationary_points(f)
+        inf = compact.infinite_stationary_points(f)
     continuum = inf if isinstance(inf, compact.InfinityContinuum) else None
     inf_points = None if continuum else inf
-    if system.kind == "cdk":
-        summary = atlas.region_summary(system.a, system.b)
-        region = summary.region
-        diagnostics.append(f"almost attractors: {', '.join(summary.almost_attractors)}")
     doc = sysio.build_report(
         system.text,
         parameters=system.params,
@@ -170,8 +169,7 @@ def cmd_analyze(args):
 
 def cmd_stationary(args):
     system = _System(args)
-    system.require_polynomial()
-    points, circle = _stationary_pieces(system)
+    points, circle = _stationary_pieces(system.require_polynomial())
     doc = sysio.build_report(
         system.text, parameters=system.params, equilibria=points or None, circle=circle
     )
@@ -254,7 +252,7 @@ def cmd_omega(args):
     if system.kind == "sprott":
         eqs = (f.fixed_point(),)
     else:
-        points, _ = _stationary_pieces(system)
+        points, _ = _stationary_pieces(f)
         eqs = tuple(p.location_floats() for p in points)
     opts = dynamics.IntegratorOptions(
         max_time=args.max_time,

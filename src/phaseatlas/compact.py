@@ -130,13 +130,12 @@ def infinite_stationary_points(f: PolyField):
     point is reported exactly once per hemisphere end, with its antipodal
     partner chart recorded.
     """
-    coeffs_x = divisor_polynomial(f, "U1")
-    if not coeffs_x or all(c == 0 for c in coeffs_x):
+    u1 = compactify_chart(f, "U1")
+    if not any(axis_restriction(u1.P, "y")):
         # every equator point stationary: report the structure along it
-        cf = compactify_chart(f, "U1")
         samples = []
         for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)):
-            J = jacobian_at(cf, (u, Fraction(0)))
+            J = jacobian_at(u1, (u, Fraction(0)))
             samples.append((u, J[1][1]))
         return InfinityContinuum(
             tangential_eigenvalue=Fraction(0), sample_transverse=tuple(samples)
@@ -144,7 +143,7 @@ def infinite_stationary_points(f: PolyField):
 
     points = []
     for chart in CHART_IDS:
-        cf = compactify_chart(f, chart)
+        cf = u1 if chart == "U1" else compactify_chart(f, chart)
         coeffs = axis_restriction(cf.P, "y")
         exact, floats, _ = real_roots(coeffs)
         roots = [(u, True) for u in exact] + [(u, False) for u in floats]

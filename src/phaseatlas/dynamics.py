@@ -67,10 +67,6 @@ class Trajectory:
     def last_point(self) -> tuple[float, float]:
         return self.samples[-1][1]
 
-    @property
-    def last_time(self) -> float:
-        return self.samples[-1][0]
-
 
 def _as_rhs(f):
     if isinstance(f, PolyField):

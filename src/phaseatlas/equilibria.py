@@ -439,6 +439,23 @@ def cdk_stationary_points(a, b):
     return points
 
 
+def finite_stationary(f: PolyField, tol: float):
+    """Finite stationary points of f as (points, circle), or a Continuum.
+
+    CDK fields use the closed form; any other field is searched
+    numerically on the box (-8, 8)² to residual < tol.
+    """
+    if f.provenance[0] == "cdk":
+        result = cdk_stationary_points(f.provenance[1], f.provenance[2])
+        if isinstance(result, StationaryCircle):
+            return [], result
+        return result, None
+    found = find_stationary(f, (-8, 8, -8, 8), tol=tol)
+    if isinstance(found, Continuum):
+        return found
+    return found, None
+
+
 # -- numeric finder -----------------------------------------------------------------
 
 

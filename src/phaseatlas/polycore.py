@@ -261,12 +261,6 @@ class BiPoly:
         """Sum of the terms of total degree exactly d."""
         return BiPoly({e: c for e, c in self._terms.items() if e[0] + e[1] == d})
 
-    def homogeneous_parts(self) -> dict[int, "BiPoly"]:
-        out: dict[int, BiPoly] = {}
-        for (i, j), c in self._terms.items():
-            out.setdefault(i + j, BiPoly())
-        return {d: self.homogeneous_part(d) for d in sorted(out)}
-
     def shift(self, dx, dy) -> "BiPoly":
         """Substitute x -> x + dx, y -> y + dy (exact binomial expansion)."""
         dx = as_rational(dx)
@@ -391,8 +385,6 @@ def format_poly(p: BiPoly) -> str:
 # A univariate polynomial is a plain list of Fractions, index = degree,
 # trailing zeros stripped.  The empty list is zero.
 
-UPoly = list
-
 
 def _utrim(u: list[Fraction]) -> list[Fraction]:
     while u and u[-1] == 0:
@@ -418,12 +410,6 @@ def _umul(a, b):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return _utrim(out)
-
-
-def _uscale(a, c: Fraction):
-    if c == 0:
-        return []
-    return [v * c for v in a]
 
 
 def _udivmod(a, b):
@@ -691,14 +677,6 @@ def poly_lcm(p: BiPoly, q: BiPoly) -> BiPoly:
         raise DomainError("lcm with the zero polynomial")
     g = poly_gcd(p, q)
     return (poly_divexact(p, g) * q).primitive()
-
-
-def poly_divides(d: BiPoly, p: BiPoly) -> bool:
-    try:
-        poly_divexact(p, d)
-        return True
-    except DomainError:
-        return False
 
 
 def reduce_fraction(n: BiPoly, d: BiPoly) -> tuple[BiPoly, BiPoly]:

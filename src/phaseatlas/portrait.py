@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blowup, compact, dynamics, equilibria
 from .desing import PolyField
-from .errors import PhaseAtlasError, UnresolvedError
+from .errors import PhaseAtlasError
 
 GLYPH_MAP = {
     "saddle": ("square", "#1f9d36"),
@@ -227,7 +227,7 @@ def _circle_points(center, radius, n=256):
     ]
 
 
-def render_portrait(f: PolyField, style: PortraitStyle | None = None, a=None, b=None) -> VectorDocument:
+def render_portrait(f: PolyField, style: PortraitStyle | None = None) -> VectorDocument:
     """Full phase portrait on the Poincaré disc.
 
     Layer order: stationary continua, background trajectories,
@@ -241,32 +241,20 @@ def render_portrait(f: PolyField, style: PortraitStyle | None = None, a=None, b=
         doc.add_circle((0.0, 0.0), 1.0, "#000000", 0.01)
         return doc
 
-    is_cdk = f.provenance and f.provenance[0] == "cdk"
-    if is_cdk:
-        a, b = f.provenance[1], f.provenance[2]
-
     # stationary continua, drawn from their analytic descriptions
-    finite_points = []
-    circle = None
-    sectors = None
-    if is_cdk:
-        result = equilibria.cdk_stationary_points(a, b)
-        if isinstance(result, equilibria.StationaryCircle):
-            circle = result
-        else:
-            finite_points = result
-            try:
-                sectors = blowup.classify_nilpotent_origin(f)
-            except (UnresolvedError, PhaseAtlasError) as exc:
-                doc.add_warning(f"origin sectors unresolved: {exc}")
-        infinity = compact.infinite_stationary_points(f)
+    finite_points, circle, sectors = [], None, None
+    found = equilibria.finite_stationary(f, tol=1e-9)
+    if isinstance(found, equilibria.Continuum):
+        doc.add_warning("continuum of finite stationary points detected")
     else:
-        found = equilibria.find_stationary(f, (-8, 8, -8, 8), tol=1e-9)
-        if isinstance(found, equilibria.Continuum):
-            doc.add_warning("continuum of finite stationary points detected")
-        else:
-            finite_points = found
-        infinity = compact.infinite_stationary_points(f)
+        finite_points, circle = found
+    # only cdk origins get sector separatrices; spec-file portraits keep their drawing
+    if f.provenance[0] == "cdk" and circle is None:
+        try:
+            sectors = blowup.classify_nilpotent_origin(f)
+        except PhaseAtlasError as exc:
+            doc.add_warning(f"origin sectors unresolved: {exc}")
+    infinity = compact.infinite_stationary_points(f)
 
     if circle is not None:
         pts = [compact.disc_coords(z) for z in _circle_points(

@@ -356,16 +356,10 @@ def encode_number(value, tol: float | None = None):
         return {"approx": f"{value:.12g}", "tol": f"{(tol if tol is not None else 1e-12):.3g}"}
     if isinstance(value, complex):
         return {
-            "re": encode_number(value.real if isinstance(value.real, float) else value.real, tol),
+            "re": encode_number(value.real, tol),
             "im": encode_number(value.imag, tol),
         }
     return {"exact": format_rational(Fraction(value))}
-
-
-def decode_number(doc):
-    if "exact" in doc:
-        return Fraction(doc["exact"])
-    return float(doc["approx"])
 
 
 def _encode_matrix(m, tol=None):

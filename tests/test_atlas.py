@@ -11,6 +11,7 @@ from phaseatlas.atlas import (
     region_summary,
     scan_grid,
 )
+from phaseatlas.equilibria import StationaryCircle
 from phaseatlas.errors import DomainError
 
 F = Fraction
@@ -120,7 +121,7 @@ def test_homoclinic_depends_only_on_b():
 
 def test_region_summary_cross_validation_on_all_representatives():
     for (a, b), region in sorted(APPENDIX_PAIRS.items()):
-        summary = region_summary(a, b, validate=True)
+        summary = region_summary(a, b)
         assert summary.region == region
         content = REGION_TABLE[region]
         assert summary.homoclinic == content.homoclinic
@@ -134,6 +135,16 @@ def test_region_summary_examples():
     assert s.finite_points["s2"] == "saddle"
     assert s.infinity == ("repelling_node", "saddle")
     assert s.homoclinic
+    assert s.sectors.index == 2
+    x_kind, y_kind = s.infinity
+    assert sorted((p.direction_label, p.kind.name) for p in s.at_infinity) == [
+        ("+x", x_kind), ("+y", y_kind), ("-x", x_kind), ("-y", y_kind)
+    ]
+
+    s = region_summary(F(1), F(1))
+    assert s.region == "1"
+    assert s.sectors is None
+    assert isinstance(s.stationary, StationaryCircle)
 
     s = region_summary(F(19, 10), F(19, 10))
     assert s.region == "3c"

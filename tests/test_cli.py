@@ -25,6 +25,48 @@ def test_analyze_region_3h(capsys):
     assert doc["origin_sectors"]["index"] == 2
 
 
+@pytest.mark.parametrize(
+    "a, b, calls", [("7/10", "1/2", (1, 1, 4)), ("1", "1", (0, 1, 1))]
+)
+def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, calls):
+    from phaseatlas import blowup, compact
+
+    counted = (
+        (blowup, "classify_nilpotent_origin"),
+        (compact, "infinite_stationary_points"),
+        (compact, "compactify_chart"),
+    )
+    counts = dict.fromkeys([name for _, name in counted], 0)
+    for module, name in counted:
+
+        def wrapper(*args, _name=name, _inner=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    code, _, _ = run(capsys, "analyze", "--a", a, "--b", b, "--format", "json")
+    assert code == 0
+    assert tuple(counts.values()) == calls
+
+
+def test_spec_file_analyze_matches_cdk_sectors_and_infinity(tmp_path, capsys):
+    path = tmp_path / "cdk.txt"
+    path.write_text(
+        "param a = 7/10\nparam b = 1/2\n"
+        "x*y/(x^2+y^2) - a*x ; y^2/(x^2+y^2) - b*y + b - 1\n"
+    )
+    code, out, _ = run(capsys, "analyze", "--system", str(path), "--format", "json")
+    assert code == 0
+    spec = json.loads(out)
+    _, out, _ = run(
+        capsys, "analyze", "--system", "cdk", "--a", "7/10", "--b", "1/2", "--format", "json"
+    )
+    cdk = json.loads(out)
+    assert spec["origin_sectors"]["index"] == 2
+    assert spec["origin_sectors"] == cdk["origin_sectors"]
+    assert spec["infinity"] == cdk["infinity"]
+
+
 def test_index_prints_two(capsys):
     code, out, _ = run(
         capsys,

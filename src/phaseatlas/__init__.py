@@ -52,7 +52,7 @@ from .equilibria import (
     shift_to_origin,
 )
 from .polycore import BiPoly, NewtonWeights, Rational, newton_weights, poly_gcd
-from .portrait import PortraitStyle, render_portrait, render_region_map
+from .portrait import render_portrait, render_region_map
 from .sysio import SystemSpec, build_report, format_report, parse_system
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import dynamics
 from .desing import PolyField
-from .equilibria import ClassificationKind, classify_linear, classify_point, jacobian_at
+from .equilibria import ClassificationKind, classify_point, jacobian_at
 from .errors import DomainError, InternalInconsistencyError, PreconditionError, UnresolvedError
 from .polycore import (
     BiPoly,
@@ -208,21 +208,14 @@ def divisor_stationary_points(chart: BlowupChart):
     exact, floats, complex_count = real_roots(coeffs)
     f = chart.field()
     points = []
-    for u in exact:
+    # a float root gives a float Jacobian, which classify_point only linearizes
+    for u in exact + floats:
         z = _chart_point(chart, u)
         J = jacobian_at(f, z)
         kind = classify_point(f, z)
         lam_r, lam_t = (J[0][0], J[1][1]) if chart.radial_var == "x" else (J[1][1], J[0][0])
         points.append(
-            DivisorPoint(chart.direction, u, True, J, kind, lam_r, lam_t)
-        )
-    for u in floats:
-        z = _chart_point(chart, u)
-        J = jacobian_at(f, (float(z[0]), float(z[1])))
-        kind = classify_linear(J)
-        lam_r, lam_t = (J[0][0], J[1][1]) if chart.radial_var == "x" else (J[1][1], J[0][0])
-        points.append(
-            DivisorPoint(chart.direction, u, False, J, kind, lam_r, lam_t)
+            DivisorPoint(chart.direction, u, isinstance(u, Fraction), J, kind, lam_r, lam_t)
         )
     return points, complex_count
 
@@ -298,14 +291,6 @@ class _CycleEntry:
         )
 
 
-def _tangential_value(chart: BlowupChart, u):
-    coeffs = _divisor_restriction(chart)
-    val = Fraction(0) if isinstance(u, Fraction) or isinstance(u, int) else 0.0
-    for c in reversed(coeffs):
-        val = val * u + (c if not isinstance(val, float) else float(c))
-    return val
-
-
 def _arc_samples(entries, i, charts):
     """Sampling positions for the open arc between cycle entries i and i+1.
 
@@ -319,16 +304,11 @@ def _arc_samples(entries, i, charts):
     da, db = a.point.direction, b.point.direction
     ua, ub = a.point.coordinate, b.point.coordinate
 
-    def mid(u1, u2):
-        if isinstance(u1, Fraction) and isinstance(u2, Fraction):
-            return (u1 + u2) / 2
-        return (float(u1) + float(u2)) / 2
-
     # consecutive roots inside one x-chart: a single interior sample decides
     if da == db == "+x" and ub > ua:
-        return [(charts["+x"], mid(ua, ub), +1)]
+        return [(charts["+x"], (ua + ub) / 2, +1)]
     if da == db == "-x" and ub < ua:
-        return [(charts["-x"], mid(ua, ub), -1)]
+        return [(charts["-x"], (ua + ub) / 2, -1)]
 
     samples = []
     if da == "+x":  # arc leaves the +x chart upward (ccw = increasing u)
@@ -358,7 +338,8 @@ def _arc_samples(entries, i, charts):
 def _arc_flow_ccw(samples) -> bool:
     verdicts = []
     for chart, u, orient in samples:
-        t = _tangential_value(chart, u)
+        tang = chart.py if chart.radial_var == "x" else chart.px
+        t = tang.eval(*_chart_point(chart, u))
         if t == 0:
             raise InternalInconsistencyError(
                 f"divisor flow vanishes at sample {u} of the {chart.direction} chart"

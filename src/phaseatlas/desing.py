@@ -62,13 +62,10 @@ class PolyField:
     def eval(self, x, y):
         return (self.P.eval(x, y), self.Q.eval(x, y))
 
-    def eval_float(self, x: float, y: float) -> tuple[float, float]:
-        return (self.P.eval(float(x), float(y)), self.Q.eval(float(x), float(y)))
-
     def compiled(self):
         """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline."""
-        ptab = [(float(c), i, j) for (i, j), c in self.P.terms.items()]
-        qtab = [(float(c), i, j) for (i, j), c in self.Q.terms.items()]
+        ptab = self.P.float_terms()
+        qtab = self.Q.float_terms()
 
         def rhs(x: float, y: float) -> tuple[float, float]:
             u = 0.0

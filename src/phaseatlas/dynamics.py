@@ -34,6 +34,9 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
+# backstop on the step attempts of one trajectory
+_MAX_STEPS = 500_000
+
 
 @dataclass(frozen=True)
 class IntegratorOptions:
@@ -43,12 +46,16 @@ class IntegratorOptions:
     box: tuple = (-1e6, 1e6, -1e6, 1e6)
     equilibrium_capture_radius: float = 1e-6
     equilibria: tuple = ()
-    max_steps: int = 500_000
     fixed_step: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise PreconditionError("tolerances must be positive")
+        # written so that NaN fails every test
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise PreconditionError("tolerances must be finite and positive")
+        if not 0 < self.max_time < math.inf:
+            raise PreconditionError("max_time must be finite and positive")
+        if not self.equilibrium_capture_radius >= 0:
+            raise PreconditionError("equilibrium capture radius must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
         h = min(1.0, 0.01 * (1.0 + math.hypot(x, y)) / (speed + 1e-30))
 
     k = [(0.0, 0.0)] * 7
-    for _ in range(opts.max_steps):
+    for _ in range(_MAX_STEPS):
         if tau >= opts.max_time:
             return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
         h = min(h, opts.max_time - tau)
@@ -191,43 +198,49 @@ def omega_limit(f, z0, opts: IntegratorOptions | None = None) -> OmegaResult:
 def index_on_circle(f, center, radius: float, n: int = 4096) -> int:
     """Winding number of the field direction around a circle.
 
-    Samples the field at n points, accumulates unwrapped direction angles,
-    and rejects the computation when an equilibrium sits on the circle or
-    the accumulated angle is not close to a multiple of 2π.
+    Samples the field at n points and adds up the direction changes between
+    neighbours, each wrapped into [-π, π].  Wrapped changes always add up to
+    a multiple of 2π, so the sum cannot expose an undersampled circle;
+    instead each step that turns the field by π/2 or more is bisected until
+    its parts turn less.  Rejected when an equilibrium sits on a sample or a
+    step stays unresolved down to the float resolution of the angle.
     """
     rhs = _as_rhs(f)
     cx, cy = float(center[0]), float(center[1])
-    if radius <= 0:
-        raise PreconditionError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise PreconditionError("radius must be finite and positive")
+    if n < 3:
+        # the samples are the vertices of a polygon that must enclose the centre
+        raise PreconditionError("sample count must be at least 3")
 
-    angles = []
-    min_norm, max_norm = math.inf, 0.0
-    for i in range(n):
-        theta = 2.0 * math.pi * i / n
-        u, v = rhs(cx + radius * math.cos(theta), cy + radius * math.sin(theta))
-        norm = math.hypot(u, v)
-        min_norm = min(min_norm, norm)
-        max_norm = max(max_norm, norm)
-        angles.append(math.atan2(v, u))
-    if max_norm == 0.0 or min_norm <= 1e-12 * max_norm:
+    def field_at(theta):
+        return rhs(cx + radius * math.cos(theta), cy + radius * math.sin(theta))
+
+    thetas = [2.0 * math.pi * i / n for i in range(n)] + [2.0 * math.pi]
+    values = [field_at(theta) for theta in thetas[:n]]
+    norms = [math.hypot(u, v) for u, v in values]
+    if max(norms) == 0.0 or min(norms) <= 1e-12 * max(norms):
         raise PreconditionError("field vanishes on the circle (equilibrium on circle?)")
+    angles = [math.atan2(v, u) for u, v in values]
+    angles.append(angles[0])
 
-    total = 0.0
-    for i in range(n):
-        d = angles[(i + 1) % n] - angles[i]
-        while d > math.pi:
-            d -= 2.0 * math.pi
-        while d < -math.pi:
-            d += 2.0 * math.pi
-        total += d
-    winding = total / (2.0 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 0.1:
-        raise PreconditionError(
-            f"winding residual {abs(winding - nearest):.3f} exceeds 0.1; "
-            "increase the sample count or move the circle"
-        )
-    return int(nearest)
+    def turn(t0, a0, t1, a1):
+        d = math.remainder(a1 - a0, 2.0 * math.pi)
+        if abs(d) < math.pi / 2:
+            return d
+        tm = (t0 + t1) / 2
+        # a NaN turn would bisect every part of its step
+        if not (t0 < tm < t1 and math.isfinite(d)):
+            raise PreconditionError(
+                f"field direction turns by {abs(d):.3f} rad at angle {t0:.9g} of the circle "
+                "however finely it is sampled (equilibrium on the circle?)"
+            )
+        um, vm = field_at(tm)
+        am = math.atan2(vm, um)
+        return turn(t0, a0, tm, am) + turn(tm, am, t1, a1)
+
+    total = sum(turn(thetas[i], angles[i], thetas[i + 1], angles[i + 1]) for i in range(n))
+    return round(total / (2.0 * math.pi))
 
 
 def slope_limit_check(fixture, y0: float, x_eval: float) -> float:

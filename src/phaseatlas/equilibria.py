@@ -43,6 +43,9 @@ SEMI_HYPERBOLIC_SUBKINDS = ("saddle", "attracting_node", "repelling_node", "sadd
 # relative threshold below which a float eigenvalue real part counts as zero
 _ZERO_EIG_REL = 1e-10
 
+# truncation order of the center-manifold series
+_CENTER_ORDER = 6
+
 
 @dataclass(frozen=True)
 class ClassificationKind:
@@ -237,7 +240,7 @@ def _series_of_bipoly(p: BiPoly, h, order):
     return out
 
 
-def semihyperbolic_analysis(f: PolyField, z, order: int = 6) -> SemiHyperbolicAnalysis:
+def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     """Center-manifold classification at a point with one zero eigenvalue.
 
     Moves z to the origin, aligns the zero eigendirection with the first
@@ -273,26 +276,26 @@ def semihyperbolic_analysis(f: PolyField, z, order: int = 6) -> SemiHyperbolicAn
     B = (-t21 * Pn + t11 * Qn) * (Fraction(1) / dT)
 
     # h(xi) = sum c_k xi^k from the invariance equation B(xi,h) = h'(xi) A(xi,h)
-    h = [Fraction(0)] * (order + 1)
-    for k in range(2, order + 1):
+    h = [Fraction(0)] * (_CENTER_ORDER + 1)
+    for k in range(2, _CENTER_ORDER + 1):
         bs = _series_of_bipoly(B, h, k)
         as_ = _series_of_bipoly(A, h, k)
-        hp = [Fraction(0)] * (order + 1)
-        for m in range(1, order):
-            hp[m] = (m + 1) * h[m + 1] if m + 1 <= order else Fraction(0)
+        hp = [Fraction(0)] * (_CENTER_ORDER + 1)
+        for m in range(1, _CENTER_ORDER):
+            hp[m] = (m + 1) * h[m + 1] if m + 1 <= _CENTER_ORDER else Fraction(0)
         lhs_k = bs[k] - _series_mul(hp, as_, k)[k]
         # B's linear eta-term contributes mu * c_k at order k; solve it out
         h[k] = -lhs_k / mu
 
-    gseries = _series_of_bipoly(A, h, order)
+    gseries = _series_of_bipoly(A, h, _CENTER_ORDER)
     m = None
-    for k in range(2, order + 1):
+    for k in range(2, _CENTER_ORDER + 1):
         if gseries[k] != 0:
             m = k
             break
     if m is None:
         raise InconclusiveError(
-            f"center-manifold flow vanishes through order {order}", order=order
+            f"center-manifold flow vanishes through order {_CENTER_ORDER}", order=_CENTER_ORDER
         )
     coeff = gseries[m]
 
@@ -312,18 +315,18 @@ def semihyperbolic_analysis(f: PolyField, z, order: int = 6) -> SemiHyperbolicAn
     )
 
 
-def classify_semihyperbolic(f: PolyField, z, order: int = 6) -> str:
+def classify_semihyperbolic(f: PolyField, z) -> str:
     """Semi-hyperbolic subkind: saddle, attracting/repelling node, or saddle-node."""
-    return semihyperbolic_analysis(f, z, order).subkind
+    return semihyperbolic_analysis(f, z).subkind
 
 
-def classify_point(f: PolyField, z, order: int = 6) -> ClassificationKind:
+def classify_point(f: PolyField, z) -> ClassificationKind:
     """Full classification dispatch for a stationary point of f."""
     J = jacobian_at(f, z)
     kind = classify_linear(J)
     if kind.name == "semi_hyperbolic" and _matrix_is_exact(J):
         try:
-            sub = classify_semihyperbolic(f, z, order)
+            sub = classify_semihyperbolic(f, z)
             return ClassificationKind("semi_hyperbolic", subkind=sub, boundary=kind.boundary)
         except (InconclusiveError, PreconditionError):
             return kind
@@ -462,12 +465,11 @@ def finite_stationary(f: PolyField, tol: float):
 def _interval_eval(p: BiPoly, xlo, xhi, ylo, yhi):
     """Crude interval range of p over the box (monomial-wise products)."""
     lo = hi = 0.0
-    for (i, j), c in p.terms.items():
+    for cf, i, j in p.float_terms():
         xs = _interval_pow(xlo, xhi, i)
         ys = _interval_pow(ylo, yhi, j)
         cands = [xs[0] * ys[0], xs[0] * ys[1], xs[1] * ys[0], xs[1] * ys[1]]
         tlo, thi = min(cands), max(cands)
-        cf = float(c)
         if cf >= 0:
             lo += cf * tlo
             hi += cf * thi

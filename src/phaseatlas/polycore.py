@@ -3,8 +3,10 @@
 A polynomial in x, y is stored sparsely as a mapping from exponent pairs
 (i, j) to nonzero Fraction coefficients.  The zero polynomial is the empty
 mapping.  All arithmetic is exact; floating point appears only at the
-evaluation boundary (`BiPoly.eval` with float coordinates) and for the
-irrational roots that `real_roots` takes from numpy.
+evaluation boundary and for the irrational roots that `real_roots` takes
+from numpy.  Float evaluation has one arithmetic: `BiPoly.float_terms()`
+summed term by term as c·x^i·y^j, both in `BiPoly.eval` at float
+coordinates and in the integrator's `PolyField.compiled`.
 
 Rationals are plain `fractions.Fraction` values: they are always stored in
 lowest terms with a positive denominator, which is exactly the invariant
@@ -224,35 +226,27 @@ class BiPoly:
     def diff_y(self) -> "BiPoly":
         return self.diff("y")
 
+    def float_terms(self) -> list[tuple[float, int, int]]:
+        """Float coefficient table [(float(c), i, j), ...] in storage order."""
+        return [(float(c), i, j) for (i, j), c in self._terms.items()]
+
     def eval(self, x, y):
         """Evaluate at a point; exact for Fraction/int coordinates.
 
-        Float coordinates use a Horner scheme per variable: the polynomial is
-        grouped by powers of y, each coefficient evaluated by Horner in x.
+        Float coordinates sum `float_terms()` term by term as c·x^i·y^j, the
+        same arithmetic as the integrator's `PolyField.compiled`.
         """
-        exact = not (isinstance(x, float) or isinstance(y, float))
-        if exact:
-            x = as_rational(x)
-            y = as_rational(y)
-            total = Fraction(0)
-            for (i, j), c in self._terms.items():
+        if isinstance(x, float) or isinstance(y, float):
+            x, y = float(x), float(y)
+            total = 0.0
+            for c, i, j in self.float_terms():
                 total += c * x**i * y**j
             return total
-        xf, yf = float(x), float(y)
-        if not self._terms:
-            return 0.0
-        by_j: dict[int, dict[int, float]] = {}
+        x = as_rational(x)
+        y = as_rational(y)
+        total = Fraction(0)
         for (i, j), c in self._terms.items():
-            by_j.setdefault(j, {})[i] = float(c)
-        # Horner in y with coefficients Horner-evaluated in x
-        total = 0.0
-        for j in range(max(by_j), -1, -1):
-            row = by_j.get(j)
-            acc = 0.0
-            if row:
-                for i in range(max(row), -1, -1):
-                    acc = acc * xf + row.get(i, 0.0)
-            total = total * yf + acc
+            total += c * x**i * y**j
         return total
 
     # -- structural operations ----------------------------------------------

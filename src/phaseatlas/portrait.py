@@ -46,26 +46,24 @@ STABLE_SEPARATRIX_COLOR = "#1f4fd8"  # blue
 UNSTABLE_SEPARATRIX_COLOR = "#d62728"  # red
 TRAJECTORY_COLOR = "#9a9a9a"
 
+TRAJECTORY_WIDTH = 0.004
+SEPARATRIX_WIDTH = 0.008
+GLYPH_SIZE = 0.025
 
-@dataclass(frozen=True)
-class PortraitStyle:
-    glyphs: dict = field(default_factory=lambda: dict(GLYPH_MAP))
-    ring_seed_count: int = 24
-    inner_seed_count: int = 8
-    ring_disc_radius: float = 0.85
-    inner_plane_radius: float = 0.05
-    trajectory_width: float = 0.004
-    separatrix_width: float = 0.008
-    glyph_size: float = 0.025
-    trajectory_time: float = 40.0
+# background seeds: a ring near the rim of the disc, a small one round the origin
+RING_SEED_COUNT = 24
+RING_DISC_RADIUS = 0.85
+INNER_SEED_COUNT = 8
+INNER_PLANE_RADIUS = 0.05
+TRAJECTORY_TIME = 40.0
 
 
-def glyph_for(style: PortraitStyle, kind) -> tuple[str, str]:
+def glyph_for(kind) -> tuple[str, str]:
     key = str(kind).replace(" [boundary]", "")
-    if key in style.glyphs:
-        return style.glyphs[key]
+    if key in GLYPH_MAP:
+        return GLYPH_MAP[key]
     base = key.split("(")[0]
-    return style.glyphs[base]
+    return GLYPH_MAP[base]
 
 
 # -- vector document ----------------------------------------------------------------
@@ -173,21 +171,19 @@ def _eigen_directions(J):
     return out
 
 
-def trace_separatrices(f: PolyField, points, sectors=None, opts=None):
+def trace_separatrices(f: PolyField, points, sectors=None):
     """Separatrices of saddles and semi-hyperbolic points, plus the
     characteristic orbits bounding the sectors of a nilpotent origin.
 
     Integrator failures are collected as document warnings by the caller,
     never raised.
     """
-    if opts is None:
-        eqs = tuple(p.location_floats() for p in points)
-        opts = dynamics.IntegratorOptions(
-            max_time=200.0,
-            box=(-40, 40, -40, 40),
-            equilibria=eqs,
-            equilibrium_capture_radius=1e-5,
-        )
+    opts = dynamics.IntegratorOptions(
+        max_time=200.0,
+        box=(-40, 40, -40, 40),
+        equilibria=tuple(p.location_floats() for p in points),
+        equilibrium_capture_radius=1e-5,
+    )
     out = []
     for p in points:
         name = p.kind.name
@@ -227,13 +223,12 @@ def _circle_points(center, radius, n=256):
     ]
 
 
-def render_portrait(f: PolyField, style: PortraitStyle | None = None) -> VectorDocument:
+def render_portrait(f: PolyField) -> VectorDocument:
     """Full phase portrait on the Poincaré disc.
 
     Layer order: stationary continua, background trajectories,
     separatrices, equilibrium glyphs, disc boundary.
     """
-    style = style or PortraitStyle()
     doc = VectorDocument()
 
     if f.P.is_zero() and f.Q.is_zero():
@@ -259,52 +254,49 @@ def render_portrait(f: PolyField, style: PortraitStyle | None = None) -> VectorD
     if circle is not None:
         pts = [compact.disc_coords(z) for z in _circle_points(
             (float(circle.center[0]), float(circle.center[1])), float(circle.radius))]
-        doc.add_path(pts, FINITE_CONTINUUM_COLOR, style.separatrix_width)
+        doc.add_path(pts, FINITE_CONTINUUM_COLOR, SEPARATRIX_WIDTH)
     if isinstance(infinity, compact.InfinityContinuum):
-        doc.add_circle((0.0, 0.0), 1.0, INFINITE_CONTINUUM_COLOR, style.separatrix_width)
+        doc.add_circle((0.0, 0.0), 1.0, INFINITE_CONTINUUM_COLOR, SEPARATRIX_WIDTH)
 
     # background trajectories from the fixed seed ring
     eqs = tuple(p.location_floats() for p in finite_points)
     opts = dynamics.IntegratorOptions(
-        max_time=style.trajectory_time,
+        max_time=TRAJECTORY_TIME,
         box=(-50, 50, -50, 50),
         equilibria=eqs,
         equilibrium_capture_radius=1e-4,
         rel_tol=1e-8,
     )
-    rr = style.ring_disc_radius
-    plane_r = rr / math.sqrt(1.0 - rr * rr)
+    plane_r = RING_DISC_RADIUS / math.sqrt(1.0 - RING_DISC_RADIUS * RING_DISC_RADIUS)
     seeds = []
-    for k in range(style.ring_seed_count):
-        th = 2 * math.pi * k / style.ring_seed_count
+    for k in range(RING_SEED_COUNT):
+        th = 2 * math.pi * k / RING_SEED_COUNT
         seeds.append((plane_r * math.cos(th), plane_r * math.sin(th)))
-    for k in range(style.inner_seed_count):
-        th = 2 * math.pi * k / style.inner_seed_count
-        seeds.append(
-            (style.inner_plane_radius * math.cos(th), style.inner_plane_radius * math.sin(th))
-        )
+    for k in range(INNER_SEED_COUNT):
+        th = 2 * math.pi * k / INNER_SEED_COUNT
+        seeds.append((INNER_PLANE_RADIUS * math.cos(th), INNER_PLANE_RADIUS * math.sin(th)))
     for seed in seeds:
         for direction in ("forward", "backward"):
             traj = dynamics.integrate(f, seed, opts, direction)
             if traj.termination.kind == "step_underflow":
                 doc.add_warning(f"trajectory from {seed} stopped: step underflow")
-            doc.add_path(_disc_path(traj.samples), TRAJECTORY_COLOR, style.trajectory_width)
+            doc.add_path(_disc_path(traj.samples), TRAJECTORY_COLOR, TRAJECTORY_WIDTH)
 
     # separatrices
     for sep in trace_separatrices(f, finite_points, sectors):
         if sep.trajectory.termination.kind == "step_underflow":
             doc.add_warning(f"separatrix of {sep.source} stopped: step underflow")
         color = STABLE_SEPARATRIX_COLOR if sep.stable else UNSTABLE_SEPARATRIX_COLOR
-        doc.add_path(_disc_path(sep.trajectory.samples), color, style.separatrix_width)
+        doc.add_path(_disc_path(sep.trajectory.samples), color, SEPARATRIX_WIDTH)
 
     # glyphs: finite equilibria, then infinite stationary points on the rim
     for p in finite_points:
-        shape, color = glyph_for(style, p.kind)
-        doc.add_marker(shape, compact.disc_coords(p.location_floats()), style.glyph_size, color)
+        shape, color = glyph_for(p.kind)
+        doc.add_marker(shape, compact.disc_coords(p.location_floats()), GLYPH_SIZE, color)
     if not isinstance(infinity, compact.InfinityContinuum):
         for p in infinity:
-            shape, color = glyph_for(style, p.kind)
-            doc.add_marker(shape, compact.boundary_point(p.angle()), style.glyph_size, color)
+            shape, color = glyph_for(p.kind)
+            doc.add_marker(shape, compact.boundary_point(p.angle()), GLYPH_SIZE, color)
 
     doc.add_circle((0.0, 0.0), 1.0, "#000000", 0.01)
     return doc

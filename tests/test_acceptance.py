@@ -58,7 +58,7 @@ def test_criterion_1_stationary_point_table():
                 assert f.P.eval(*p.location) == 0  # exact zero for rational points
                 assert f.Q.eval(*p.location) == 0
             else:
-                fx, fy = f.eval_float(*p.location_floats())
+                fx, fy = f.compiled()(*p.location_floats())
                 assert abs(fx) < 1e-12 and abs(fy) < 1e-12
         numeric = equilibria.find_stationary(f, (-2, 2, -2, 2), tol=1e-10)
         got = sorted(p.location_floats() for p in numeric)

@@ -239,6 +239,15 @@ def test_sectors_b_below_one():
     assert labels == {("+y", "-y"), ("-y", "+y")}
 
 
+def test_sectors_nilpotent_saddle_float_divisor_roots():
+    # y' = x^3: the +-x-chart divisor roots +-1/sqrt(2) are irrational, so the
+    # divisor flow on the arcs is sampled at float chart points
+    dec = classify_nilpotent_origin(PolyField(Y, X**3))
+    assert _kinds(dec) == ["hyperbolic"] * 4
+    assert dec.index == -1
+    assert dec.homoclinic is False
+
+
 def test_sectors_b_above_one():
     dec = classify_nilpotent_origin(cdk_poly_field(F(7, 10), F(19, 10)))
     assert _kinds(dec) == ["hyperbolic", "hyperbolic"]

@@ -95,6 +95,43 @@ def test_index_through_equilibrium_exits_3(capsys):
     assert "circle" in err
 
 
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_index_undersampled_circle_prints_two(capsys, n):
+    code, out, _ = run(capsys, "index", "--a", "1/2", "--b", "1/2", "--radius", "0.1", "-n", n)
+    assert code == 0
+    assert out.strip() == "2"
+
+
+def test_index_without_samples_exits_3(capsys):
+    code, out, err = run(capsys, "index", "--a", "1/2", "--b", "1/2", "--radius", "0.1", "-n", "0")
+    assert code == 3
+    assert out == ""
+    assert "at least 3" in err
+
+
+def test_index_equilibrium_between_samples_exits_3(capsys):
+    code, out, err = run(
+        capsys, "index", "--a", "5/2", "--b", "1/2", "--radius", "1.0", "-n", "255"
+    )
+    assert code == 3
+    assert out == ""
+    assert "equilibrium on the circle" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [("--max-time", "nan"), ("--capture-radius", "-1", "--max-time", "50")]
+)
+def test_omega_rejects_unusable_options_exits_3(capsys, extra):
+    code, out, _ = run(
+        capsys,
+        "omega",
+        "--a", "5/2", "--b", "19/10", "--start", "0.1,0.9",
+        *extra,
+    )
+    assert code == 3
+    assert out == ""
+
+
 def test_region_subcommand(capsys):
     code, out, _ = run(capsys, "region", "--a", "0.5", "--b", "1.9")
     assert code == 0

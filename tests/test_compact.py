@@ -107,9 +107,9 @@ def test_chart_overlap_transition():
     for _ in range(100):
         u = rng.uniform(0.2, 3.0)
         z = rng.uniform(0.01, 0.5)
-        du, dz = u1.eval_float(u, z)
+        du, dz = u1.compiled()(u, z)
         up, zp = 1.0 / u, z / u
-        dup, dzp = u2.eval_float(up, zp)
+        dup, dzp = u2.compiled()(up, zp)
         lam = u ** (d - 1)
         # transition derivative: du' = -du/u², dz' = dz/u - z du/u²
         assert -du / u**2 == pytest.approx(lam * dup, rel=1e-9)

@@ -115,6 +115,23 @@ def test_omega_refutes_absorbing_circle_claim():
     assert math.hypot(*res.point) == 1.0 > 0.4
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"max_time": math.nan},
+        {"max_time": math.inf},
+        {"max_time": 0.0},
+        {"rel_tol": math.nan},
+        {"abs_tol": math.inf},
+        {"equilibrium_capture_radius": -1.0},
+        {"equilibrium_capture_radius": math.nan},
+    ],
+)
+def test_options_reject_unusable_values(kw):
+    with pytest.raises(PreconditionError):
+        IntegratorOptions(**kw)
+
+
 def test_omega_unresolved_without_capture_targets():
     f = cdk_poly_field(F(1, 2), F(19, 10))
     res = omega_limit(f, (0.5, 0.5), IntegratorOptions(max_time=10.0))
@@ -153,6 +170,34 @@ def test_index_rejects_equilibrium_on_circle():
     f = cdk_poly_field(F(5, 2), F(1, 2))
     with pytest.raises(PreconditionError):
         index_on_circle(f, (0, 0), 1.0, n=256)  # s2 = (0,1) sits on this circle
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_index_bisects_undersampled_circle(n):
+    # the origin has index 2; 3 and 4 samples used to report -1 and 0
+    f = cdk_poly_field(F(1, 2), F(1, 2))
+    assert index_on_circle(f, (0, 0), 0.1, n=n) == 2
+
+
+def test_index_rejects_equilibrium_between_samples():
+    # s2 = (0, 1) lies on the circle but on no sample point of 255
+    f = cdk_poly_field(F(5, 2), F(1, 2))
+    with pytest.raises(PreconditionError, match="however finely"):
+        index_on_circle(f, (0, 0), 1.0, n=255)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_index_rejects_too_few_samples(n):
+    f = cdk_poly_field(F(1, 2), F(1, 2))
+    with pytest.raises(PreconditionError, match="at least 3"):
+        index_on_circle(f, (0, 0), 0.1, n=n)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])
+def test_index_rejects_unusable_radius(radius):
+    f = cdk_poly_field(F(1, 2), F(1, 2))
+    with pytest.raises(PreconditionError, match="radius must be finite and positive"):
+        index_on_circle(f, (0, 0), radius)
 
 
 # -- slope check at the logarithmic fixture ------------------------------------------

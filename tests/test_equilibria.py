@@ -58,7 +58,7 @@ def test_four_point_case_values():
     f = cdk_poly_field(F(5, 2), F(1, 2))
     for p in pts:
         x, y = p.location_floats()
-        fx, fy = f.eval_float(x, y)
+        fx, fy = f.compiled()(x, y)
         assert abs(fx) < 1e-12 and abs(fy) < 1e-12
 
 

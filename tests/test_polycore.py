@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from phaseatlas.desing import PolyField
 from phaseatlas.errors import DomainError, PreconditionError
 from phaseatlas.polycore import (
     BiPoly,
@@ -46,13 +47,24 @@ def test_eval_exact_point():
     assert p.eval(3, 4) == 25
 
 
-def test_eval_float_horner_matches_exact():
+def test_eval_float_matches_exact():
     rng = random.Random(7)
     for _ in range(50):
         p = random_poly(rng)
         x = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         y = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         assert p.eval(float(x), float(y)) == pytest.approx(float(p.eval(x, y)), rel=1e-12, abs=1e-12)
+
+
+def test_eval_float_is_the_compiled_field_bit_for_bit():
+    # Jacobians and Newton (BiPoly.eval) and the integrator (PolyField.compiled)
+    # share one float arithmetic
+    rng = random.Random(11)
+    for _ in range(50):
+        p = random_poly(rng, max_deg=5, max_terms=8)
+        q = random_poly(rng, max_deg=5, max_terms=8)
+        x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        assert (p.eval(x, y), q.eval(x, y)) == PolyField(p, q).compiled()(x, y)
 
 
 def test_diff_x_against_termwise_oracle():

@@ -10,7 +10,6 @@ from phaseatlas.equilibria import ClassificationKind, cdk_stationary_points
 from phaseatlas.polycore import BiPoly, X, Y
 from phaseatlas.portrait import (
     GLYPH_MAP,
-    PortraitStyle,
     glyph_for,
     render_portrait,
     render_region_map,
@@ -23,12 +22,11 @@ F = Fraction
 def test_glyph_map_total_over_kinds():
     from phaseatlas.equilibria import KIND_NAMES, SEMI_HYPERBOLIC_SUBKINDS
 
-    style = PortraitStyle()
     for name in KIND_NAMES:
-        assert glyph_for(style, ClassificationKind(name)) is not None
+        assert glyph_for(ClassificationKind(name)) is not None
         if name == "semi_hyperbolic":
             for sub in SEMI_HYPERBOLIC_SUBKINDS:
-                assert glyph_for(style, ClassificationKind(name, subkind=sub))
+                assert glyph_for(ClassificationKind(name, subkind=sub))
 
 
 def test_linear_saddle_four_separatrices():
@@ -109,10 +107,9 @@ def test_region_map_renders_all_colors():
 
 
 def test_glyphs_match_stationary_point_kinds():
-    style = PortraitStyle()
     for a, b in [(F(5, 2), F(1, 2)), (F(1, 2), F(19, 10)), (F(1), F(19, 10))]:
         pts = cdk_stationary_points(a, b)
-        expected = sorted(glyph_for(style, p.kind) for p in pts)
+        expected = sorted(glyph_for(p.kind) for p in pts)
         doc = render_portrait(cdk_poly_field(a, b))
         markers = [el for el in doc.elements if el[0] == "marker"]
         finite_markers = sorted((el[1], el[4]) for el in markers[: len(pts)])

@@ -214,7 +214,7 @@ def region_summary(a, b) -> RegionSummary:
     region = classify_region(a, b)
     expected = REGION_TABLE[region]
     f = cdk_poly_field(a, b)
-    stationary = equilibria.cdk_stationary_points(a, b)
+    stationary = equilibria.cdk_closed_form(f)
     sectors = None
 
     finite: dict = {}

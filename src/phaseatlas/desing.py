@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import DomainError, UndefinedPointError
+from .errors import DomainError, PreconditionError, UndefinedPointError
 from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_gcd, poly_lcm, reduce_fraction
 
 
@@ -50,6 +51,11 @@ class RationalField:
         return (self.p.eval(x, y) / qv, self.r.eval(x, y) / sv)
 
 
+def _factors(i: int, j: int) -> str:
+    """Source of the factors x**i, y**j of a term; x**0 is 1.0 and x**1 is x, exactly."""
+    return "".join(f" * {v}" + (f"{e}" if e > 1 else "") for v, e in (("x", i), ("y", j)) if e)
+
+
 @dataclass(frozen=True)
 class PolyField:
     """Polynomial planar field (P, Q) with the time multiplier that produced it."""
@@ -63,20 +69,30 @@ class PolyField:
         return (self.P.eval(x, y), self.Q.eval(x, y))
 
     def compiled(self):
-        """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline."""
-        ptab = self.P.float_terms()
-        qtab = self.Q.float_terms()
+        """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline, built once.
 
-        def rhs(x: float, y: float) -> tuple[float, float]:
-            u = 0.0
-            for c, i, j in ptab:
-                u += c * x**i * y**j
-            v = 0.0
-            for c, i, j in qtab:
-                v += c * x**i * y**j
-            return u, v
+        Sums c * x**i * y**j from 0.0 in `BiPoly.float_terms()` order, each power
+        taken once by `**`; a value that overflows a float is a PreconditionError.
+        """
+        return self._rhs
 
-        return rhs
+    @cached_property
+    def _rhs(self):
+        tabs = (self.P.float_terms(), self.Q.float_terms())
+        powers = sorted({(v, e) for tab in tabs for _, i, j in tab
+                         for v, e in (("x", i), ("y", j)) if e > 1})
+        sums = ["0.0" + "".join(f" + {c!r}{_factors(i, j)}" for c, i, j in tab) for tab in tabs]
+        # source from float reprs and integer exponents only, as dataclasses builds __init__
+        source = (
+            "def rhs(x, y):\n    try:\n"
+            + "".join(f"        {v}{e} = {v}**{e}\n" for v, e in powers)
+            + f"        return {sums[0]}, {sums[1]}\n    except OverflowError:\n"
+            "        raise PreconditionError(\n"
+            "            f'field value at ({x!r}, {y!r}) overflows a float') from None\n"
+        )
+        namespace = {"PreconditionError": PreconditionError}
+        exec(source, namespace)
+        return namespace.pop("rhs")  # no cycle through its globals: freed with the field
 
     def jacobian_polys(self):
         return (self.P.diff_x(), self.P.diff_y(), self.Q.diff_x(), self.Q.diff_y())

@@ -91,21 +91,17 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
         raise PreconditionError("direction must be 'forward' or 'backward'")
     base = _as_rhs(f)
     sign = 1.0 if direction == "forward" else -1.0
-
-    def rhs(x, y):
-        u, v = base(x, y)
-        return sign * u, sign * v
-
     xmin, xmax, ymin, ymax = opts.box
     caps = [(float(ex), float(ey)) for ex, ey in opts.equilibria]
     crad = opts.equilibrium_capture_radius
+    rel_tol, abs_tol, max_time, fixed_step = opts.rel_tol, opts.abs_tol, opts.max_time, opts.fixed_step
 
     def capture_at(x, y):
         for ex, ey in caps:
             if math.hypot(x - ex, y - ey) <= crad:
-                u, v = rhs(x, y)
-                inward = u * (ex - x) + v * (ey - y)
-                if inward > 0 or math.hypot(u, v) <= opts.abs_tol:
+                u, v = base(x, y)
+                inward = sign * (u * (ex - x) + v * (ey - y))
+                if inward > 0 or math.hypot(u, v) <= abs_tol:
                     return (ex, ey)
         return None
 
@@ -119,40 +115,55 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
     if not (xmin <= x <= xmax and ymin <= y <= ymax):
         return Trajectory(tuple(samples), Termination("left_box"), direction)
 
-    u0, v0 = rhs(x, y)
-    speed = math.hypot(u0, v0)
-    if opts.fixed_step is not None:
-        h = opts.fixed_step
+    speed = math.hypot(*base(x, y))
+    if fixed_step is not None:
+        h = fixed_step
     else:
         h = min(1.0, 0.01 * (1.0 + math.hypot(x, y)) / (speed + 1e-30))
 
-    k = [(0.0, 0.0)] * 7
+    # the tableau written out: each sum keeps a loop's order, start (0.0 for a stage, 0 for a
+    # solution) and zero weights, so zero signs, NaN and inf come out as from that loop
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54), (
+        a60, a61, a62, a63, a64, a65) = _A[1:]
+    b0, b1, b2, b3, b4, b5, b6 = _B5
+    e0, e1, e2, e3, e4, e5, e6 = _B4
     for _ in range(_MAX_STEPS):
-        if tau >= opts.max_time:
+        if tau >= max_time:
             return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
-        h = min(h, opts.max_time - tau)
+        h = min(h, max_time - tau)
         if h < 1e-14 * max(1.0, abs(tau)):
             return Trajectory(tuple(samples), Termination("step_underflow"), direction)
 
-        k[0] = rhs(x, y)
-        for i in range(1, 7):
-            ai = _A[i]
-            dx = dy = 0.0
-            for j, a in enumerate(ai):
-                dx += a * k[j][0]
-                dy += a * k[j][1]
-            k[i] = rhs(x + h * dx, y + h * dy)
+        u, v = base(x, y)
+        k0u, k0v = sign * u, sign * v
+        u, v = base(x + h * (0.0 + a10 * k0u), y + h * (0.0 + a10 * k0v))
+        k1u, k1v = sign * u, sign * v
+        u, v = base(x + h * (0.0 + a20 * k0u + a21 * k1u), y + h * (0.0 + a20 * k0v + a21 * k1v))
+        k2u, k2v = sign * u, sign * v
+        u, v = base(x + h * (0.0 + a30 * k0u + a31 * k1u + a32 * k2u),
+                    y + h * (0.0 + a30 * k0v + a31 * k1v + a32 * k2v))
+        k3u, k3v = sign * u, sign * v
+        u, v = base(x + h * (0.0 + a40 * k0u + a41 * k1u + a42 * k2u + a43 * k3u),
+                    y + h * (0.0 + a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v))
+        k4u, k4v = sign * u, sign * v
+        u, v = base(x + h * (0.0 + a50 * k0u + a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+                    y + h * (0.0 + a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v))
+        k5u, k5v = sign * u, sign * v
+        u, v = base(
+            x + h * (0.0 + a60 * k0u + a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
+            y + h * (0.0 + a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v))
+        k6u, k6v = sign * u, sign * v
 
-        x5 = x + h * sum(b * ki[0] for b, ki in zip(_B5, k))
-        y5 = y + h * sum(b * ki[1] for b, ki in zip(_B5, k))
-        x4 = x + h * sum(b * ki[0] for b, ki in zip(_B4, k))
-        y4 = y + h * sum(b * ki[1] for b, ki in zip(_B4, k))
+        x5 = x + h * (0 + b0 * k0u + b1 * k1u + b2 * k2u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        y5 = y + h * (0 + b0 * k0v + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+        x4 = x + h * (0 + e0 * k0u + e1 * k1u + e2 * k2u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u)
+        y4 = y + h * (0 + e0 * k0v + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v)
 
-        if opts.fixed_step is not None:
+        if fixed_step is not None:
             accept, hnew = True, h
         else:
-            sx = opts.abs_tol + opts.rel_tol * max(abs(x), abs(x5))
-            sy = opts.abs_tol + opts.rel_tol * max(abs(y), abs(y5))
+            sx = abs_tol + rel_tol * max(abs(x), abs(x5))
+            sy = abs_tol + rel_tol * max(abs(y), abs(y5))
             err = math.sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
             accept = err <= 1.0
             factor = 0.9 * (err + 1e-300) ** -0.2

@@ -407,19 +407,21 @@ def _make_point(f: PolyField, loc, label, kind=None, exact=True, error_bound=Non
 
 
 def cdk_stationary_points(a, b):
-    """Finite stationary points of the CDK polynomial field.
+    """Finite stationary points of the CDK polynomial field of (a, b); see `cdk_closed_form`."""
+    return cdk_closed_form(cdk_poly_field(a, b))
+
+
+def cdk_closed_form(f: PolyField):
+    """Finite stationary points of a field built by `cdk_poly_field`, in closed form.
 
     Returns a StationaryCircle for a = b = 1; otherwise a list holding
     s1 = (0,0), s2 = (0,1) and, exactly when the parameters straddle 1,
     the pair s3/s4 = (±sqrt(y2/a − y2²), y2) with y2 = −(b−1)/(a−b).
     """
-    a, b = as_rational(a), as_rational(b)
-    if a <= 0 or b <= 0:
-        raise DomainError("CDK parameters must be positive")
+    a, b = f.provenance[1:3]
     if a == 1 and b == 1:
         return StationaryCircle(center=(Fraction(0), Fraction(1, 2)), radius=Fraction(1, 2))
 
-    f = cdk_poly_field(a, b)
     zero = Fraction(0)
     points = [
         _make_point(f, (zero, zero), "s1", kind=ClassificationKind("nilpotent")),
@@ -449,7 +451,7 @@ def finite_stationary(f: PolyField, tol: float):
     numerically on the box (-8, 8)² to residual < tol.
     """
     if f.provenance[0] == "cdk":
-        result = cdk_stationary_points(f.provenance[1], f.provenance[2])
+        result = cdk_closed_form(f)
         if isinstance(result, StationaryCircle):
             return [], result
         return result, None

@@ -25,28 +25,48 @@ def test_analyze_region_3h(capsys):
     assert doc["origin_sectors"]["index"] == 2
 
 
-@pytest.mark.parametrize(
-    "a, b, calls", [("7/10", "1/2", (1, 1, 4)), ("1", "1", (0, 1, 1))]
-)
-def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, calls):
-    from phaseatlas import blowup, compact
+def _count_calls(monkeypatch, functions):
+    """Count the calls to each function through every phaseatlas module that binds it."""
+    import sys
 
-    counted = (
-        (blowup, "classify_nilpotent_origin"),
-        (compact, "infinite_stationary_points"),
-        (compact, "compactify_chart"),
-    )
-    counts = dict.fromkeys([name for _, name in counted], 0)
-    for module, name in counted:
+    counts = dict.fromkeys([func.__name__ for func in functions], 0)
+    for func in functions:
 
-        def wrapper(*args, _name=name, _inner=getattr(module, name), **kwargs):
+        def wrapper(*args, _name=func.__name__, _inner=func, **kwargs):
             counts[_name] += 1
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("phaseatlas") and getattr(module, func.__name__, None) is func:
+                monkeypatch.setattr(module, func.__name__, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "a, b, calls", [("7/10", "1/2", (1, 1, 4, 2)), ("1", "1", (0, 1, 1, 2))]
+)
+def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, calls):
+    from phaseatlas import blowup, compact, desing
+
+    counts = _count_calls(monkeypatch, (
+        blowup.classify_nilpotent_origin,
+        compact.infinite_stationary_points,
+        compact.compactify_chart,
+        desing.cdk_poly_field,  # once for the command, once inside region_summary
+    ))
     code, _, _ = run(capsys, "analyze", "--a", a, "--b", b, "--format", "json")
     assert code == 0
     assert tuple(counts.values()) == calls
+
+
+@pytest.mark.parametrize("a, b", [("7/10", "1/2"), ("1", "1")])
+def test_portrait_builds_the_field_once(monkeypatch, tmp_path, capsys, a, b):
+    from phaseatlas import desing
+
+    counts = _count_calls(monkeypatch, (desing.cdk_poly_field,))
+    code, _, _ = run(capsys, "portrait", "--a", a, "--b", b, "-o", str(tmp_path / "p.svg"))
+    assert code == 0
+    assert counts == {"cdk_poly_field": 1}
 
 
 def test_spec_file_analyze_matches_cdk_sectors_and_infinity(tmp_path, capsys):
@@ -107,6 +127,14 @@ def test_index_without_samples_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "at least 3" in err
+
+
+def test_index_on_overflowing_circle_exits_3(capsys):
+    # x**3 overflows a float at radius 1e200; this used to end in an OverflowError traceback
+    code, out, err = run(capsys, "index", "--a", "1/2", "--b", "1/2", "--radius", "1e200")
+    assert code == 3
+    assert out == ""
+    assert err == "error: field value at (1e+200, 0.0) overflows a float\n"
 
 
 def test_index_equilibrium_between_samples_exits_3(capsys):

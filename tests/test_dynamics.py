@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from phaseatlas.desing import cdk_poly_field, sprott_field, PolyField
+from phaseatlas.desing import cdk_poly_field, desingularize, sprott_field, PolyField
 from phaseatlas.dynamics import (
+    _A,
+    _B4,
+    _B5,
+    _MAX_STEPS,
     IntegratorOptions,
+    Termination,
+    Trajectory,
     default_cdk_options,
     index_on_circle,
     integrate,
@@ -16,6 +22,7 @@ from phaseatlas.dynamics import (
 from phaseatlas.equilibria import cdk_stationary_points
 from phaseatlas.errors import PreconditionError, SingularEvaluationError
 from phaseatlas.polycore import X, Y
+from phaseatlas.sysio import parse_system
 
 F = Fraction
 
@@ -79,6 +86,172 @@ def test_fixed_step_order_five():
         errs.append(abs(x - math.exp(tau)))
     ratio = errs[0] / errs[1]
     assert 20 < ratio < 50  # 2^5 = 32 up to higher-order noise
+
+
+# -- the straight-line step against the loop over the tableau ------------------------
+
+
+def _sum0(terms):
+    """Left to right from int 0: what sum() does with floats up to CPython 3.11 (3.12 compensates)."""
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _reference_integrate(f, z0, opts=None, direction="forward"):
+    """DOPRI5 as a loop over the tableau, with the field summed term by term by BiPoly.eval."""
+    if opts is None:
+        opts = IntegratorOptions()
+    if isinstance(f, PolyField):
+        P, Q = f.P, f.Q
+        base = lambda x, y: (P.eval(x, y), Q.eval(x, y))  # noqa: E731
+    else:
+        base = f
+    sign = 1.0 if direction == "forward" else -1.0
+
+    def rhs(x, y):
+        u, v = base(x, y)
+        return sign * u, sign * v
+
+    xmin, xmax, ymin, ymax = opts.box
+    caps = [(float(ex), float(ey)) for ex, ey in opts.equilibria]
+    crad = opts.equilibrium_capture_radius
+
+    def capture_at(x, y):
+        for ex, ey in caps:
+            if math.hypot(x - ex, y - ey) <= crad:
+                u, v = rhs(x, y)
+                inward = u * (ex - x) + v * (ey - y)
+                if inward > 0 or math.hypot(u, v) <= opts.abs_tol:
+                    return (ex, ey)
+        return None
+
+    x, y = float(z0[0]), float(z0[1])
+    tau = 0.0
+    samples = [(tau, (x, y))]
+
+    hit = capture_at(x, y)
+    if hit is not None:
+        return Trajectory(tuple(samples), Termination("reached_equilibrium", hit), direction)
+    if not (xmin <= x <= xmax and ymin <= y <= ymax):
+        return Trajectory(tuple(samples), Termination("left_box"), direction)
+
+    u0, v0 = rhs(x, y)
+    speed = math.hypot(u0, v0)
+    if opts.fixed_step is not None:
+        h = opts.fixed_step
+    else:
+        h = min(1.0, 0.01 * (1.0 + math.hypot(x, y)) / (speed + 1e-30))
+
+    k = [(0.0, 0.0)] * 7
+    for _ in range(_MAX_STEPS):
+        if tau >= opts.max_time:
+            return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
+        h = min(h, opts.max_time - tau)
+        if h < 1e-14 * max(1.0, abs(tau)):
+            return Trajectory(tuple(samples), Termination("step_underflow"), direction)
+
+        k[0] = rhs(x, y)
+        for i in range(1, 7):
+            ai = _A[i]
+            dx = dy = 0.0
+            for j, a in enumerate(ai):
+                dx += a * k[j][0]
+                dy += a * k[j][1]
+            k[i] = rhs(x + h * dx, y + h * dy)
+
+        x5 = x + h * _sum0(b * ki[0] for b, ki in zip(_B5, k))
+        y5 = y + h * _sum0(b * ki[1] for b, ki in zip(_B5, k))
+        x4 = x + h * _sum0(b * ki[0] for b, ki in zip(_B4, k))
+        y4 = y + h * _sum0(b * ki[1] for b, ki in zip(_B4, k))
+
+        if opts.fixed_step is not None:
+            accept, hnew = True, h
+        else:
+            sx = opts.abs_tol + opts.rel_tol * max(abs(x), abs(x5))
+            sy = opts.abs_tol + opts.rel_tol * max(abs(y), abs(y5))
+            err = math.sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
+            accept = err <= 1.0
+            factor = 0.9 * (err + 1e-300) ** -0.2
+            hnew = h * min(5.0, max(0.2, factor))
+
+        if accept:
+            tau += h
+            x, y = x5, y5
+            samples.append((tau, (x, y)))
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return Trajectory(tuple(samples), Termination("step_underflow"), direction)
+            hit = capture_at(x, y)
+            if hit is not None:
+                return Trajectory(
+                    tuple(samples), Termination("reached_equilibrium", hit), direction
+                )
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                return Trajectory(tuple(samples), Termination("left_box"), direction)
+        h = hnew
+
+    return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
+
+
+_LOTKA_VOLTERRA = desingularize(
+    parse_system("x*(3 - x - 2*y) ; y*(2 - x - y)").to_rational_field()
+)
+_LV_POINTS = ((0.0, 0.0), (3.0, 0.0), (0.0, 2.0), (1.0, 1.0))
+_SQUARE = (-3.0, 3.0, -3.0, 3.0)
+_PLANE = (-math.inf, math.inf, -math.inf, math.inf)
+
+_CASES = [
+    # (field, start, options, direction, termination)
+    (cdk_poly_field(F(7, 10), F(1, 2)), (0.01, 0.01),
+     _cdk_opts(F(7, 10), F(1, 2), max_time=5e3, equilibrium_capture_radius=1e-3),
+     "forward", "reached_equilibrium"),
+    (cdk_poly_field(F(5, 2), F(19, 10)), (0.1, 0.9),
+     _cdk_opts(F(5, 2), F(19, 10), max_time=1e3), "forward", "reached_equilibrium"),
+    (cdk_poly_field(F(1, 2), F(19, 10)), (0.5, 0.5),
+     _cdk_opts(F(1, 2), F(19, 10), max_time=40.0, box=_SQUARE), "backward", "left_box"),
+    (cdk_poly_field(F(5, 2), F(1, 2)), (-0.3, 0.7),
+     IntegratorOptions(max_time=20.0, box=_SQUARE), "forward", "time_exhausted"),
+    (cdk_poly_field(F(3, 10), 1), (0.4, -0.2),
+     IntegratorOptions(max_time=1.0, fixed_step=0.01, box=_SQUARE), "backward", "time_exhausted"),
+    (cdk_poly_field(1, 1), (0.2, 0.3),
+     IntegratorOptions(max_time=5.0, fixed_step=0.03), "forward", "time_exhausted"),
+    (_LOTKA_VOLTERRA, (0.5, 0.5),
+     IntegratorOptions(max_time=200.0, equilibria=_LV_POINTS), "forward", "reached_equilibrium"),
+    (_LOTKA_VOLTERRA, (1.2, 0.9),
+     IntegratorOptions(max_time=50.0, box=_SQUARE), "backward", "left_box"),
+    # backward on the invariant y-axis from x = -0.0: the field's u is -0.0 there
+    (cdk_poly_field(F(7, 10), F(1, 2)), (-0.0, 0.5),
+     IntegratorOptions(max_time=10.0, box=_SQUARE), "backward", "time_exhausted"),
+    # a field that reads the sign of a zero x, from (-0.0, -0.0)
+    (lambda x, y: (y, math.copysign(1.0, x)), (-0.0, -0.0),
+     IntegratorOptions(max_time=1.0, box=_SQUARE), "forward", "time_exhausted"),
+    # x' = x^2 blows up at tau = 1 on an unbounded box
+    (PolyField(X**2, -Y), (1.0, 1.0), IntegratorOptions(box=_PLANE), "forward", "step_underflow"),
+    # the same blow-up at a fixed step, without powers: the stages overflow to inf and NaN
+    (PolyField(X * Y, X * Y), (1.0, 1.0),
+     IntegratorOptions(fixed_step=0.25, box=_PLANE), "forward", "step_underflow"),
+]
+
+
+@pytest.mark.parametrize("f, z0, opts, direction, kind", _CASES)
+def test_integrate_matches_the_tableau_loop_bit_for_bit(f, z0, opts, direction, kind):
+    got = integrate(f, z0, opts, direction)
+    want = _reference_integrate(f, z0, opts, direction)
+    assert got.termination.kind == kind
+    assert repr(got.termination) == repr(want.termination)
+    assert repr(got.samples) == repr(want.samples)
+
+
+# -- float overflow ------------------------------------------------------------------
+
+
+def test_overflowing_field_value_is_a_precondition_error():
+    f = cdk_poly_field(F(1, 2), F(1, 2))
+    with pytest.raises(PreconditionError, match="overflows a float"):
+        index_on_circle(f, (0, 0), 1e200)
+    with pytest.raises(PreconditionError, match=r"field value at \(1e\+200, 0\.0\) overflows"):
+        integrate(f, (1e200, 0.0), IntegratorOptions(box=_PLANE))
 
 
 # -- omega limits -----------------------------------------------------------------

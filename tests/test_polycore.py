@@ -58,13 +58,26 @@ def test_eval_float_matches_exact():
 
 def test_eval_float_is_the_compiled_field_bit_for_bit():
     # Jacobians and Newton (BiPoly.eval) and the integrator (PolyField.compiled)
-    # share one float arithmetic
+    # share one float arithmetic; compared by repr, because == hides -0.0
     rng = random.Random(11)
+    cases = []
     for _ in range(50):
         p = random_poly(rng, max_deg=5, max_terms=8)
         q = random_poly(rng, max_deg=5, max_terms=8)
-        x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        assert (p.eval(x, y), q.eval(x, y)) == PolyField(p, q).compiled()(x, y)
+        cases.append((p, q, rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    # zero, constant, one odd term (its -0.0 shows whether the sum starts at 0.0),
+    # total degree 7, and a coefficient that rounds to -0.0
+    special = [BiPoly.zero(), BiPoly.const(F(-3, 7)), -X * Y**2,
+               X**5 * Y**2 - F(1, 3) * Y**6 + 2 * X, X - F(1, 10**400)]
+    zeros = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-0.0, 2.5), (1.5, -0.0)]
+    cases += [(p, q, x, y) for p in special for q in special for x, y in zeros]
+    for p, q, x, y in cases:
+        assert repr(PolyField(p, q).compiled()(x, y)) == repr((p.eval(x, y), q.eval(x, y)))
+
+
+def test_compiled_field_is_built_once():
+    f = PolyField(X * Y - X**3, Y**2 - 1)
+    assert f.compiled() is f.compiled()
 
 
 def test_diff_x_against_termwise_oracle():

@@ -204,16 +204,19 @@ def _validate_sectors(dec, case: str):
 
 
 def region_summary(a, b) -> RegionSummary:
-    """Full qualitative record of the region of (a, b).
+    """Full qualitative record of the region of (a, b); see `cdk_field_summary`."""
+    return cdk_field_summary(cdk_poly_field(_rationalize(a), _rationalize(b)))
+
+
+def cdk_field_summary(f) -> RegionSummary:
+    """Full qualitative record of the region of a field built by `cdk_poly_field`.
 
     Every claim in the record is recomputed from the constituent modules
     and compared; a mismatch raises InternalInconsistencyError.  The
     computed objects are returned with the record.
     """
-    a, b = _rationalize(a), _rationalize(b)
-    region = classify_region(a, b)
+    region = classify_region(*f.provenance[1:3])
     expected = REGION_TABLE[region]
-    f = cdk_poly_field(a, b)
     stationary = equilibria.cdk_closed_form(f)
     sectors = None
 

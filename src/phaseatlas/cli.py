@@ -131,8 +131,8 @@ def cmd_analyze(args):
     f = system.require_polynomial()
     diagnostics = _base_diagnostics(args)
     if system.kind == "cdk":
-        # region_summary computes and checks the whole analysis; print what it checked
-        summary = atlas.region_summary(system.a, system.b)
+        # cdk_field_summary computes and checks the whole analysis; print what it checked
+        summary = atlas.cdk_field_summary(f)
         region, sectors, inf = summary.region, summary.sectors, summary.at_infinity
         if isinstance(summary.stationary, equilibria.StationaryCircle):
             points, circle = [], summary.stationary

@@ -3,10 +3,11 @@
 A polynomial in x, y is stored sparsely as a mapping from exponent pairs
 (i, j) to nonzero Fraction coefficients.  The zero polynomial is the empty
 mapping.  All arithmetic is exact; floating point appears only at the
-evaluation boundary and for the irrational roots that `real_roots` takes
-from numpy.  Float evaluation has one arithmetic: `BiPoly.float_terms()`
-summed term by term as c·x^i·y^j, both in `BiPoly.eval` at float
-coordinates and in the integrator's `PolyField.compiled`.
+evaluation boundary and for the irrational roots of `real_roots`, each
+given as the nearest double.  Float evaluation has one arithmetic:
+`BiPoly.float_terms()` summed term by term as c·x^i·y^j, both in
+`BiPoly.eval` at float coordinates and in the integrator's
+`PolyField.compiled`.
 
 Rationals are plain `fractions.Fraction` values: they are always stored in
 lowest terms with a positive denominator, which is exactly the invariant
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
-
-import numpy as np
 
 from .errors import DomainError, PreconditionError, ZeroDenominatorError
 
@@ -300,17 +299,7 @@ class BiPoly:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having integer coprime coefficients."""
-        if not self._terms:
-            return Fraction(0)
-        nums = [abs(c.numerator) for c in self._terms.values()]
-        dens = [c.denominator for c in self._terms.values()]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        l = 1
-        for d in dens:
-            l = l * d // math.gcd(l, d)
-        return Fraction(g, l)
+        return _ucontent(list(self._terms.values()))
 
     def primitive(self) -> "BiPoly":
         """Scale to content 1 with positive leading (graded-lex) coefficient."""
@@ -376,8 +365,8 @@ def format_poly(p: BiPoly) -> str:
 
 # -- univariate helpers over Q[x]: the bivariate gcd and real roots ----------
 #
-# A univariate polynomial is a plain list of Fractions, index = degree,
-# trailing zeros stripped.  The empty list is zero.
+# A univariate polynomial is a plain list of rationals (Fractions or ints),
+# index = degree, trailing zeros stripped.  The empty list is zero.
 
 
 def _utrim(u: list[Fraction]) -> list[Fraction]:
@@ -411,10 +400,8 @@ def _udivmod(a, b):
         raise ZeroDivisionError("univariate division by zero")
     a = list(a)
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
+    inv = 1 / Fraction(b[-1])
     while len(a) >= len(b) and _utrim(a):
-        if not a:
-            break
         k = len(a) - len(b)
         c = a[-1] * inv
         q[k] = c
@@ -434,95 +421,125 @@ def _ucontent(a) -> Fraction:
     return Fraction(g, l)
 
 
-def _uprimitive(a):
-    if not a:
-        return a
+def _integerize(a) -> list[int]:
+    """a times a positive rational, as coprime integers: the signs of a everywhere."""
     c = _ucontent(a)
-    a = [v / c for v in a]
-    if a[-1] < 0:
-        a = _uneg(a)
-    return a
+    return [int(v / c) for v in a]
+
+
+def _urem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a positive rational, as coprime integers."""
+    a, lb = list(a), b[-1]
+    while len(a) >= len(b):
+        k, la = len(a) - len(b), a[-1] if lb > 0 else -a[-1]
+        a = [abs(lb) * v for v in a]
+        for i, v in enumerate(b):
+            a[i + k] -= la * v
+        _utrim(a)
+    return _integerize(a) if a else a
 
 
 def _ugcd(a, b):
-    a, b = _utrim(list(a)), _utrim(list(b))
+    """A gcd as coprime integers, up to sign; [] for gcd(0, 0)."""
+    a, b = [_integerize(u) if u else u for u in (_utrim(list(a)), _utrim(list(b)))]
     while b:
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    return _uprimitive(a)
+        a, b = b, _urem(a, b)
+    return a
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out or {1})
+def _uderiv(a):
+    return [i * v for i, v in enumerate(a)][1:]
 
 
-def _integerize(c: list[Fraction]) -> list[int]:
-    den = 1
-    for v in c:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in c]
+def _value_at(p: list[int], num: int, den: int) -> int:
+    """den^deg(p) * p(num/den) for den > 0: the sign of p at a rational, in integers."""
+    v, w = 0, 1
+    for c in reversed(p):
+        v = v * num + c * w
+        w *= den
+    return v
 
 
-def _rational_root(ic: list[int]):
-    """First root ±p/q of an integer polynomial in trial order, or None."""
-    for p in _divisors(ic[0]):
-        for q in _divisors(ic[-1]):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for coef in reversed(ic):
-                    val = val * r + coef
-                if val == 0:
-                    return r
-    return None
+def _variations(chain, num: int, den: int) -> int:
+    """Sign changes along the chain at num/den, zeros skipped."""
+    signs = [v > 0 for v in (_value_at(q, num, den) for q in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sturm(p) -> list[list[int]]:
+    """Sturm sequence p, p', -rem(p, p'), ... of a square-free p, scaled to integers."""
+    chain = [_integerize(p), _integerize(_uderiv(p))]
+    while len(chain[-1]) > 1:
+        chain.append(_uneg(_urem(chain[-2], chain[-1])))
+    return chain
+
+
+def _isolate(chain) -> list[tuple[int, int, int]]:
+    """Intervals (lo/den, hi/den], den a power of 2, one per distinct real root of chain[0].
+
+    V(t), the sign changes of the chain at t, is right-continuous, so V(lo) - V(hi)
+    counts the roots in (lo, hi] also when an end is a root.
+    """
+    p = chain[0]
+    b = 1 << (max(abs(v) for v in p[:-1]) // abs(p[-1]) + 2).bit_length()  # > Cauchy bound
+    todo, out = [(-b, b, 1, _variations(chain, -b, 1), _variations(chain, b, 1))], []
+    while todo:
+        lo, hi, den, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi, den))
+        elif v_lo > v_hi:
+            mid, v_mid = lo + hi, _variations(chain, lo + hi, 2 * den)
+            todo += [(2 * lo, mid, 2 * den, v_lo, v_mid), (mid, 2 * hi, 2 * den, v_mid, v_hi)]
+    return out
+
+
+def _root_in(p: list[int], lo: int, hi: int, den: int):
+    """The root of p in (lo/den, hi/den]: a Fraction if rational, else the nearest float.
+
+    A rational root's denominator divides lc, and such rationals lie 1/lc^2 apart;
+    so once the interval is narrower than 1/(2 lc^2), the nearest of them to hi is
+    the root if any is.  Else bisection goes on until both ends round to one double.
+    """
+    lc, s = abs(p[-1]), _value_at(p, hi, den)
+    if not s:
+        return Fraction(hi, den)
+    candidate = True
+    while candidate or lo / den != hi / den:
+        if candidate and 2 * lc * lc * (hi - lo) < den:
+            r = Fraction(hi, den).limit_denominator(lc)
+            if not _value_at(p, r.numerator, r.denominator):
+                return r
+            candidate = False
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        if (_value_at(p, mid, den) > 0) == (s > 0):
+            hi = mid
+        else:
+            lo = mid
+    return hi / den
 
 
 def real_roots(coeffs: list[Fraction]):
     """Distinct real roots of a rational univariate polynomial (ascending coefficients).
 
-    Rational roots are found exactly (rational-root theorem) and deflated;
-    the rest come from numpy.  Float roots within 1e-9 of an exact root or
-    of each other are merged.  Returns (exact_roots, float_roots,
-    complex_count), the root lists ascending.
+    The roots of the square-free part c / gcd(c, c') are isolated by Sturm bisection
+    and returned exactly when rational, else as the nearest double.  complex_count
+    is the degree less the real roots with multiplicity, summed along g <- gcd(g, g').
+    Returns (exact_roots, float_roots, complex_count), the root lists ascending.
     """
     c = _utrim(list(coeffs))
     if not c:
         raise DomainError("zero polynomial has no root list")
-    exact: set[Fraction] = set()
-    while c[0] == 0:
-        exact.add(Fraction(0))
-        c.pop(0)
-    ic = _integerize(c)
-    while len(ic) > 1:
-        r = _rational_root(ic)
-        if r is None:
-            break
-        exact.add(r)
-        quotient, _ = _udivmod(ic, [-r, Fraction(1)])
-        ic = _integerize(quotient)
-
-    floats: list[float] = []
-    complex_count = 0
-    if len(ic) > 1:
-        roots = np.roots(list(reversed([float(v) for v in ic])))
-        scale = max(1.0, max(abs(r) for r in roots))
-        for r in roots:
-            if abs(r.imag) < 1e-9 * scale:
-                floats.append(float(r.real))
-            else:
-                complex_count += 1
-    distinct: list[float] = []
-    for u in sorted(floats):
-        if all(abs(u - v) >= 1e-9 for v in [float(e) for e in exact] + distinct):
-            distinct.append(u)
-    return sorted(exact), distinct, complex_count
+    roots, real, g = [], 0, c
+    while len(g) > 1:
+        h = _ugcd(g, _uderiv(g))
+        chain = _sturm(_udivmod(g, h)[0])
+        intervals = _isolate(chain)
+        if g is c:
+            roots = [_root_in(chain[0], *iv) for iv in intervals]
+        real += len(intervals)
+        g = h
+    exact = sorted(r for r in roots if isinstance(r, Fraction))
+    return exact, sorted(r for r in roots if isinstance(r, float)), len(c) - 1 - real
 
 
 def _to_y_coeffs(p: BiPoly) -> list[list[Fraction]]:
@@ -552,32 +569,17 @@ def _ytrim(rows):
     return rows
 
 
-def _y_content(rows) -> list[Fraction]:
-    g: list[Fraction] = []
+def _y_content(rows) -> list[int]:
+    g: list[int] = []
     for row in rows:
         if row:
             g = _ugcd(g, row)
     return g
 
 
-def _y_scale_div(rows, d):
-    out = []
-    for row in rows:
-        if not row:
-            out.append([])
-        else:
-            q, r = _udivmod(row, d)
-            if r:
-                raise DomainError("content division failed")
-            out.append(q)
-    return out
-
-
 def _y_primitive(rows):
     c = _y_content(rows)
-    if not c:
-        return rows
-    return _y_scale_div(rows, c)
+    return [_udivmod(row, c)[0] for row in rows] if c else rows
 
 
 def _y_pseudo_rem(a, b):
@@ -585,8 +587,6 @@ def _y_pseudo_rem(a, b):
     a = [list(r) for r in a]
     lb = b[-1]
     while len(a) >= len(b) and _ytrim(a):
-        if not a:
-            break
         k = len(a) - len(b)
         la = a[-1]
         # scale a by lc(b), then subtract lc(a) * y^k * b
@@ -618,21 +618,12 @@ def poly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
 
     ca, cb = _y_content(a), _y_content(b)
     cont = _ugcd(ca, cb)
-    a = _y_primitive(a)
-    b = _y_primitive(b)
-
-    while b and _ytrim([list(r) for r in b]):
-        r = _y_pseudo_rem(a, b)
-        if not _ytrim(r):
-            a = b
-            b = []
-            break
-        a, b = b, _y_primitive(r)
-    g_pp = a
+    a, b = _y_primitive(a), _y_primitive(b)
+    while b:
+        a, b = b, _y_primitive(_y_pseudo_rem(a, b))
 
     # gcd = gcd(contents) * primitive-part gcd; contents live in Q[x]
-    g_rows = [_umul(row, cont) for row in g_pp] if cont else g_pp
-    return _from_y_coeffs(g_rows).primitive()
+    return _from_y_coeffs([_umul(row, cont) for row in a]).primitive()
 
 
 def poly_divexact(p: BiPoly, d: BiPoly) -> BiPoly:
@@ -650,8 +641,6 @@ def poly_divexact(p: BiPoly, d: BiPoly) -> BiPoly:
     quo: list[list[Fraction]] = [[] for _ in range(len(a) - len(b) + 1)]
     lb = b[-1]
     while len(a) >= len(b) and _ytrim(a):
-        if not a:
-            break
         k = len(a) - len(b)
         qcoef, rem = _udivmod(a[-1], lb)
         if rem:

@@ -1,6 +1,16 @@
-"""Prints a one-line pass/fail verdict per acceptance criterion at the end."""
+"""Test-session setup: hypothesis storage, and a pass/fail line per acceptance criterion."""
+
+import tempfile
+
+from hypothesis.configuration import set_hypothesis_home_dir
 
 _acceptance_results = {}
+
+# hypothesis caches the constants of the code under test in its home
+# directory, by default .hypothesis/ in the working directory; keep it in a
+# temporary directory that is removed at exit
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 def pytest_runtest_logreport(report):

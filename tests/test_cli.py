@@ -43,7 +43,7 @@ def _count_calls(monkeypatch, functions):
 
 
 @pytest.mark.parametrize(
-    "a, b, calls", [("7/10", "1/2", (1, 1, 4, 2)), ("1", "1", (0, 1, 1, 2))]
+    "a, b, calls", [("7/10", "1/2", (1, 1, 4, 1)), ("1", "1", (0, 1, 1, 1))]
 )
 def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, calls):
     from phaseatlas import blowup, compact, desing
@@ -52,11 +52,18 @@ def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, ca
         blowup.classify_nilpotent_origin,
         compact.infinite_stationary_points,
         compact.compactify_chart,
-        desing.cdk_poly_field,  # once for the command, once inside region_summary
+        desing.cdk_poly_field,
     ))
     code, _, _ = run(capsys, "analyze", "--a", a, "--b", b, "--format", "json")
     assert code == 0
     assert tuple(counts.values()) == calls
+
+
+@pytest.mark.parametrize("a, b", [("0", "1/2"), ("7/10", "-1")])
+def test_analyze_nonpositive_parameter_exits_3(capsys, a, b):
+    code, out, err = run(capsys, "analyze", "--a", a, "--b", b)
+    assert code == 3 and out == ""
+    assert err == "error: CDK parameters must be positive\n"
 
 
 @pytest.mark.parametrize("a, b", [("7/10", "1/2"), ("1", "1")])

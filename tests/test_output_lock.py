@@ -18,7 +18,8 @@ import pytest
 
 from phaseatlas.cli import main
 
-# analyze --format json at one (a, b) per region: the appendix parameter pairs
+# analyze --format json at one (a, b) per region (the appendix parameter pairs)
+# and at two long decimals
 ANALYZE_DIGESTS = {
     ("5/2", "1/2"): "5f7139cda84c7be42e3b0f15c946dd06c7993bf26364fb30f6bebdee23152840",
     ("1", "1/2"): "63e4e976bca46bb9a10f29e0c8630476c6c03f4bcc2a9d400bc28d50835e665a",
@@ -36,6 +37,10 @@ ANALYZE_DIGESTS = {
     ("6/5", "19/10"): "d9b12f09bc201167f6baac06c222d2c811601f99ca2a327f8481c57e092e4418",
     ("19/10", "19/10"): "dd5bb5d61597cd517facfef705ef5ef1ca8ee3de7fb1206c45cbdc310bcd462d",
     ("5/2", "19/10"): "708c524ea14ea149eb5d1877ad614b27c1f18973f0aa4f30f6bffd0ced63ce7c",
+    # long decimals, whose root polynomials have large coefficients; the
+    # second has irrational roots on the blow-up divisor
+    ("0.700000000001", "1/2"): "9ea333ad9c60a5329ba46011a253a072a075f766878923c61dc2183d318b9cbc",
+    ("0.2000000003", "1"): "4bce58712e00b5e3ae9eb80bff5902853786d7acefcbdaa9722beffe8bedffb2",
 }
 
 LOTKA_VOLTERRA = "param p = 3\nx*(p - x - 2*y) ; y*(2 - x - y)\n"

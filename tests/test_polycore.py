@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseatlas.desing import PolyField
 from phaseatlas.errors import DomainError, PreconditionError
@@ -271,7 +274,7 @@ def test_format_graded_lex_order():
 
 
 def test_real_roots_strips_root_at_zero():
-    # x^2 (x - 1): the double root at 0 is split off before the search
+    # x^2 (x - 1): the double root at 0 is reported once
     exact, floats, complex_count = real_roots([F(0), F(0), F(-1), F(1)])
     assert exact == [0, 1]
     assert floats == [] and complex_count == 0
@@ -298,6 +301,91 @@ def test_real_roots_counts_complex_roots():
     exact, floats, complex_count = real_roots(coeffs)
     assert exact == [2]
     assert floats == [] and complex_count == 4
+
+
+def _upoly(factors):
+    """Ascending coefficients of the product of (coefficients, multiplicity) factors."""
+    out = [F(1)]
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            prod = [F(0)] * (len(out) + len(coeffs) - 1)
+            for i, u in enumerate(out):
+                for j, v in enumerate(coeffs):
+                    prod[i + j] += u * v
+            out = prod
+    return out
+
+
+def _uvalue(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def _sign_change_across(coeffs, f):
+    """True when the polynomial changes sign between the half-ulp points around the double f."""
+    below = (F(f) + F(math.nextafter(f, -math.inf))) / 2
+    above = (F(f) + F(math.nextafter(f, math.inf))) / 2
+    return _uvalue(coeffs, below) * _uvalue(coeffs, above) < 0
+
+
+@pytest.mark.parametrize("mult", [2, 3])
+def test_real_roots_of_a_power_are_distinct_and_real(mult):
+    # (x^2 - 2)^mult: one float per root, and no root counted as complex
+    exact, floats, complex_count = real_roots(_upoly([([F(-2), F(0), F(1)], mult)]))
+    assert exact == []
+    assert floats == [-math.sqrt(2), math.sqrt(2)]
+    assert complex_count == 0
+
+
+def test_real_roots_floats_are_the_nearest_doubles():
+    # 3/5 x^3 - x = x (3/5 x^2 - 1), irrational roots +-sqrt(5/3)
+    coeffs = [F(0), F(-1), F(0), F(3, 5)]
+    exact, floats, complex_count = real_roots(coeffs)
+    assert exact == [0] and complex_count == 0
+    assert floats[0] == -floats[1]
+    assert all(_sign_change_across(coeffs, f) for f in floats)
+
+
+def test_real_roots_rational_root_on_a_bisection_point():
+    # x (2/5 - x): the root 0 is the first bisection point of the search interval
+    exact, floats, complex_count = real_roots([F(0), F(2, 5), F(-1)])
+    assert exact == [0, F(2, 5)]
+    assert floats == [] and complex_count == 0
+
+
+_linear = st.tuples(st.integers(-6, 6), st.integers(1, 5)).map(lambda t: [F(t[0]), F(t[1])])
+_quadratic = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 4)).map(
+    lambda t: [F(t[0]), F(t[1]), F(t[2])]
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3)), min_size=1, max_size=3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_real_roots_of_products_of_linear_and_quadratic_factors(factors, scale):
+    rational, irrational, complex_count = set(), set(), 0
+    for coeffs, mult in factors:
+        if len(coeffs) == 2:
+            rational.add(-coeffs[0] / coeffs[1])
+            continue
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            complex_count += 2 * mult
+        elif math.isqrt(int(disc)) ** 2 == disc:
+            root = math.isqrt(int(disc))
+            rational.update({(-b - root) / (2 * a), (-b + root) / (2 * a)})
+        else:
+            irrational.add((b / a, c / a))
+    coeffs = [scale * v for v in _upoly(factors)]
+    exact, floats, got_complex = real_roots(coeffs)
+    assert exact == sorted(rational)
+    assert got_complex == complex_count
+    assert len(floats) == 2 * len(irrational) and floats == sorted(set(floats))
+    # the product need not change sign at a root of even multiplicity; its factor does
+    for f in floats:
+        assert any(_sign_change_across(q, f) for q, _ in factors)
 
 
 def test_real_roots_zero_polynomial_rejected():

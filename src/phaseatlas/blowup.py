@@ -13,6 +13,11 @@ largest common monomial power of v that keeps the exceptional divisor
 {v = 0} invariant.  The shed factor is recorded so the pullback can be
 reconstituted exactly.
 
+Exchanging x and y turns the ±y substitutions into the ±x ones with the
+weights exchanged.  So the ±y chart of (P, Q) with weights (α, β) is the
+±x chart of the swapped field (Q(y, x), P(y, x)) with weights (β, α),
+chart variables swapped back; only the ±x construction is written out.
+
 Sector assembly walks the divisor stationary points of the four charts in
 counterclockwise order, samples the divisor flow on each open arc (exact
 rational signs), and classifies each arc by the radial stability of its
@@ -34,6 +39,7 @@ from .errors import DomainError, InternalInconsistencyError, PreconditionError, 
 from .polycore import (
     BiPoly,
     NewtonWeights,
+    Y,
     axis_restriction,
     divisor_power,
     is_nilpotent_origin,
@@ -87,20 +93,24 @@ class BlowupChart:
         return blow_down(self.direction, self.weights, u, v)
 
     def substitution_jacobian(self, u, v):
+        if self.radial_var == "y":
+            (a, b), (c, d) = self.swapped().substitution_jacobian(v, u)
+            return ((d, c), (b, a))
         alpha, beta = self.weights
-        if self.direction in ("+x", "-x"):
-            sx = 1 if self.direction == "+x" else -1
-            xb, yb = u, v
-            return (
-                (sx * alpha * xb ** (alpha - 1), 0 * xb),
-                (beta * xb ** (beta - 1) * yb, xb**beta),
-            )
-        sy = 1 if self.direction == "+y" else -1
-        xb, yb = u, v
+        sx = 1 if self.direction == "+x" else -1
         return (
-            (yb**alpha, alpha * xb * yb ** (alpha - 1)),
-            (0 * yb, sy * beta * yb ** (beta - 1)),
+            (sx * alpha * u ** (alpha - 1), 0 * u),
+            (beta * u ** (beta - 1) * v, u**beta),
         )
+
+    def swapped(self) -> "BlowupChart":
+        """This chart with x and y exchanged: a chart of the swapped field, weights swapped."""
+        w = NewtonWeights(self.weights.beta, self.weights.alpha)
+        return BlowupChart(_SWAPPED[self.direction], w, self.py.swapped(), self.px.swapped(),
+                           self.cancelled_coeff, self.cancelled_power)
+
+
+_SWAPPED = {"+x": "+y", "-x": "-y", "+y": "+x", "-y": "-x"}
 
 
 def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> BlowupChart:
@@ -110,41 +120,24 @@ def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> Blowup
     if f.P.eval(0, 0) != 0 or f.Q.eval(0, 0) != 0:
         raise PreconditionError("origin is not a stationary point of the field")
     alpha, beta = w
-    x, y = BiPoly.var("x"), BiPoly.var("y")
+    if direction in ("+y", "-y"):  # the ±x chart of the swapped field, swapped back
+        swapped = PolyField(f.Q.swapped(), f.P.swapped())
+        return blowup_directional(swapped, _SWAPPED[direction], NewtonWeights(beta, alpha)).swapped()
 
-    if direction in ("+x", "-x"):
-        sx = 1 if direction == "+x" else -1
-        phi_x = BiPoly.monomial(sx, alpha, 0)
-        phi_y = BiPoly.monomial(1, beta, 1)
-        Pphi = f.P.subst(phi_x, phi_y)
-        Qphi = f.Q.subst(phi_x, phi_y)
-        # xdot = sx*Pphi/(alpha v^(alpha-1)), ydot over common denom alpha*v^(a+b-1)
-        n1 = Pphi.mul_monomial(sx, beta, 0)
-        n2 = Qphi.mul_monomial(alpha, alpha - 1, 0) - (y * Pphi).mul_monomial(sx * beta, beta - 1, 0)
-        denom_coeff = Fraction(alpha)
-        var = "x"
-    else:
-        sy = 1 if direction == "+y" else -1
-        phi_x = BiPoly.monomial(1, 1, alpha)
-        phi_y = BiPoly.monomial(sy, 0, beta)
-        Pphi = f.P.subst(phi_x, phi_y)
-        Qphi = f.Q.subst(phi_x, phi_y)
-        n1 = Pphi.mul_monomial(beta, 0, beta - 1) - (x * Qphi).mul_monomial(sy * alpha, 0, alpha - 1)
-        n2 = Qphi.mul_monomial(sy, 0, alpha)
-        denom_coeff = Fraction(beta)
-        var = "y"
-
-    s = divisor_power(n1, n2, var) if var == "x" else divisor_power(n2, n1, var)
-    px = n1.div_monomial(var, s)
-    py = n2.div_monomial(var, s)
-    k = s - (alpha + beta - 1)
+    sx = 1 if direction == "+x" else -1
+    phi = (BiPoly.monomial(sx, alpha, 0), BiPoly.monomial(1, beta, 1))
+    Pphi, Qphi = f.P.subst(*phi), f.Q.subst(*phi)
+    # xdot = sx*Pphi/(alpha v^(alpha-1)), ydot over common denom alpha*v^(a+b-1)
+    n1 = Pphi.mul_monomial(sx, beta, 0)
+    n2 = Qphi.mul_monomial(alpha, alpha - 1, 0) - (Y * Pphi).mul_monomial(sx * beta, beta - 1, 0)
+    s = divisor_power(n1, n2, "x")
     return BlowupChart(
         direction=direction,
         weights=w,
-        px=px,
-        py=py,
-        cancelled_coeff=Fraction(1) / denom_coeff,
-        cancelled_power=k,
+        px=n1.div_monomial("x", s),
+        py=n2.div_monomial("x", s),
+        cancelled_coeff=Fraction(1, alpha),
+        cancelled_power=s - (alpha + beta - 1),
     )
 
 
@@ -177,10 +170,7 @@ class DivisorContinuum:
 
 def _divisor_restriction(chart: BlowupChart):
     """Tangential component on the divisor, as coefficient list; None if dicritical."""
-    if chart.radial_var == "x":
-        tang, radial = chart.py, chart.px
-    else:
-        tang, radial = chart.px, chart.py
+    radial, tang = (chart.px, chart.py) if chart.radial_var == "x" else (chart.py, chart.px)
     # invariance: the radial component must vanish identically on the divisor
     if axis_restriction(radial, chart.radial_var):
         return None
@@ -355,22 +345,35 @@ def _arc_flow_ccw(samples) -> bool:
 _CYCLE_ORDER = (("+x", 1), ("+y", 0), ("-x", -1), ("-y", 0))
 
 
-def classify_nilpotent_origin(f: PolyField) -> SectorDecomposition:
-    """Sector structure of an isolated nilpotent stationary point at the origin.
+def blowup_origin(f: PolyField):
+    """(weights, charts, divisor) of a nilpotent origin, each built once.
 
-    Runs the Newton-polygon weights, all four directional blow-ups,
-    classifies the divisor stationary points, and assembles the sector
-    cycle by blow-down.  Raises UnresolvedError when a divisor point is
-    itself non-elementary or when the divisor carries a continuum.
+    The Newton-polygon weights; the four directional charts by direction,
+    in DIRECTIONS order; and `divisor_stationary_points` of each chart.
     """
     if not is_nilpotent_origin(f.P, f.Q):
         raise PreconditionError("origin is not a nilpotent stationary point")
     w = newton_weights(f.P, f.Q)
     charts = {d: blowup_directional(f, d, w) for d in DIRECTIONS}
+    return w, charts, {d: divisor_stationary_points(c) for d, c in charts.items()}
 
+
+def classify_nilpotent_origin(f: PolyField) -> SectorDecomposition:
+    """Sector structure of an isolated nilpotent stationary point at the origin."""
+    return assemble_sectors(*blowup_origin(f))
+
+
+def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
+    """Sector cycle of the blown-up nilpotent origin that `blowup_origin` returns.
+
+    Walks the divisor stationary points of the four charts around the
+    divisor, classifies the arc between each two, and assembles the sectors
+    by blow-down.  Raises UnresolvedError when a divisor point is itself
+    non-elementary or when the divisor carries a continuum.
+    """
     cycle: list[_CycleEntry] = []
     for d, order in _CYCLE_ORDER:
-        pts, _ = divisor_stationary_points(charts[d])
+        pts, _ = divisor[d]
         if pts and isinstance(pts[0], DivisorContinuum):
             raise UnresolvedError("continuum of stationary points on the divisor", partial=pts[0])
         if order:

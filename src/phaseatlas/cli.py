@@ -34,7 +34,7 @@ from .errors import (
     PhaseAtlasError,
     PreconditionError,
 )
-from .polycore import format_poly
+from .polycore import BiPoly, format_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,15 +179,9 @@ def cmd_stationary(args):
 
 def cmd_blowup(args):
     system = _System(args)
-    f = system.require_polynomial()
-    from .polycore import is_nilpotent_origin, newton_weights
-
-    if not is_nilpotent_origin(f.P, f.Q):
-        raise PreconditionError("origin is not a nilpotent stationary point")
-    w = newton_weights(f.P, f.Q)
+    w, charts, divisor = blowup.blowup_origin(system.require_polynomial())
     lines = [f"weights: ({w.alpha}, {w.beta})"]
-    for direction in blowup.DIRECTIONS:
-        chart = blowup.blowup_directional(f, direction, w)
+    for direction, chart in charts.items():
         lines.append(f"chart {direction}:")
         lines.append(f"  xdot = {format_poly(chart.px)}")
         lines.append(f"  ydot = {format_poly(chart.py)}")
@@ -195,7 +189,7 @@ def cmd_blowup(args):
             f"  cancelled factor: {chart.cancelled_coeff} * "
             f"{chart.radial_var}^{chart.cancelled_power}"
         )
-        pts, complex_count = blowup.divisor_stationary_points(chart)
+        pts, complex_count = divisor[direction]
         for p in pts:
             if isinstance(p, blowup.DivisorContinuum):
                 lines.append("  divisor: continuum of stationary points")
@@ -204,7 +198,7 @@ def cmd_blowup(args):
         if complex_count:
             lines.append(f"  ({complex_count} complex divisor roots suppressed)")
     try:
-        dec = blowup.classify_nilpotent_origin(f)
+        dec = blowup.assemble_sectors(w, charts, divisor)
         kinds = ", ".join(s.kind for s in dec.sectors)
         lines.append(f"sectors: {kinds}")
         lines.append(f"index: {dec.index}; homoclinic: {dec.homoclinic}")
@@ -216,15 +210,13 @@ def cmd_blowup(args):
 
 def cmd_infinity(args):
     system = _System(args)
-    f = system.require_polynomial()
+    charts = compact.PoincareCharts(system.require_polynomial())
     lines = []
     for chart in ("U1", "U2"):
-        coeffs = compact.divisor_polynomial(f, chart)
-        from .polycore import BiPoly
-
+        coeffs = charts.divisor_polynomial(chart)
         poly = BiPoly({(i, 0): c for i, c in enumerate(coeffs) if c})
         lines.append(f"{chart} divisor polynomial: {format_poly(poly).replace('x', 'u')}")
-    inf = compact.infinite_stationary_points(f)
+    inf = compact.points_at_infinity(charts)
     if isinstance(inf, compact.InfinityContinuum):
         lines.append("every point at infinity is stationary")
         lines.append(

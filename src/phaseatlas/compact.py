@@ -11,6 +11,10 @@ the chart field, after the standard z^(d-1) time rescaling, is
 
 with V1/V2 equal to U1/U2 times (−1)^(d−1).  The divisor {z = 0} is the
 equator; its stationary points are the roots of u̇(u, 0).
+
+Exchanging x and y turns U2 into U1: the U2 (V2) chart of (P, Q) is the
+U1 (V1) chart of the swapped field (Q(y, x), P(y, x)), and that is how it
+is built, so one construction serves all four charts.
 """
 
 from __future__ import annotations
@@ -73,39 +77,18 @@ def compactify_chart(f: PolyField, chart: str) -> PolyField:
     """Chart field of the compactified system, common z-power cancelled."""
     if chart not in CHART_IDS:
         raise DomainError(f"unknown chart {chart!r}")
+    if chart in ("U2", "V2"):  # U2/V2 are U1/V1 of the field with x and y exchanged
+        f = PolyField(f.Q.swapped(), f.P.swapped())
     d = f.max_degree()
     if d < 0:
         raise PreconditionError("cannot compactify the zero field")
 
-    u_terms: dict[tuple[int, int], Fraction] = {}
-    z_terms: dict[tuple[int, int], Fraction] = {}
-
-    def add(terms, i, j, c):
-        if c:
-            terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
-            if not terms[(i, j)]:
-                del terms[(i, j)]
-
-    if chart in ("U1", "V1"):
-        # u̇ = z^d (Q - u P)(1/z, u/z): term x^i y^j -> u^j z^(d-i-j)
-        for (i, j), c in f.Q.terms.items():
-            add(u_terms, j, d - i - j, c)
-        for (i, j), c in f.P.terms.items():
-            add(u_terms, j + 1, d - i - j, -c)
-        for (i, j), c in f.P.terms.items():
-            add(z_terms, j, d + 1 - i - j, -c)
-    else:
-        # u̇ = z^d (P - u Q)(u/z, 1/z): term x^i y^j -> u^i z^(d-i-j)
-        for (i, j), c in f.P.terms.items():
-            add(u_terms, i, d - i - j, c)
-        for (i, j), c in f.Q.terms.items():
-            add(u_terms, i + 1, d - i - j, -c)
-        for (i, j), c in f.Q.terms.items():
-            add(z_terms, i, d + 1 - i - j, -c)
-
+    # u̇ = z^d (Q - u P)(1/z, u/z), ż = -z^(d+1) P(1/z, u/z): x^i y^j -> u^j z^(d-i-j)
     sign = 1 if chart in ("U1", "U2") else (-1) ** (d - 1)
-    pu = BiPoly(u_terms) * sign
-    pz = BiPoly(z_terms) * sign
+    q_part = BiPoly({(j, d - i - j): c for (i, j), c in f.Q})
+    up_part = BiPoly({(j + 1, d - i - j): c for (i, j), c in f.P})
+    pu = (q_part - up_part) * sign
+    pz = BiPoly({(j, d + 1 - i - j): -c for (i, j), c in f.P}) * sign
 
     # cancel a shared z power, keeping the divisor {z = 0} invariant
     s = divisor_power(pz, pu, "y")
@@ -113,29 +96,45 @@ def compactify_chart(f: PolyField, chart: str) -> PolyField:
     return PolyField(pu, pz, provenance=("compactified", chart))
 
 
-def divisor_polynomial(f: PolyField, chart: str) -> list[Fraction]:
-    """Coefficients (ascending) of u̇(u, 0) in the chart."""
-    return axis_restriction(compactify_chart(f, chart).P, "y")
+class PoincareCharts(dict):
+    """The chart fields of one polynomial field by chart id, each built on first lookup."""
+
+    def __init__(self, f: PolyField):
+        super().__init__()
+        self.field = f
+
+    def __missing__(self, chart: str) -> PolyField:
+        self[chart] = cf = compactify_chart(self.field, chart)
+        return cf
+
+    def divisor_polynomial(self, chart: str) -> list[Fraction]:
+        """Coefficients (ascending) of u̇(u, 0) in the chart."""
+        return axis_restriction(self[chart].P, "y")
 
 
 _ANTIPODE = {"U1": "V1", "V1": "U1", "U2": "V2", "V2": "U2"}
 
 
 def infinite_stationary_points(f: PolyField):
+    """Classified stationary points at infinity of f, or a continuum marker."""
+    return points_at_infinity(PoincareCharts(f))
+
+
+def points_at_infinity(charts: PoincareCharts):
     """Classified stationary points at infinity, or a continuum marker.
 
     Points are listed per direction chart (U1 = +x, V1 = −x, U2 = +y,
     V2 = −y); slope points (u ≠ 0) appear in the x-direction charts for
     |u| <= 1 and in the y-direction charts otherwise, so each equator
     point is reported exactly once per hemisphere end, with its antipodal
-    partner chart recorded.
+    partner chart recorded.  A continuum is decided on U1 alone, so no
+    other chart is built for it.
     """
-    u1 = compactify_chart(f, "U1")
-    if not any(axis_restriction(u1.P, "y")):
+    if not any(charts.divisor_polynomial("U1")):
         # every equator point stationary: report the structure along it
         samples = []
         for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)):
-            J = jacobian_at(u1, (u, Fraction(0)))
+            J = jacobian_at(charts["U1"], (u, Fraction(0)))
             samples.append((u, J[1][1]))
         return InfinityContinuum(
             tangential_eigenvalue=Fraction(0), sample_transverse=tuple(samples)
@@ -143,9 +142,8 @@ def infinite_stationary_points(f: PolyField):
 
     points = []
     for chart in CHART_IDS:
-        cf = u1 if chart == "U1" else compactify_chart(f, chart)
-        coeffs = axis_restriction(cf.P, "y")
-        exact, floats, _ = real_roots(coeffs)
+        cf = charts[chart]
+        exact, floats, _ = real_roots(charts.divisor_polynomial(chart))
         roots = [(u, True) for u in exact] + [(u, False) for u in floats]
         for u, is_exact in roots:
             au = abs(float(u))

@@ -6,9 +6,10 @@ fractions reduced) is turned into the polynomial field
     ẋ = q̄·p,  ẏ = s̄·r,       ℓ = lcm(q, s) = q·q̄ = s·s̄,
 
 which has the same trajectories off the zero set of the denominators; the
-multiplier ℓ records how the time parametrisation was stretched.  For
-reduced inputs gcd(ℓ, q̄p, s̄r) = 1, i.e. the construction is minimal; a
-residual common factor is nevertheless removed defensively.
+multiplier ℓ records how the time parametrisation was stretched.  The
+construction is minimal, gcd(ℓ, q̄p, s̄r) = 1, because both fractions are
+kept reduced: an irreducible π with π^k ‖ ℓ has π^k ‖ q (so π ∤ q̄ and,
+q being coprime to p, π ∤ p) or likewise π^k ‖ s, so π misses q̄p or s̄r.
 
 Also provides the two built-in fixtures: the CDK system
 
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError, PreconditionError, UndefinedPointError
-from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_gcd, poly_lcm, reduce_fraction
+from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_lcm, reduce_fraction
+from .polycore import poly_gcd  # noqa: F401  bench/tests/test_bench.py expects desing to bind it
 
 
 @dataclass(frozen=True)
@@ -123,18 +125,15 @@ def cdk_rational_field(a, b) -> RationalField:
 
 
 def desingularize(f: RationalField) -> PolyField:
-    """Trajectory-equivalent polynomial field with multiplier lcm(q, s)."""
+    """Trajectory-equivalent polynomial field with multiplier lcm(q, s).
+
+    No common factor is left to strip: `RationalField` keeps p/q and r/s
+    reduced, which makes gcd(ℓ, q̄p, s̄r) = 1 (see the module docstring).
+    """
     ell = poly_lcm(f.q, f.s)
     qbar = poly_divexact(ell, f.q)
     sbar = poly_divexact(ell, f.s)
-    P = qbar * f.p
-    Q = sbar * f.r
-    # minimal-generator property makes this gcd constant for reduced inputs;
-    # strip a residual factor anyway so the invariant is unconditional
-    g = poly_gcd(poly_gcd(P, Q) if not (P.is_zero() and Q.is_zero()) else ell, ell)
-    if not g.is_constant():
-        P, Q, ell = poly_divexact(P, g), poly_divexact(Q, g), poly_divexact(ell, g)
-    return PolyField(P, Q, time_factor=ell, provenance=("general",))
+    return PolyField(qbar * f.p, sbar * f.r, time_factor=ell, provenance=("general",))
 
 
 def cdk_poly_field(a, b) -> PolyField:

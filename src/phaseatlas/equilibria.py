@@ -417,15 +417,17 @@ def cdk_closed_form(f: PolyField):
     Returns a StationaryCircle for a = b = 1; otherwise a list holding
     s1 = (0,0), s2 = (0,1) and, exactly when the parameters straddle 1,
     the pair s3/s4 = (±sqrt(y2/a − y2²), y2) with y2 = −(b−1)/(a−b).
+    A field moved by `PolyField.shifted` has every point moved by minus
+    the summed shifts recorded in its provenance.
     """
     a, b = f.provenance[1:3]
+    dx, dy = (-sum((s[k] for s in f.provenance[3:]), Fraction(0)) for k in (1, 2))
     if a == 1 and b == 1:
-        return StationaryCircle(center=(Fraction(0), Fraction(1, 2)), radius=Fraction(1, 2))
+        return StationaryCircle(center=(dx, Fraction(1, 2) + dy), radius=Fraction(1, 2))
 
-    zero = Fraction(0)
     points = [
-        _make_point(f, (zero, zero), "s1", kind=ClassificationKind("nilpotent")),
-        _make_point(f, (zero, Fraction(1)), "s2"),
+        _make_point(f, (dx, dy), "s1", kind=ClassificationKind("nilpotent")),
+        _make_point(f, (dx, 1 + dy), "s2"),
     ]
     if b > 1 > a or b < 1 < a:
         y2 = -(b - 1) / (a - b)
@@ -435,9 +437,9 @@ def cdk_closed_form(f: PolyField):
         root = sqrt_exact_or_float(x_sq)
         kind = _s34_kind(a, b)
         exact = isinstance(root, Fraction)
-        err = None if exact else 5e-16 * float(root)
+        err = None if exact else 5e-16 * (float(root) + abs(float(dx)))
         for label, sign in (("s3", 1), ("s4", -1)):
-            loc = (sign * root, y2)
+            loc = (sign * root + dx, y2 + dy)
             points.append(
                 _make_point(f, loc, label, kind=kind, exact=exact, error_bound=err)
             )

@@ -275,6 +275,10 @@ class BiPoly:
             out = out + BiPoly.const(c) * xpows[i] * ypows[j]
         return out
 
+    def swapped(self) -> "BiPoly":
+        """p(y, x): x and y exchanged, terms kept in storage order."""
+        return BiPoly({(j, i): c for (i, j), c in self._terms.items()})
+
     def mul_monomial(self, c, i: int, j: int) -> "BiPoly":
         c = as_rational(c)
         return BiPoly({(e0 + i, e1 + j): cc * c for (e0, e1), cc in self._terms.items()})

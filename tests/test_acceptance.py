@@ -182,8 +182,9 @@ def test_criterion_6_infinity():
         (F(5, 2), F(1, 2), "repelling_node", "saddle"),
     ):
         f = cdk_poly_field(a, b)
-        Fu = BiPoly({(i, 0): c for i, c in enumerate(compact.divisor_polynomial(f, "U1")) if c})
-        Gu = BiPoly({(i, 0): c for i, c in enumerate(compact.divisor_polynomial(f, "U2")) if c})
+        charts = compact.PoincareCharts(f)
+        Fu = BiPoly({(i, 0): c for i, c in enumerate(charts.divisor_polynomial("U1")) if c})
+        Gu = BiPoly({(i, 0): c for i, c in enumerate(charts.divisor_polynomial("U2")) if c})
         assert Fu == (a - b) * X * (X**2 + 1)
         assert Gu == (b - a) * X * (X**2 + 1)
         pts = compact.infinite_stationary_points(f)

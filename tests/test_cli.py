@@ -59,6 +59,25 @@ def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, ca
     assert tuple(counts.values()) == calls
 
 
+def test_blowup_builds_each_chart_once(monkeypatch, capsys):
+    from phaseatlas import blowup, polycore
+
+    counts = _count_calls(monkeypatch, (polycore.newton_weights, blowup.divisor_stationary_points))
+    code, _, _ = run(capsys, "blowup", "--a", "7/10", "--b", "1/2")
+    assert code == 0
+    assert counts == {"newton_weights": 1, "divisor_stationary_points": 4}
+
+
+@pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 4), ("1", "1", 2)])
+def test_infinity_builds_each_chart_once(monkeypatch, capsys, a, b, charts):
+    from phaseatlas import compact
+
+    counts = _count_calls(monkeypatch, (compact.compactify_chart,))
+    code, _, _ = run(capsys, "infinity", "--a", a, "--b", b)
+    assert code == 0
+    assert counts == {"compactify_chart": charts}
+
+
 @pytest.mark.parametrize("a, b", [("0", "1/2"), ("7/10", "-1")])
 def test_analyze_nonpositive_parameter_exits_3(capsys, a, b):
     code, out, err = run(capsys, "analyze", "--a", a, "--b", b)

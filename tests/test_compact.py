@@ -7,10 +7,10 @@ import pytest
 from phaseatlas.compact import (
     InfinityContinuum,
     InfinityMarker,
+    PoincareCharts,
     compactify_chart,
     disc_coords,
     disc_coords_inverse,
-    divisor_polynomial,
     infinite_stationary_points,
 )
 from phaseatlas.desing import PolyField, cdk_poly_field
@@ -25,14 +25,14 @@ def _poly_from_coeffs(coeffs):
 
 def test_u1_divisor_polynomial_is_F():
     a, b = F(2, 5), F(7, 4)
-    coeffs = divisor_polynomial(cdk_poly_field(a, b), "U1")
+    coeffs = PoincareCharts(cdk_poly_field(a, b)).divisor_polynomial("U1")
     # F(u) = (a-b) u (u²+1)
     assert _poly_from_coeffs(coeffs) == (a - b) * (X**3 + X)
 
 
 def test_u2_divisor_polynomial_is_G():
     a, b = F(2, 5), F(7, 4)
-    coeffs = divisor_polynomial(cdk_poly_field(a, b), "U2")
+    coeffs = PoincareCharts(cdk_poly_field(a, b)).divisor_polynomial("U2")
     assert _poly_from_coeffs(coeffs) == (b - a) * (X**3 + X)
 
 
@@ -50,7 +50,7 @@ def test_chart_jacobians_match_closed_forms():
 
 def test_linear_field_divisor_vanishes():
     f = PolyField(X, Y)
-    coeffs = divisor_polynomial(f, "U1")
+    coeffs = PoincareCharts(f).divisor_polynomial("U1")
     assert all(c == 0 for c in coeffs) or coeffs == []
     result = infinite_stationary_points(f)
     assert isinstance(result, InfinityContinuum)

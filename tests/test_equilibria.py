@@ -14,6 +14,7 @@ from phaseatlas.equilibria import (
     cdk_stationary_points,
     eigenvalues_2x2,
     find_stationary,
+    finite_stationary,
     jacobian_at,
     s34_eigenvalues,
     shift_to_origin,
@@ -67,6 +68,23 @@ def test_two_point_case():
     assert [p.label for p in pts] == ["s1", "s2"]
     assert pts[0].location == (0, 0)
     assert pts[1].location == (0, 1)
+
+
+def test_closed_form_follows_a_shifted_field():
+    a, b = F(5, 2), F(1, 2)
+    base, _ = finite_stationary(cdk_poly_field(a, b), 1e-10)
+    f = cdk_poly_field(a, b).shifted(0, 1)
+    pts, circle = finite_stationary(f, 1e-10)
+    assert circle is None
+    assert [p.label for p in pts] == ["s1", "s2", "s3", "s4"]
+    assert pts[0].location == (0, -1) and pts[1].location == (0, 0)
+    for p in pts[:2]:
+        assert f.eval(*p.location) == (0, 0)
+    root = math.sqrt(F(3, 80))
+    assert pts[2].location == (root, F(-3, 4)) and pts[3].location == (-root, F(-3, 4))
+    assert [p.kind for p in pts] == [p.kind for p in base]
+    _, circle = finite_stationary(cdk_poly_field(1, 1).shifted(F(1, 3), 0), 1e-10)
+    assert circle.center == (F(-1, 3), F(1, 2)) and circle.radius == F(1, 2)
 
 
 def test_rejects_nonpositive():

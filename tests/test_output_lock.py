@@ -45,11 +45,19 @@ ANALYZE_DIGESTS = {
 
 LOTKA_VOLTERRA = "param p = 3\nx*(p - x - 2*y) ; y*(2 - x - y)\n"
 
+# weights (2, 3), irrational divisor roots and a -x chart with even alpha
+CUSP = "y ; x^2\n"
+
 OTHER_DIGESTS = {
     "analyze-lotka-volterra": "48dc9501447d669f94648c309d65902e4097c94b63bd9ed1cc2d780c0a45ff45",
     "blowup-3/10-1": "00db00299d410d5046787f6bb8bd3ed69c7586fb42884c6f556475f1f2322847",
     "infinity-3/10-1": "696cc78c6346a3bc1d8a79ff4adb20d7d0b8b3fba940c0af06335c5781f8c0be",
     "scan-20": "984beb2aef13c3112844f4c6d0d2c1d93d41900022be33a643e62b517ddea946",
+    # spec-file charts: the cdk cases reach weights (1, 1) and (1, 2) only, and
+    # Lotka-Volterra's points at infinity are not those of a cdk field
+    "blowup-cusp": "e1ac68c34ee25efab3839bb395493d23ed94e4beee4216ba6af390ecb92eba0e",
+    "infinity-cusp": "fed103a9363c0ce340f8bb37ccb192d0573e0df67b5f8177ea7747beb162cf6c",
+    "infinity-lotka-volterra": "09021449b9a41205042c3933ac56f27a991b65c6b5dddd89374fe191c3ab0da4",
 }
 
 
@@ -75,6 +83,21 @@ def test_spec_file_analyze_digest(capsys, tmp_path):
 def test_b1_text_digest(capsys, command):
     got = _digest(capsys, command, "--system", "cdk", "--a", "3/10", "--b", "1")
     assert got == OTHER_DIGESTS[f"{command}-3/10-1"]
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        ("blowup", "cusp", CUSP),
+        ("infinity", "cusp", CUSP),
+        ("infinity", "lotka-volterra", LOTKA_VOLTERRA),
+    ],
+)
+def test_spec_file_chart_digest(capsys, tmp_path, command, name, text):
+    spec = tmp_path / f"{name}.txt"
+    spec.write_text(text, encoding="utf-8")
+    got = _digest(capsys, command, "--system", str(spec))
+    assert got == OTHER_DIGESTS[f"{command}-{name}"]
 
 
 def test_scan_digest(capsys):

@@ -16,6 +16,7 @@ signals a bug, never a user error.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -307,6 +308,10 @@ def _midpoints(lo: Fraction, hi: Fraction, n: int):
     return [lo + step * Fraction(2 * k + 1, 2) for k in range(n)]
 
 
+def _curve(a: Fraction) -> Fraction:
+    return abs(8 * a * (a - 1))
+
+
 def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     """Region map over a rectangle of the parameter plane.
 
@@ -314,6 +319,14 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     measure-zero boundary loci (a=1, b=1, a=b, a=1/2 on b=1, |8a(a-1)|=b)
     are sampled separately so every region that meets the rectangle shows
     up in the result.
+
+    A row of fixed b is filled by runs.  Every predicate `classify_region`
+    reads (a against 1/2, 1 and b, and |8a(a-1)| > b) is monotone in a on
+    each of a < 1/2, 1/2 <= a < 1 and a >= 1, so bisection over the sorted
+    midpoints finds, exactly, every index where one of them can change; a
+    midpoint on a line gets a run of its own.  `classify_region` labels the
+    first cell of each run and the label fills the run.  Exact comparisons
+    thus grow as rows * log(columns), while the output stays n^2 cells.
     """
     a_lo, a_hi = (as_rational(v) for v in a_range)
     b_lo, b_hi = (as_rational(v) for v in b_range)
@@ -325,7 +338,24 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     a_vals = _midpoints(a_lo, a_hi, resolution)
     b_vals = _midpoints(b_lo, b_hi, resolution)
 
-    cells = tuple(tuple(classify_region(a, b) for a in a_vals) for b in b_vals)
+    n = len(a_vals)
+    half = bisect_left(a_vals, Fraction(1, 2))
+    one = bisect_left(a_vals, 1)
+    fixed = {0, n, half, one, bisect_right(a_vals, Fraction(1, 2)), bisect_right(a_vals, 1)}
+    cells = []
+    for b in b_vals:
+        cuts = sorted(fixed | {
+            bisect_left(a_vals, b),
+            bisect_right(a_vals, b),
+            # |8a(a-1)| > b: it rises below a = 1/2, falls up to a = 1, rises after
+            bisect_right(a_vals, b, 0, half, key=_curve),
+            bisect_left(a_vals, -b, half, one, key=lambda a: -_curve(a)),
+            bisect_right(a_vals, b, one, n, key=_curve),
+        })
+        row = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            row += [classify_region(a_vals[lo], b)] * (hi - lo)
+        cells.append(tuple(row))
 
     def in_a(v):
         return a_lo < v <= a_hi
@@ -364,6 +394,6 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     return ScanResult(
         a_values=tuple(a_vals),
         b_values=tuple(b_vals),
-        cells=cells,
+        cells=tuple(cells),
         boundary_loci=loci,
     )

@@ -301,17 +301,37 @@ def cmd_scan(args):
     return EXIT_OK
 
 
-def cmd_portrait(args):
-    if args.scan_map:
-        with open(args.scan_map, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+def _read_scan_map(path) -> atlas.ScanResult:
+    """The ScanResult a `scan` JSON document describes; ParseError if it is malformed."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"scan map {path} is not JSON: {exc}")
+    try:
         res = atlas.ScanResult(
-            a_values=tuple(Fraction(v) for v in doc["a_values"]),
-            b_values=tuple(Fraction(v) for v in doc["b_values"]),
+            a_values=tuple(_rational(v) for v in doc["a_values"]),
+            b_values=tuple(_rational(v) for v in doc["b_values"]),
             cells=tuple(tuple(row) for row in doc["cells"]),
             boundary_loci={k: tuple(v) for k, v in doc["boundary_loci"].items()},
         )
-        _emit(args, portrait.render_region_map(res))
+        unknown = res.distinct_regions() - set(atlas.REGION_IDS)
+    except KeyError as exc:
+        raise ParseError(f"scan map {path} has no {exc} entry")
+    except (ParseError, TypeError, AttributeError) as exc:
+        raise ParseError(f"scan map {path}: {exc}")
+    if unknown:
+        raise ParseError(f"scan map {path} has unknown region labels {sorted(unknown)}")
+    n_a, n_b = len(res.a_values), len(res.b_values)
+    if len(res.cells) != n_b or any(len(row) != n_a for row in res.cells):
+        raise ParseError(f"scan map {path}: cells are not {n_b} by {n_a}")
+    return res
+
+
+def cmd_portrait(args):
+    if args.scan_map:
+        _emit(args, portrait.render_region_map(_read_scan_map(args.scan_map)))
         return EXIT_OK
     system = _System(args)
     f = system.require_polynomial()

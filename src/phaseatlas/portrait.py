@@ -337,14 +337,11 @@ def render_region_map(scan) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="600" height="600" '
         f'viewBox="{_fmt(a_lo)} {_fmt(-b_lo - height)} {_fmt(width)} {_fmt(height)}">',
     ]
-    for j, b in enumerate(scan.b_values):
-        for i, a in enumerate(scan.a_values):
-            color = REGION_COLORS[scan.cells[j][i]]
-            x = a_lo + i * da
-            y = -(b_lo + (j + 1) * db)
-            out.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(da)}" height="{_fmt(db)}" '
-                f'fill="{color}"/>'
-            )
+    # each coordinate is formatted once, per column and per row
+    columns = [f'<rect x="{_fmt(a_lo + i * da)}" y="' for i in range(n_a)]
+    size = f'" width="{_fmt(da)}" height="{_fmt(db)}" fill="'
+    for j in range(n_b):
+        tail = _fmt(-(b_lo + (j + 1) * db)) + size
+        out += [f'{x}{tail}{REGION_COLORS[c]}"/>' for x, c in zip(columns, scan.cells[j])]
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseatlas.atlas import (
     REGION_IDS,
@@ -178,3 +180,40 @@ def test_scan_degenerate_single_cell():
 def test_scan_resolution_200_hits_all_sixteen():
     res = scan_grid((0, 3), (0, 3), 200)
     assert res.distinct_regions() == set(REGION_IDS)
+
+
+# a grid puts its midpoint k of n at the target t when its step is 2tu/(2k+1),
+# 0 < u <= 1; the targets lie on a = 1/2, 1, b = 1 and the curve |8a(a-1)| = b
+_LOCUS_POINTS = (F(1, 2), F(1), F(1, 4), F(3, 4), F(3, 2), F(2), F(7, 8), F(6))
+_target = st.one_of(
+    st.sampled_from(_LOCUS_POINTS),
+    st.fractions(min_value=F(1, 16), max_value=8, max_denominator=16),
+)
+
+
+@st.composite
+def _range_through(draw, resolution):
+    t = draw(_target)
+    k = draw(st.integers(0, resolution - 1))
+    u = draw(st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8))
+    lo = t * (1 - u)
+    return lo, lo + 2 * t * u / (2 * k + 1) * resolution
+
+
+@st.composite
+def _rectangles(draw):
+    n = draw(st.integers(1, 40))
+    a_range = draw(_range_through(n))
+    # an equal b range puts midpoints on a = b
+    b_range = a_range if draw(st.booleans()) else draw(_range_through(n))
+    return a_range, b_range, n
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_rectangles())
+def test_scan_cells_match_classify_region(rect):
+    a_range, b_range, n = rect
+    res = scan_grid(a_range, b_range, n)
+    assert res.cells == tuple(
+        tuple(classify_region(a, b) for a in res.a_values) for b in res.b_values
+    )

@@ -215,6 +215,42 @@ def test_scan_and_region_map(tmp_path, capsys):
     assert svg_path.read_text().startswith("<?xml")
 
 
+def test_scan_classifies_once_per_run(monkeypatch, capsys):
+    from phaseatlas import atlas
+
+    counts = _count_calls(monkeypatch, (atlas.classify_region,))
+    code, _, _ = run(capsys, "scan", "--a-range", "0:3", "--b-range", "0:3", "--resolution", "200")
+    assert code == 0
+    assert counts["classify_region"] <= 2500  # one per cell would be 40,000
+
+
+_SCAN_DOC = {
+    "a_values": ["1/2", "3/2"],
+    "b_values": ["1/2", "3/2"],
+    "cells": [["3f", "2a"], ["2b", "3c"]],
+    "boundary_loci": {},
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({**_SCAN_DOC, "cells": [["3f", "9z"], ["2b", "3c"]]}), "'9z'"),
+        ("a_values: 1/2\n", "is not JSON"),
+        (json.dumps({**_SCAN_DOC, "a_values": ["1/2", "x"]}), "'x'"),
+        (json.dumps({k: v for k, v in _SCAN_DOC.items() if k != "a_values"}), "'a_values'"),
+        (json.dumps({**_SCAN_DOC, "cells": [["3f"], ["2b", "3c"]]}), "2 by 2"),
+    ],
+    ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row"],
+)
+def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "portrait", "--scan-map", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: scan map ") and message in err
+
+
 def test_portrait_output_file(tmp_path, capsys):
     out_path = tmp_path / "p.svg"
     code, _, _ = run(

@@ -7,9 +7,11 @@ root-finding and fraction-normalizing paths were merged into shared
 blowup, compact, atlas, sysio) must keep every digest.  A change that means
 to alter an output records the new digest here and says why.
 
-Portrait SVGs are not locked here: their coordinates go through libm `pow`,
-whose last bits are not guaranteed across platforms.  They stay locked only
-by the benchmark's seed-1 digests in `bench/digests/`.
+Phase-portrait SVGs are not locked here: their coordinates go through libm
+`pow`, whose last bits are not guaranteed across platforms.  They stay locked
+only by the benchmark's seed-1 digests in `bench/digests/`.  Region-map SVGs
+are locked here: their coordinates need only correctly rounded float
+arithmetic.
 """
 
 import hashlib
@@ -53,6 +55,12 @@ OTHER_DIGESTS = {
     "blowup-3/10-1": "00db00299d410d5046787f6bb8bd3ed69c7586fb42884c6f556475f1f2322847",
     "infinity-3/10-1": "696cc78c6346a3bc1d8a79ff4adb20d7d0b8b3fba940c0af06335c5781f8c0be",
     "scan-20": "984beb2aef13c3112844f4c6d0d2c1d93d41900022be33a643e62b517ddea946",
+    # cells in all 16 regions, with midpoints on a = 1, b = 1, a = b, (1/2, 1)
+    # and the curve points (1/4, 3/2) and (3/4, 3/2)
+    "scan-8": "23b5fc0fba5604cf117e28f759c2b3686a7a45ae28e33a66bcefdd90ea5ca79a",
+    "region-map-8": "4aa726fe21df523592657eff818fce300dc5dc1b8c02aeac528029ac5fcf6f1b",
+    "region-map-20": "e68992a6c75d0f300139fb6b7acaa1f253f948c198fb01147ebcc42725a68ee4",
+    "region-map-1": "0287fa026d293541eed6b9488bb6ae3973962dbbfdfb012b0a78eefa7aef4fcc",
     # spec-file charts: the cdk cases reach weights (1, 1) and (1, 2) only, and
     # Lotka-Volterra's points at infinity are not those of a cdk field
     "blowup-cusp": "e1ac68c34ee25efab3839bb395493d23ed94e4beee4216ba6af390ecb92eba0e",
@@ -100,6 +108,26 @@ def test_spec_file_chart_digest(capsys, tmp_path, command, name, text):
     assert got == OTHER_DIGESTS[f"{command}-{name}"]
 
 
+SCANS = {
+    "20": ("--resolution", "20"),
+    "8": ("--a-range", "1/8:17/8", "--b-range", "1/8:17/8", "--resolution", "8"),
+    "1": ("--a-range", "1/2:3/2", "--b-range", "1/2:3/2", "--resolution", "1"),
+}
+
+
 def test_scan_digest(capsys):
-    got = _digest(capsys, "scan", "--resolution", "20")
+    got = _digest(capsys, "scan", *SCANS["20"])
     assert got == OTHER_DIGESTS["scan-20"]
+
+
+def test_scan_on_every_locus_digest(capsys):
+    got = _digest(capsys, "scan", *SCANS["8"])
+    assert got == OTHER_DIGESTS["scan-8"]
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_region_map_digest(capsys, tmp_path, name):
+    scan = tmp_path / "scan.json"
+    assert main(["scan", *SCANS[name], "-o", str(scan)]) == 0
+    got = _digest(capsys, "portrait", "--scan-map", str(scan))
+    assert got == OTHER_DIGESTS[f"region-map-{name}"]

@@ -82,11 +82,15 @@ class _System:
             self.text = "sprott"
             self.params = ()
         else:
-            with open(args.system, "r", encoding="utf-8") as fh:
-                self.spec = sysio.parse_system(fh.read())
+            try:
+                with open(args.system, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"system file {args.system} is not UTF-8 text: {exc}") from None
+            self.spec = sysio.parse_system(text)
             from .desing import desingularize
 
-            self.field = desingularize(self.spec.to_rational_field())
+            self.field = desingularize(self.spec.field)
             self.text = self.spec.canonical_text().strip()
             self.params = self.spec.parameters
 
@@ -430,7 +434,7 @@ def main(argv=None) -> int:
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PhaseAtlasError as exc:

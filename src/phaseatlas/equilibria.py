@@ -523,13 +523,16 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
     Recursive interval subdivision discards boxes where either component is
     sign-definite; surviving cells are polished by Newton.  Points closer
     than 10*tol are merged.  Returns a Continuum marker when the zero set
-    is a curve; raises AmbiguityError if resolution runs out first.
+    is a curve (with no samples for the zero field, which is not searched);
+    raises AmbiguityError if resolution runs out first.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     if not (xmin < xmax and ymin < ymax and all(map(math.isfinite, (xmin, xmax, ymin, ymax)))):
         raise PreconditionError("box bounds must be finite and ordered")
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
+    if f.P.is_zero() and f.Q.is_zero():
+        return Continuum(samples=())
 
     rhs = f.compiled()
     px, py, qx, qy = f.jacobian_polys()

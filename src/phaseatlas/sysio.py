@@ -9,10 +9,15 @@ newline, optionally preceded by parameter bindings:
 
 Grammar: +, -, *, /, ^ with nonnegative integer exponents, parentheses,
 the variables x and y, declared parameter names, and integer or decimal
-literals (decimals are rationalized exactly from their digits).  Each side
-must normalize to a ratio of polynomials; the parser reduces it to lowest
-terms.  Anything else (function calls, undeclared names, zero
-denominators) is rejected with a positioned error.
+literals (decimals are rationalized exactly from their digits).  A
+parameter name is an identifier other than x and y, bound once per file;
+an exponent must fold to a nonnegative integer without naming x, y or a
+parameter.  Each side is parsed in one pass into a numerator/denominator
+pair of polynomials, which `RationalField` reduces to lowest terms once.
+Anything else (function calls, undeclared names, division by an
+expression that is identically zero, or parentheses, signs and exponents
+nested more than 50 deep: "expression nested too deeply") is rejected
+with a positioned error.
 
 Reports are nested dictionaries with every number tagged "exact" (a
 rational string) or "approx" (a 12-significant-digit float string plus a
@@ -23,12 +28,13 @@ as human-readable text.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .desing import RationalField
-from .errors import ParseError, UnknownSymbolError, UnsupportedConstructError
-from .polycore import BiPoly, format_poly, format_rational, reduce_fraction
+from .errors import ParseError, UnknownSymbolError, UnsupportedConstructError, ZeroDenominatorError
+from .polycore import BiPoly, format_poly, format_rational
 
 # -- tokenizer ---------------------------------------------------------------------
 
@@ -41,50 +47,25 @@ class _Token:
     column: int
 
 
-_OP_CHARS = set("+-*/^()")
+# whitespace, a number, a name, an operator, or any other single character
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<num>\d+\.?\d*|\.\d+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str, line_offset: int = 1):
     tokens = []
-    line, col = line_offset, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            literal = text[i:j]
-            tokens.append(_Token("num", Fraction(literal), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, line_start = line_offset, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, column = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "space":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, column)
+        else:
+            tokens.append(_Token(kind, Fraction(lexeme) if kind == "num" else lexeme, line, column))
     return tokens
 
 
@@ -92,12 +73,26 @@ def _tokenize(text: str, line_offset: int = 1):
 
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
+# parentheses, signs and exponents nested deeper than this are rejected; a
+# level costs the parser at most seven Python frames, so the deepest accepted
+# expression stays well inside the default recursion limit of 1000
+_MAX_DEPTH = 50
+
 
 class _Parser:
-    def __init__(self, tokens, known_symbols):
+    """Parses straight to an unreduced (numerator, denominator) pair of BiPolys.
+
+    Every method combines the pairs of its operands, so the term storage
+    order of the result (and with it `float_terms()`) is fixed by the
+    expression alone.
+    """
+
+    def __init__(self, tokens, bindings):
         self.tokens = tokens
         self.pos = 0
-        self.known = known_symbols
+        self.bindings = bindings
+        self.depth = 0
+        self.symbols = 0  # x, y and parameter names read so far
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -119,52 +114,76 @@ class _Parser:
         if tok.kind != "op" or tok.value != op:
             raise ParseError(f"expected {op!r}, found {tok.value!r}", tok.line, tok.column)
 
+    def nest(self, parse, tok):
+        """parse() one nesting level below tok."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseError("expression nested too deeply", tok.line, tok.column)
+        self.depth += 1
+        pair = parse()
+        self.depth -= 1
+        return pair
+
     def parse_expression(self, min_prec=1):
-        node = self.parse_unary()
+        ln, ld = self.parse_unary()
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.value not in ("+", "-", "*", "/"):
-                return node
+                return ln, ld
             prec = _BIN_PREC[tok.value]
             if prec < min_prec:
-                return node
+                return ln, ld
             self.next()
-            rhs = self.parse_expression(prec + 1)
-            node = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[tok.value], node, rhs)
+            rn, rd = self.parse_expression(prec + 1)
+            if tok.value == "+":
+                ln, ld = ln * rd + rn * ld, ld * rd
+            elif tok.value == "-":
+                ln, ld = ln * rd - rn * ld, ld * rd
+            elif tok.value == "*":
+                ln, ld = ln * rn, ld * rd
+            elif rn.is_zero():
+                raise ZeroDenominatorError(
+                    f"division by zero (line {tok.line}, column {tok.column})"
+                )
+            else:
+                ln, ld = ln * rd, ld * rn
 
     def parse_unary(self):
         # ^ binds tighter than unary minus: -x^2 reads -(x^2)
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.value in ("+", "-"):
             self.next()
-            inner = self.parse_unary()
-            return inner if tok.value == "+" else ("neg", inner)
+            n, d = self.nest(self.parse_unary, tok)
+            return (n, d) if tok.value == "+" else (-n, d)
         return self.parse_power()
 
     def parse_power(self):
-        node = self.parse_atom()
+        n, d = self.parse_atom()
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.value == "^":
             self.next()
-            node = ("pow", node, self.parse_exponent(tok))
-        return node
+            k = self.parse_exponent(tok)
+            n, d = n**k, d**k
+        return n, d
 
     def parse_exponent(self, caret_tok):
-        # right-associative; the exponent must evaluate to a nonnegative integer
-        node = self.parse_unary()
-        value = _constant_value(node)
-        if value is None or value.denominator != 1 or value < 0:
-            raise UnsupportedConstructError(
-                "exponent must be a nonnegative integer literal",
-                caret_tok.line,
-                caret_tok.column,
-            )
-        return int(value)
+        # right-associative; the exponent must name no symbol and fold to a
+        # nonnegative integer
+        symbols = self.symbols
+        n, d = self.nest(self.parse_unary, caret_tok)
+        if self.symbols == symbols:
+            value = n.constant_value() / d.constant_value()
+            if value.denominator == 1 and value >= 0:
+                return int(value)
+        raise UnsupportedConstructError(
+            "exponent must be a nonnegative integer literal",
+            caret_tok.line,
+            caret_tok.column,
+        )
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "num":
-            return ("num", tok.value)
+            return BiPoly.const(tok.value), BiPoly.const(1)
         if tok.kind == "ident":
             nxt = self.peek()
             if nxt is not None and nxt.kind == "op" and nxt.value == "(":
@@ -173,76 +192,21 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
-            if tok.value not in self.known:
+            self.symbols += 1
+            if tok.value in ("x", "y"):
+                return BiPoly.var(tok.value), BiPoly.const(1)
+            if tok.value not in self.bindings:
                 raise UnknownSymbolError(
                     f"unknown symbol {tok.value!r}; declare parameters with 'param {tok.value} = ...'",
                     tok.line,
                     tok.column,
                 )
-            return ("sym", tok.value)
+            return BiPoly.const(self.bindings[tok.value]), BiPoly.const(1)
         if tok.kind == "op" and tok.value == "(":
-            node = self.parse_expression()
+            pair = self.nest(self.parse_expression, tok)
             self.expect_op(")")
-            return node
+            return pair
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.column)
-
-
-def _constant_value(node):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "neg":
-        v = _constant_value(node[1])
-        return None if v is None else -v
-    if op in ("add", "sub", "mul", "div", "pow"):
-        l = _constant_value(node[1])
-        if op == "pow":
-            return None if l is None else l ** node[2]
-        r = _constant_value(node[2])
-        if l is None or r is None:
-            return None
-        if op == "add":
-            return l + r
-        if op == "sub":
-            return l - r
-        if op == "mul":
-            return l * r
-        return None if r == 0 else l / r
-    return None
-
-
-# -- AST to reduced rational function ----------------------------------------------------
-
-
-def _to_ratfunc(node, bindings):
-    op = node[0]
-    if op == "num":
-        return BiPoly.const(node[1]), BiPoly.const(1)
-    if op == "sym":
-        name = node[1]
-        if name in ("x", "y"):
-            return BiPoly.var(name), BiPoly.const(1)
-        value = bindings.get(name)
-        if value is None:
-            raise ParseError(f"parameter {name!r} has no bound value")
-        return BiPoly.const(value), BiPoly.const(1)
-    if op == "neg":
-        n, d = _to_ratfunc(node[1], bindings)
-        return -n, d
-    if op == "pow":
-        n, d = _to_ratfunc(node[1], bindings)
-        return n ** node[2], d ** node[2]
-    ln, ld = _to_ratfunc(node[1], bindings)
-    rn, rd = _to_ratfunc(node[2], bindings)
-    if op == "add":
-        return ln * rd + rn * ld, ld * rd
-    if op == "sub":
-        return ln * rd - rn * ld, ld * rd
-    if op == "mul":
-        return ln * rn, ld * rd
-    if op == "div":
-        return ln * rd, ld * rn
-    raise ParseError(f"malformed expression node {op!r}")
 
 
 # -- SystemSpec --------------------------------------------------------------------------
@@ -250,52 +214,31 @@ def _to_ratfunc(node, bindings):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A parsed planar system: two expression trees plus parameter bindings."""
+    """A parsed planar system: parameter bindings and the reduced field they give."""
 
-    rhs_x: tuple
-    rhs_y: tuple
-    parameters: tuple  # ((name, Fraction | None), ...) in declaration order
-
-    def bindings(self) -> dict:
-        return dict(self.parameters)
-
-    def normalized(self):
-        """Reduced (p, q), (r, s) pairs with parameters substituted."""
-        b = self.bindings()
-        return tuple(reduce_fraction(*_to_ratfunc(rhs, b)) for rhs in (self.rhs_x, self.rhs_y))
-
-    def to_rational_field(self) -> RationalField:
-        b = self.bindings()
-        return RationalField(*_to_ratfunc(self.rhs_x, b), *_to_ratfunc(self.rhs_y, b))
+    parameters: tuple  # ((name, Fraction), ...) in declaration order
+    field: RationalField
 
     def canonical_text(self) -> str:
-        lines = [f"param {name} = {format_rational(v)}" for name, v in self.parameters if v is not None]
-        (px, qx), (py, qy) = self.normalized()
+        lines = [f"param {name} = {format_rational(v)}" for name, v in self.parameters]
 
         def side(n, d):
             if d == BiPoly.const(1):
                 return format_poly(n)
             return f"({format_poly(n)})/({format_poly(d)})"
 
-        lines.append(f"{side(px, qx)} ; {side(py, qy)}")
+        f = self.field
+        lines.append(f"{side(f.p, f.q)} ; {side(f.r, f.s)}")
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        if not isinstance(other, SystemSpec):
-            return NotImplemented
-        return self.parameters == other.parameters and self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.parameters)
 
 
 def parse_system(text: str) -> SystemSpec:
     """Parse a system file into a validated SystemSpec.
 
     Division is only admitted where the result stays a ratio of
-    polynomials; each side is normalized (and thereby validated) here.
+    polynomials; each side is reduced to lowest terms once, here.
     """
-    params: list[tuple[str, Fraction | None]] = []
+    params: dict[str, Fraction] = {}
     body_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -310,8 +253,12 @@ def parse_system(text: str) -> SystemSpec:
             value = value.strip()
             if not name.isidentifier():
                 raise ParseError(f"invalid parameter name {name!r}", lineno, 1)
+            if name in ("x", "y"):
+                raise ParseError(f"parameter name {name!r} is a variable", lineno, 1)
+            if name in params:
+                raise ParseError(f"parameter {name!r} is declared twice", lineno, 1)
             try:
-                params.append((name, Fraction(value)))
+                params[name] = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"invalid rational literal {value!r}: {exc}", lineno, 1)
             continue
@@ -331,20 +278,14 @@ def parse_system(text: str) -> SystemSpec:
             f"expected exactly two right-hand sides, found {len(pieces)}", first_line, 1
         )
 
-    known = {"x", "y"} | {name for name, _ in params}
-    trees = []
+    sides = []
     for piece in pieces:
-        tokens = _tokenize(piece, line_offset=first_line)
-        parser = _Parser(tokens, known)
-        tree = parser.parse_expression()
-        if parser.peek() is not None:
-            tok = parser.peek()
+        parser = _Parser(_tokenize(piece, line_offset=first_line), params)
+        sides.extend(parser.parse_expression())
+        tok = parser.peek()
+        if tok is not None:
             raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
-        trees.append(tree)
-
-    spec = SystemSpec(rhs_x=trees[0], rhs_y=trees[1], parameters=tuple(params))
-    spec.normalized()  # validates denominators and bindings eagerly
-    return spec
+    return SystemSpec(parameters=tuple(params.items()), field=RationalField(*sides))
 
 
 # -- report document ------------------------------------------------------------------
@@ -405,7 +346,7 @@ def build_report(
     doc: dict = {
         "system": {
             "text": system_text,
-            "parameters": {name: encode_number(v) for name, v in parameters if v is not None},
+            "parameters": {name: encode_number(v) for name, v in parameters},
         },
         "diagnostics": list(diagnostics),
     }

@@ -1,7 +1,9 @@
-"""Test-session setup: hypothesis storage, and a pass/fail line per acceptance criterion."""
+"""Test-session setup: hypothesis storage, a call-counting fixture, and a pass/fail line per acceptance criterion."""
 
+import sys
 import tempfile
 
+import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 _acceptance_results = {}
@@ -11,6 +13,26 @@ _acceptance_results = {}
 # temporary directory that is removed at exit
 _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(functions) -> {name: calls}, counted through every phaseatlas module that binds each."""
+
+    def install(functions):
+        counts = dict.fromkeys([func.__name__ for func in functions], 0)
+        for func in functions:
+
+            def wrapper(*args, _name=func.__name__, _inner=func, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("phaseatlas") and getattr(module, func.__name__, None) is func:
+                    monkeypatch.setattr(module, func.__name__, wrapper)
+        return counts
+
+    return install
 
 
 def pytest_runtest_logreport(report):

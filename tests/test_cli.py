@@ -25,30 +25,13 @@ def test_analyze_region_3h(capsys):
     assert doc["origin_sectors"]["index"] == 2
 
 
-def _count_calls(monkeypatch, functions):
-    """Count the calls to each function through every phaseatlas module that binds it."""
-    import sys
-
-    counts = dict.fromkeys([func.__name__ for func in functions], 0)
-    for func in functions:
-
-        def wrapper(*args, _name=func.__name__, _inner=func, **kwargs):
-            counts[_name] += 1
-            return _inner(*args, **kwargs)
-
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("phaseatlas") and getattr(module, func.__name__, None) is func:
-                monkeypatch.setattr(module, func.__name__, wrapper)
-    return counts
-
-
 @pytest.mark.parametrize(
     "a, b, calls", [("7/10", "1/2", (1, 1, 4, 1)), ("1", "1", (0, 1, 1, 1))]
 )
-def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, calls):
+def test_analyze_computes_each_exact_analysis_once(count_calls, capsys, a, b, calls):
     from phaseatlas import blowup, compact, desing
 
-    counts = _count_calls(monkeypatch, (
+    counts = count_calls((
         blowup.classify_nilpotent_origin,
         compact.infinite_stationary_points,
         compact.compactify_chart,
@@ -59,20 +42,20 @@ def test_analyze_computes_each_exact_analysis_once(monkeypatch, capsys, a, b, ca
     assert tuple(counts.values()) == calls
 
 
-def test_blowup_builds_each_chart_once(monkeypatch, capsys):
+def test_blowup_builds_each_chart_once(count_calls, capsys):
     from phaseatlas import blowup, polycore
 
-    counts = _count_calls(monkeypatch, (polycore.newton_weights, blowup.divisor_stationary_points))
+    counts = count_calls((polycore.newton_weights, blowup.divisor_stationary_points))
     code, _, _ = run(capsys, "blowup", "--a", "7/10", "--b", "1/2")
     assert code == 0
     assert counts == {"newton_weights": 1, "divisor_stationary_points": 4}
 
 
 @pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 4), ("1", "1", 2)])
-def test_infinity_builds_each_chart_once(monkeypatch, capsys, a, b, charts):
+def test_infinity_builds_each_chart_once(count_calls, capsys, a, b, charts):
     from phaseatlas import compact
 
-    counts = _count_calls(monkeypatch, (compact.compactify_chart,))
+    counts = count_calls((compact.compactify_chart,))
     code, _, _ = run(capsys, "infinity", "--a", a, "--b", b)
     assert code == 0
     assert counts == {"compactify_chart": charts}
@@ -86,10 +69,10 @@ def test_analyze_nonpositive_parameter_exits_3(capsys, a, b):
 
 
 @pytest.mark.parametrize("a, b", [("7/10", "1/2"), ("1", "1")])
-def test_portrait_builds_the_field_once(monkeypatch, tmp_path, capsys, a, b):
+def test_portrait_builds_the_field_once(count_calls, tmp_path, capsys, a, b):
     from phaseatlas import desing
 
-    counts = _count_calls(monkeypatch, (desing.cdk_poly_field,))
+    counts = count_calls((desing.cdk_poly_field,))
     code, _, _ = run(capsys, "portrait", "--a", a, "--b", b, "-o", str(tmp_path / "p.svg"))
     assert code == 0
     assert counts == {"cdk_poly_field": 1}
@@ -215,10 +198,10 @@ def test_scan_and_region_map(tmp_path, capsys):
     assert svg_path.read_text().startswith("<?xml")
 
 
-def test_scan_classifies_once_per_run(monkeypatch, capsys):
+def test_scan_classifies_once_per_run(count_calls, capsys):
     from phaseatlas import atlas
 
-    counts = _count_calls(monkeypatch, (atlas.classify_region,))
+    counts = count_calls((atlas.classify_region,))
     code, _, _ = run(capsys, "scan", "--a-range", "0:3", "--b-range", "0:3", "--resolution", "200")
     assert code == 0
     assert counts["classify_region"] <= 2500  # one per cell would be 40,000
@@ -284,6 +267,28 @@ def test_bad_spec_file_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "stationary", "--system", "/nonexistent/path.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_spec_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("x*\xe9 ; y\n".encode("latin-1"))
+    code, _, err = run(capsys, "stationary", "--system", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command", [["stationary"], ["analyze"], ["omega", "--start", "1,1"]], ids=lambda c: c[0]
+)
+def test_zero_field_is_a_continuum(tmp_path, capsys, command):
+    path = tmp_path / "zero.txt"
+    path.write_text("0 ; 0\n")
+    code, _, err = run(capsys, command[0], "--system", str(path), *command[1:])
+    assert code == 3
+    assert "continuum of stationary points" in err
 
 
 def test_omega_with_dump(tmp_path, capsys):

@@ -194,9 +194,7 @@ def _reference_integrate(f, z0, opts=None, direction="forward"):
     return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
 
 
-_LOTKA_VOLTERRA = desingularize(
-    parse_system("x*(3 - x - 2*y) ; y*(2 - x - y)").to_rational_field()
-)
+_LOTKA_VOLTERRA = desingularize(parse_system("x*(3 - x - 2*y) ; y*(2 - x - y)").field)
 _LV_POINTS = ((0.0, 0.0), (3.0, 0.0), (0.0, 2.0), (1.0, 1.0))
 _SQUARE = (-3.0, 3.0, -3.0, 3.0)
 _PLANE = (-math.inf, math.inf, -math.inf, math.inf)

@@ -12,13 +12,19 @@ Phase-portrait SVGs are not locked here: their coordinates go through libm
 only by the benchmark's seed-1 digests in `bench/digests/`.  Region-map SVGs
 are locked here: their coordinates need only correctly rounded float
 arithmetic.
+
+Spec files are also locked below the CLI: the term storage order of a
+loaded field's P, Q and time factor sets the `float_terms()` order, and
+with it every Newton and portrait float, so it must not move either.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from phaseatlas.cli import main
+from phaseatlas import polycore
+from phaseatlas.cli import _System, main
 
 # analyze --format json at one (a, b) per region (the appendix parameter pairs)
 # and at two long decimals
@@ -131,3 +137,39 @@ def test_region_map_digest(capsys, tmp_path, name):
     assert main(["scan", *SCANS[name], "-o", str(scan)]) == 0
     got = _digest(capsys, "portrait", "--scan-map", str(scan))
     assert got == OTHER_DIGESTS[f"region-map-{name}"]
+
+
+# the four spec systems of the benchmark at fixed parameters, decimal and
+# fraction literals both
+SPECS = {
+    "cdk": "param a = 7/10\nparam b = 0.5\nx*y/(x^2+y^2) - a*x ; y^2/(x^2+y^2) - b*y + b - 1\n",
+    "competition": "param p = 2.75\nx*(p-x-2*y) ; y*(2-x-y)\n",
+    "rotation": "param k = 1/3\ny/(1+x^2) ; -x/(1+y^2) - k*y\n",
+    "cubic": "param c = 1.5\nx - c*x^3 ; -y\n",
+}
+
+FIELD_DIGESTS = {
+    "cdk": "6d0a714d17f9b9c9b3061a3e4f5376a2e3fc3a327d25ffc225470fbc35f575c8",
+    "competition": "6351b13bdccc18a604d7729813859a580a60bd525ce94c99ecd63c0c67d0372f",
+    "rotation": "4cbe069189ae976a4ab133e4018ea698ec56598a9917fed5215b0c6a9d594aca",
+    "cubic": "90ea8aad464d0fc957700e564e9b51ba6d38a928d14ab78740cb70d98e7bea8c",
+}
+
+
+def _load_spec(tmp_path, name):
+    spec = tmp_path / f"{name}.txt"
+    spec.write_text(SPECS[name], encoding="utf-8")
+    return _System(argparse.Namespace(system=str(spec)))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_spec_field_storage_order_digest(tmp_path, name):
+    f = _load_spec(tmp_path, name).field
+    text = "\n".join(repr(list(p)) for p in (f.P, f.Q, f.time_factor))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FIELD_DIGESTS[name]
+
+
+def test_spec_load_reduces_each_side_once(count_calls, tmp_path):
+    counts = count_calls((polycore.reduce_fraction,))
+    _load_spec(tmp_path, "cdk")
+    assert counts == {"reduce_fraction": 2}

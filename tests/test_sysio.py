@@ -30,15 +30,14 @@ x*y/(x^2+y^2) - a*x ; y^2/(x^2+y^2) - b*y + b - 1
 
 
 def test_parse_single_variable():
-    spec = parse_system("x ; y")
-    (px, qx), (py, qy) = spec.normalized()
-    assert px == X and qx == BiPoly.const(1)
-    assert py == Y and qy == BiPoly.const(1)
+    f = parse_system("x ; y").field
+    assert f.p == X and f.q == BiPoly.const(1)
+    assert f.r == Y and f.s == BiPoly.const(1)
 
 
 def test_parse_cdk_matches_builtin_constructor():
     spec = parse_system(CDK_TEXT)
-    assert spec.to_rational_field() == cdk_rational_field(F(1, 2), F(1, 2))
+    assert spec.field == cdk_rational_field(F(1, 2), F(1, 2))
 
 
 def test_zero_denominator_rejected():
@@ -46,6 +45,8 @@ def test_zero_denominator_rejected():
         parse_system("1/0 ; y")
     with pytest.raises(ZeroDenominatorError):
         parse_system("x/(x - x) ; y")
+    with pytest.raises(ZeroDenominatorError):
+        parse_system("1/(1/0) ; y")
 
 
 def test_unsupported_construct_names_token():
@@ -70,33 +71,67 @@ def test_syntax_error_has_line_and_column():
     assert err.value.line is not None
 
 
+def test_non_decimal_digit_is_a_parse_error():
+    # "²" is a digit to str.isdigit, but not a decimal one
+    with pytest.raises(ParseError) as err:
+        parse_system("(x + 1)² ; y")
+    assert (err.value.line, err.value.column) == (1, 8)
+
+
 def test_exponent_must_be_nonnegative_integer():
     with pytest.raises(UnsupportedConstructError):
         parse_system("x^y ; y")
     with pytest.raises(UnsupportedConstructError):
         parse_system("x^(1/2) ; y")
-    spec = parse_system("x^(2) ; y")
-    (px, _), _ = spec.normalized()
-    assert px == X**2
+    with pytest.raises(UnsupportedConstructError):
+        parse_system("x^(y - y) ; y")
+    assert parse_system("x^(2) ; y").field.p == X**2
 
 
 def test_decimal_literals_are_exact():
-    spec = parse_system("0.25*x ; y")
-    (px, _), _ = spec.normalized()
-    assert px == F(1, 4) * X
+    assert parse_system("0.25*x ; y").field.p == F(1, 4) * X
 
 
 def test_newline_separated_sides():
-    spec = parse_system("x\n-y")
-    (_, _), (py, _) = spec.normalized()
-    assert py == -Y
+    assert parse_system("x\n-y").field.r == -Y
 
 
 def test_precedence_and_associativity():
-    spec = parse_system("-x^2 ; 2 - 3 - x")
-    (px, _), (py, _) = spec.normalized()
-    assert px == -(X**2)  # unary minus binds looser than ^
-    assert py == -1 - X  # left-associative subtraction
+    f = parse_system("-x^2 ; 2 - 3 - x").field
+    assert f.p == -(X**2)  # unary minus binds looser than ^
+    assert f.r == -1 - X  # left-associative subtraction
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 1200 + "x" + ")" * 1200 + " ; y", "-" * 1200 + "x ; y"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_system(text)
+
+
+def test_nesting_limit_is_fifty_levels():
+    # each level adds the most parser frames one level can: (, + and *
+    assert parse_system("(1 + 2*" * 50 + "x" + ")" * 50 + " ; y").field.p.total_degree() == 1
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_system("(1 + 2*" * 51 + "x" + ")" * 51 + " ; y")
+
+
+def test_long_flat_sum_parses():
+    assert parse_system(" + ".join(["x"] * 3000) + " ; y").field.p == 3000 * X
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("param a = 1/2\nparam a = 2\na*x ; y\n", 2), ("param b = 1\nparam x = 2\nx ; y\n", 2)],
+    ids=["duplicate", "variable-name"],
+)
+def test_bad_param_line_is_rejected_with_its_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert err.value.line == line
 
 
 def _random_spec(rng):

@@ -42,7 +42,6 @@ from .polycore import (
     Y,
     axis_restriction,
     divisor_power,
-    is_nilpotent_origin,
     newton_weights,
     real_roots,
 )
@@ -198,11 +197,10 @@ def divisor_stationary_points(chart: BlowupChart):
     exact, floats, complex_count = real_roots(coeffs)
     f = chart.field()
     points = []
-    # a float root gives a float Jacobian, which classify_point only linearizes
     for u in exact + floats:
         z = _chart_point(chart, u)
         J = jacobian_at(f, z)
-        kind = classify_point(f, z)
+        kind = classify_point(f, z, J)
         lam_r, lam_t = (J[0][0], J[1][1]) if chart.radial_var == "x" else (J[1][1], J[0][0])
         points.append(
             DivisorPoint(chart.direction, u, isinstance(u, Fraction), J, kind, lam_r, lam_t)
@@ -351,9 +349,7 @@ def blowup_origin(f: PolyField):
     The Newton-polygon weights; the four directional charts by direction,
     in DIRECTIONS order; and `divisor_stationary_points` of each chart.
     """
-    if not is_nilpotent_origin(f.P, f.Q):
-        raise PreconditionError("origin is not a nilpotent stationary point")
-    w = newton_weights(f.P, f.Q)
+    w = newton_weights(f.P, f.Q)  # raises PreconditionError unless the origin is nilpotent
     charts = {d: blowup_directional(f, d, w) for d in DIRECTIONS}
     return w, charts, {d: divisor_stationary_points(c) for d, c in charts.items()}
 

@@ -121,19 +121,14 @@ def _stationary_pieces(f):
     return found
 
 
-def _base_diagnostics(args):
-    out = ["integration time is the reparametrised polynomial time"]
-    if getattr(args, "stamp", False):
-        import datetime
-
-        out.append(f"generated {datetime.datetime.now().isoformat()}")
-    return out
-
-
 def cmd_analyze(args):
     system = _System(args)
     f = system.require_polynomial()
-    diagnostics = _base_diagnostics(args)
+    diagnostics = ["integration time is the reparametrised polynomial time"]
+    if args.stamp:
+        import datetime
+
+        diagnostics.append(f"generated {datetime.datetime.now().isoformat()}")
     if system.kind == "cdk":
         # cdk_field_summary computes and checks the whole analysis; print what it checked
         summary = atlas.cdk_field_summary(f)
@@ -236,8 +231,7 @@ def cmd_infinity(args):
 
 def cmd_index(args):
     system = _System(args)
-    f = system.field if system.kind == "sprott" else system.require_polynomial()
-    value = dynamics.index_on_circle(f, args.center, args.radius, n=args.samples)
+    value = dynamics.index_on_circle(system.field, args.center, args.radius, n=args.samples)
     _emit(args, f"{value}\n")
     return EXIT_OK
 
@@ -351,25 +345,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_system(p, with_params=True):
+    def add_system(p):
         p.add_argument("--system", default="cdk", help="'cdk', 'sprott', or a spec file path")
-        if with_params:
-            p.add_argument("--a", help="rational value for parameter a (n/d or decimal)")
-            p.add_argument("--b", help="rational value for parameter b")
+        p.add_argument("--a", help="rational value for parameter a (n/d or decimal)")
+        p.add_argument("--b", help="rational value for parameter b")
         p.add_argument("-o", "--output", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "human"), default="human")
-        p.add_argument(
-            "--stamp",
-            action="store_true",
-            help="include a wall-clock timestamp (output is bit-stable without it)",
-        )
 
     p = sub.add_parser("analyze", help="full report: stationary points, sectors, infinity, region")
     add_system(p)
+    p.add_argument("--format", choices=("json", "human"), default="human")
+    p.add_argument(
+        "--stamp",
+        action="store_true",
+        help="include a wall-clock timestamp (output is bit-stable without it)",
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("stationary", help="finite stationary points")
     add_system(p)
+    p.add_argument("--format", choices=("json", "human"), default="human")
     p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("blowup", help="directional blow-up charts at the origin")

@@ -144,21 +144,19 @@ def points_at_infinity(charts: PoincareCharts):
     for chart in CHART_IDS:
         cf = charts[chart]
         exact, floats, _ = real_roots(charts.divisor_polynomial(chart))
-        roots = [(u, True) for u in exact] + [(u, False) for u in floats]
-        for u, is_exact in roots:
+        for u in exact + floats:
             au = abs(float(u))
             in_x_chart = chart in ("U1", "V1")
             if u != 0 and ((in_x_chart and au > 1) or (not in_x_chart and au >= 1)):
                 continue  # the other chart family owns this slope
-            z = (u, Fraction(0)) if is_exact else (float(u), 0.0)
-            J = jacobian_at(cf, z)
+            J = jacobian_at(cf, (u, 0))
             kind = classify_linear(J)
             label = _CHART_AXIS[chart] if u == 0 else "slope"
             points.append(
                 InfinitePoint(
                     chart=chart,
                     u=u,
-                    exact=is_exact,
+                    exact=isinstance(u, Fraction),
                     direction_label=label,
                     jacobian=J,
                     kind=kind,

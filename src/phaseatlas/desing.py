@@ -97,6 +97,11 @@ class PolyField:
         return namespace.pop("rhs")  # no cycle through its globals: freed with the field
 
     def jacobian_polys(self):
+        """(∂P/∂x, ∂P/∂y, ∂Q/∂x, ∂Q/∂y), differentiated once per field."""
+        return self._jacobian_polys
+
+    @cached_property
+    def _jacobian_polys(self):
         return (self.P.diff_x(), self.P.diff_y(), self.Q.diff_x(), self.Q.diff_y())
 
     def max_degree(self) -> int:
@@ -195,5 +200,3 @@ class SprottField:
 def sprott_field() -> SprottField:
     return SprottField()
 
-
-BUILTIN_FIXTURES = ("cdk", "sprott")

@@ -9,6 +9,13 @@ and serves arbitrary polynomial fields.
 Classification: hyperbolic kinds drop out of the 2x2 eigenvalue structure;
 points with exactly one zero eigenvalue go through a center-manifold series
 (exact rational coefficients) and the standard semi-hyperbolic trichotomy.
+
+Every stationary point the package classifies, finite, on a blow-up
+divisor or at infinity, is linearized on one path: `jacobian_at` evaluates
+its Jacobian once, from derivatives each `PolyField` takes once;
+`classify_linear`, one body for exact and float matrices, gives its linear
+kind; and `classify_point` adds the center-manifold subkind at an exact
+semi-hyperbolic point.
 """
 
 from __future__ import annotations
@@ -138,32 +145,22 @@ def classify_linear(J) -> ClassificationKind:
     float matrices use a relative threshold of 1e-10 on the matrix norm and
     set `boundary` when a decisive quantity sits below it.
     """
-    if _matrix_is_exact(J):
-        a11, a12 = as_rational(J[0][0]), as_rational(J[0][1])
-        a21, a22 = as_rational(J[1][0]), as_rational(J[1][1])
-        tr = a11 + a22
-        det = a11 * a22 - a12 * a21
-        disc = tr * tr - 4 * det
-        zero = Fraction(0)
-
-        def near(v):
-            return v == zero
-
-        boundary = False
+    exact = _matrix_is_exact(J)
+    num = as_rational if exact else float
+    (a11, a12), (a21, a22) = ((num(v) for v in row) for row in J)
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
+    disc = tr * tr - 4 * det
+    if exact:
+        tol = 0
     else:
-        a11, a12 = float(J[0][0]), float(J[0][1])
-        a21, a22 = float(J[1][0]), float(J[1][1])
-        tr = a11 + a22
-        det = a11 * a22 - a12 * a21
-        disc = tr * tr - 4.0 * det
         norm = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-300)
-        tol = _ZERO_EIG_REL * norm
+        tol = _ZERO_EIG_REL * norm * max(1.0, norm)
 
-        def near(v):
-            return abs(v) <= tol * max(1.0, norm)
+    def near(v):
+        return abs(v) <= tol
 
-        boundary = near(det) or (det > 0 and near(tr)) or (disc < 0 and near(tr))
-
+    boundary = not exact and (near(det) or (det > 0 and near(tr)) or (disc < 0 and near(tr)))
     if near(det) and near(tr):
         return ClassificationKind("nilpotent", boundary=boundary)
     if near(det):
@@ -243,16 +240,15 @@ def _series_of_bipoly(p: BiPoly, h, order):
 def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     """Center-manifold classification at a point with one zero eigenvalue.
 
-    Moves z to the origin, aligns the zero eigendirection with the first
-    axis, solves the invariance equation for the center manifold eta = h(xi)
-    up to the truncation order, and reads the trichotomy off the lowest
-    nonzero coefficient of the reduced flow together with the sign of the
-    nonzero eigenvalue.  All arithmetic is exact.
+    Moves z to the origin and aligns the zero eigendirection with the first
+    axis in one affine substitution, solves the invariance equation for the
+    center manifold eta = h(xi) up to the truncation order, and reads the
+    trichotomy off the lowest nonzero coefficient of the reduced flow
+    together with the sign of the nonzero eigenvalue.  All arithmetic is
+    exact.
     """
-    g = shift_to_origin(f, z)
-    J = jacobian_at(g, (Fraction(0), Fraction(0)))
-    a11, a12 = J[0]
-    a21, a22 = J[1]
+    x0, y0 = as_rational(z[0]), as_rational(z[1])
+    (a11, a12), (a21, a22) = jacobian_at(f, (x0, y0))
     tr = a11 + a22
     det = a11 * a22 - a12 * a21
     if det != 0 or tr == 0:
@@ -267,11 +263,11 @@ def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     if dT == 0:
         raise PreconditionError("degenerate eigenbasis")
 
-    # field in eigen-coordinates: (x, y) = T (xi, eta), Ftilde = T^-1 F(T.)
-    xi_x = BiPoly.monomial(t11, 1, 0) + BiPoly.monomial(t12, 0, 1)
-    xi_y = BiPoly.monomial(t21, 1, 0) + BiPoly.monomial(t22, 0, 1)
-    Pn = g.P.subst(xi_x, xi_y)
-    Qn = g.Q.subst(xi_x, xi_y)
+    # field in eigen-coordinates: (x, y) = z + T (xi, eta), Ftilde = T^-1 F(z + T.)
+    xi_x = BiPoly.monomial(t11, 1, 0) + BiPoly.monomial(t12, 0, 1) + x0
+    xi_y = BiPoly.monomial(t21, 1, 0) + BiPoly.monomial(t22, 0, 1) + y0
+    Pn = f.P.subst(xi_x, xi_y)
+    Qn = f.Q.subst(xi_x, xi_y)
     A = (t22 * Pn - t12 * Qn) * (Fraction(1) / dT)
     B = (-t21 * Pn + t11 * Qn) * (Fraction(1) / dT)
 
@@ -320,14 +316,16 @@ def classify_semihyperbolic(f: PolyField, z) -> str:
     return semihyperbolic_analysis(f, z).subkind
 
 
-def classify_point(f: PolyField, z) -> ClassificationKind:
-    """Full classification dispatch for a stationary point of f."""
-    J = jacobian_at(f, z)
+def classify_point(f: PolyField, z, J) -> ClassificationKind:
+    """Kind of the stationary point z of f whose Jacobian there is J.
+
+    The linear kind, refined by the center-manifold subkind at an exact
+    semi-hyperbolic point; a float J is only linearized.
+    """
     kind = classify_linear(J)
     if kind.name == "semi_hyperbolic" and _matrix_is_exact(J):
         try:
-            sub = classify_semihyperbolic(f, z)
-            return ClassificationKind("semi_hyperbolic", subkind=sub, boundary=kind.boundary)
+            return ClassificationKind("semi_hyperbolic", subkind=classify_semihyperbolic(f, z))
         except (InconclusiveError, PreconditionError):
             return kind
     return kind
@@ -392,14 +390,11 @@ def s34_eigenvalues(a, b) -> tuple[complex, complex]:
 
 def _make_point(f: PolyField, loc, label, kind=None, exact=True, error_bound=None):
     J = jacobian_at(f, loc)
-    eig = eigenvalues_2x2(J)
-    if kind is None:
-        kind = classify_point(f, loc) if exact else classify_linear(J)
     return StationaryPoint(
         location=tuple(loc),
         jacobian=J,
-        eigenvalues=eig,
-        kind=kind,
+        eigenvalues=eigenvalues_2x2(J),
+        kind=classify_point(f, loc, J) if kind is None else kind,
         label=label,
         exact=exact,
         error_bound=error_bound,
@@ -493,11 +488,12 @@ def _interval_pow(lo, hi, n):
     return (min(pl, ph), max(pl, ph))
 
 
-def _newton_polish(rhs, jac, x, y, tol, max_iter=60):
+def _newton_polish(f: PolyField, x, y, tol, max_iter=60):
+    rhs = f.compiled()
     for _ in range(max_iter):
         fx, fy = rhs(x, y)
         res = math.hypot(fx, fy)
-        a11, a12, a21, a22 = jac(x, y)
+        (a11, a12), (a21, a22) = jacobian_at(f, (x, y))
         det = a11 * a22 - a12 * a21
         if abs(det) > 1e-14 * max(1.0, a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22):
             dx = (-fx * a22 + fy * a12) / det
@@ -534,12 +530,6 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
     if f.P.is_zero() and f.Q.is_zero():
         return Continuum(samples=())
 
-    rhs = f.compiled()
-    px, py, qx, qy = f.jacobian_polys()
-
-    def jac(x, y):
-        return (px.eval(x, y), py.eval(x, y), qx.eval(x, y), qy.eval(x, y))
-
     min_diam = max((xmax - xmin), (ymax - ymin)) / 2**9
     max_depth = 40
     stack = [(xmin, xmax, ymin, ymax, 0)]
@@ -555,7 +545,7 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
             continue
         if max(xhi - xlo, yhi - ylo) <= min_diam or depth >= max_depth:
             cx, cy = (xlo + xhi) / 2, (ylo + yhi) / 2
-            x, y, res = _newton_polish(rhs, jac, cx, cy, tol)
+            x, y, res = _newton_polish(f, cx, cy, tol)
             if res < tol:
                 margin = 2 * max(xhi - xlo, yhi - ylo)
                 if xlo - margin <= x <= xhi + margin and ylo - margin <= y <= yhi + margin:
@@ -576,11 +566,7 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
 
     merged: list[tuple[float, float]] = []
     for x, y in sorted(candidates):
-        for k, (mx, my) in enumerate(merged):
-            if math.hypot(x - mx, y - my) <= 10 * max(tol, 1e-12):
-                merged[k] = (mx, my)
-                break
-        else:
+        if not any(math.hypot(x - mx, y - my) <= 10 * max(tol, 1e-12) for mx, my in merged):
             merged.append((x, y))
 
     # a curve of zeros floods the subdivision with distinct converged points;

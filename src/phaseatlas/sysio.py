@@ -1,7 +1,8 @@
 """Textual system specifications and analysis reports.
 
-System files hold two rational right-hand sides separated by ";" or a
-newline, optionally preceded by parameter bindings:
+System files hold two rational right-hand sides separated by ";" or, if
+there is no ";", by a line end, optionally preceded by parameter bindings,
+lines whose first word is "param":
 
     param a = 1/2
     param b = 1/2
@@ -12,7 +13,9 @@ the variables x and y, declared parameter names, and integer or decimal
 literals (decimals are rationalized exactly from their digits).  A
 parameter name is an identifier other than x and y, bound once per file;
 an exponent must fold to a nonnegative integer without naming x, y or a
-parameter.  Each side is parsed in one pass into a numerator/denominator
+parameter.  A power may not reach a total degree above 24, and a power of
+a constant may not have a numerator or denominator of more than 1024 bits.
+Each side is parsed in one pass into a numerator/denominator
 pair of polynomials, which `RationalField` reduces to lowest terms once.
 Anything else (function calls, undeclared names, division by an
 expression that is identically zero, or parentheses, signs and exponents
@@ -31,6 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .desing import RationalField
 from .errors import ParseError, UnknownSymbolError, UnsupportedConstructError, ZeroDenominatorError
@@ -47,24 +51,20 @@ class _Token:
     column: int
 
 
-# whitespace, a number, a name, an operator, or any other single character
+# whitespace, a number, a name, an operator or ";", or any other single character
 _TOKEN = re.compile(
-    r"(?P<space>\s+)|(?P<num>\d+\.?\d*|\.\d+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>.)"
+    r"(?P<space>\s+)|(?P<num>\d+\.?\d*|\.\d+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^();])|(?P<bad>.)"
 )
 
 
-def _tokenize(text: str, line_offset: int = 1):
+def _tokenize(text: str, line: int):
+    """Tokens of one line of a system file, which is line `line` of that file."""
     tokens = []
-    line, line_start = line_offset, 0
     for m in _TOKEN.finditer(text):
-        kind, lexeme, column = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "space":
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = m.start() + lexeme.rindex("\n") + 1
-        elif kind == "bad":
+        kind, lexeme, column = m.lastgroup, m.group(), m.start() + 1
+        if kind == "bad":
             raise ParseError(f"unexpected character {lexeme!r}", line, column)
-        else:
+        if kind != "space":
             tokens.append(_Token(kind, Fraction(lexeme) if kind == "num" else lexeme, line, column))
     return tokens
 
@@ -77,6 +77,13 @@ _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 # level costs the parser at most seven Python frames, so the deepest accepted
 # expression stays well inside the default recursion limit of 1000
 _MAX_DEPTH = 50
+
+# a power whose result would have a total degree above _MAX_POWER_DEGREE, or
+# a constant power with a numerator or denominator of more than
+# _MAX_POWER_BITS bits, is rejected before it is expanded: (x+y+1)^24 takes
+# about 0.1 s to expand, (x+y+1)^100 about 50 s, and 9^9^9 would not finish
+_MAX_POWER_DEGREE = 24
+_MAX_POWER_BITS = 1024
 
 
 class _Parser:
@@ -99,13 +106,9 @@ class _Parser:
 
     def next(self):
         tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise ParseError(
-                "unexpected end of expression",
-                last.line if last else 1,
-                last.column if last else 1,
-            )
+        if tok is None:  # a side always has a token
+            last = self.tokens[-1]
+            raise ParseError("unexpected end of expression", last.line, last.column)
         self.pos += 1
         return tok
 
@@ -162,6 +165,18 @@ class _Parser:
         if tok is not None and tok.kind == "op" and tok.value == "^":
             self.next()
             k = self.parse_exponent(tok)
+            if k * max(n.total_degree(), d.total_degree()) > _MAX_POWER_DEGREE:
+                raise UnsupportedConstructError(
+                    f"power of total degree above {_MAX_POWER_DEGREE}", tok.line, tok.column
+                )
+            if n.is_constant() and d.is_constant():
+                # |v|^k has at least (bit_length(v) - 1) * k + 1 bits
+                parts = (n.constant_value(), d.constant_value())
+                v = max(max(abs(c.numerator), c.denominator) for c in parts)
+                if (v.bit_length() - 1) * k >= _MAX_POWER_BITS:
+                    raise UnsupportedConstructError(
+                        f"constant power of more than {_MAX_POWER_BITS} bits", tok.line, tok.column
+                    )
             n, d = n**k, d**k
         return n, d
 
@@ -239,12 +254,12 @@ def parse_system(text: str) -> SystemSpec:
     polynomials; each side is reduced to lowest terms once, here.
     """
     params: dict[str, Fraction] = {}
-    body_lines: list[tuple[int, str]] = []
+    lines: list[list[_Token]] = []  # the tokens of each body line, never empty
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("#") or not stripped:
             continue
-        if stripped.startswith("param"):
+        if re.match(r"param\b", stripped):
             rest = stripped[len("param"):].strip()
             if "=" not in rest:
                 raise ParseError("param line must read 'param <name> = <rational>'", lineno, 1)
@@ -262,25 +277,23 @@ def parse_system(text: str) -> SystemSpec:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"invalid rational literal {value!r}: {exc}", lineno, 1)
             continue
-        body_lines.append((lineno, raw))
+        lines.append(_tokenize(raw, lineno))
 
-    if not body_lines:
+    if not lines:
         raise ParseError("no right-hand sides found", 1, 1)
-    body = "\n".join(raw for _, raw in body_lines)
-    first_line = body_lines[0][0]
-    if ";" in body:
-        pieces = body.split(";")
-    else:
-        pieces = [raw for _, raw in body_lines]
-    pieces = [p for p in pieces if p.strip()]
+    # the sides are separated by ";" if there is one, else by line ends
+    tokens = [tok for line in lines for tok in line]
+    pieces = lines
+    if any(tok.value == ";" for tok in tokens):
+        pieces = [list(g) for semi, g in groupby(tokens, lambda t: t.value == ";") if not semi]
     if len(pieces) != 2:
         raise ParseError(
-            f"expected exactly two right-hand sides, found {len(pieces)}", first_line, 1
+            f"expected exactly two right-hand sides, found {len(pieces)}", tokens[0].line, 1
         )
 
     sides = []
     for piece in pieces:
-        parser = _Parser(_tokenize(piece, line_offset=first_line), params)
+        parser = _Parser(piece, params)
         sides.extend(parser.parse_expression())
         tok = parser.peek()
         if tok is not None:

@@ -333,6 +333,34 @@ def test_analyze_deterministic_without_stamp(capsys):
     assert out1 == out2
 
 
+def test_stamp_adds_only_a_generated_diagnostic(capsys):
+    args = ["analyze", "--system", "cdk", "--a", "7/10", "--b", "1/2", "--format", "json"]
+    _, plain, _ = run(capsys, *args)
+    code, stamped, _ = run(capsys, *args, "--stamp")
+    assert code == 0
+    plain, stamped = json.loads(plain), json.loads(stamped)
+    notes = stamped["diagnostics"]
+    stamped["diagnostics"] = [d for d in notes if not d.startswith("generated ")]
+    assert len(notes) == len(stamped["diagnostics"]) + 1
+    assert stamped == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("blowup", "--format", "json"),
+        ("infinity", "--format", "json"),
+        ("portrait", "--format", "human"),
+        ("stationary", "--stamp"),
+        ("omega", "--start", "0.1,0.9", "--stamp"),
+    ],
+)
+def test_flag_a_subcommand_ignores_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, argv[0], "--a", "7/10", "--b", "1/2", *argv[1:])
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
 def test_sprott_index_around_focus(capsys):
     code, out, _ = run(
         capsys,

@@ -263,6 +263,12 @@ def test_semihyperbolic_node_prototypes():
     assert classify_semihyperbolic(PolyField(X**3, -Y), (0, 0)) == "saddle"
 
 
+def test_semihyperbolic_analysis_refuses_a_float_point():
+    # the center-manifold series is exact; a float point is a domain error
+    with pytest.raises(DomainError):
+        classify_semihyperbolic(PolyField(X**2, -Y), (0.0, 0.0))
+
+
 # -- numeric finder -----------------------------------------------------------------------
 
 

@@ -16,15 +16,25 @@ arithmetic.
 Spec files are also locked below the CLI: the term storage order of a
 loaded field's P, Q and time factor sets the `float_terms()` order, and
 with it every Newton and portrait float, so it must not move either.
+
+The linearization of stationary points is locked below the CLI as well:
+the center-manifold analysis at semi-hyperbolic points, the number of
+Jacobians one `analyze` evaluates, and the agreement of exact and float
+linear verdicts on small integer matrices.
 """
 
 import argparse
 import hashlib
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from phaseatlas import polycore
+from phaseatlas import equilibria, polycore
 from phaseatlas.cli import _System, main
+from phaseatlas.desing import PolyField, cdk_poly_field
+from phaseatlas.polycore import X, Y
 
 # analyze --format json at one (a, b) per region (the appendix parameter pairs)
 # and at two long decimals
@@ -173,3 +183,64 @@ def test_spec_load_reduces_each_side_once(count_calls, tmp_path):
     counts = count_calls((polycore.reduce_fraction,))
     _load_spec(tmp_path, "cdk")
     assert counts == {"reduce_fraction": 2}
+
+
+# center-manifold analyses at semi-hyperbolic points: cdk s2 on a = 1, the
+# normal forms (∓x³, ∓y) and the saddle-node (x², -y) at the origin, and a
+# point off the origin whose eigenbasis is not the coordinate axes
+SEMIHYPERBOLIC_CASES = {
+    "cdk-1-19/10-s2": (lambda: cdk_poly_field(1, Fraction(19, 10)), (0, 1)),
+    "cdk-1-1/2-s2": (lambda: cdk_poly_field(1, Fraction(1, 2)), (0, 1)),
+    "-x3,-y": (lambda: PolyField(-(X**3), -Y), (0, 0)),
+    "x3,y": (lambda: PolyField(X**3, Y), (0, 0)),
+    "x3,-y": (lambda: PolyField(X**3, -Y), (0, 0)),
+    "x2,-y": (lambda: PolyField(X**2, -Y), (0, 0)),
+    "skew": (
+        lambda: PolyField(3 * X - 6 * Y + Y**3, X - 2 * Y + X**3).shifted(
+            Fraction(1, 3), Fraction(-1, 2)
+        ),
+        (Fraction(-1, 3), Fraction(1, 2)),
+    ),
+}
+
+SEMIHYPERBOLIC_DIGESTS = {
+    "cdk-1-19/10-s2": "a1918b227f3ff38374b27cba4350dd6aea611059d5397adfbde200421308b9ba",
+    "cdk-1-1/2-s2": "8c3ad8494b7aa873fd1c2278f2ace107c086d401c11863be71cf87f35f7b9a54",
+    "-x3,-y": "cfeececdc8df0f283350d93cfa4b531837c2114012f3cb90490c40ad867ad025",
+    "x3,y": "832b13d3162faeb0e34d3e40e8e1952d3472966a502ea349584311761444b750",
+    "x3,-y": "22711c48806ae4553b6e8ca7096ab583072fab06afc3d2c240f7864204332233",
+    "x2,-y": "b25a682a2f115bc9d31cb22ac38706249875a8db55c97ed2279cadbe5ad5bde0",
+    "skew": "243a0c28dce7bc0d242f65658e71113f382184f5a7559c828e6dd3d596b66efb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIHYPERBOLIC_CASES))
+def test_semihyperbolic_analysis_digest(name):
+    field, z = SEMIHYPERBOLIC_CASES[name]
+    text = repr(equilibria.semihyperbolic_analysis(field(), z))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEMIHYPERBOLIC_DIGESTS[name]
+
+
+def test_analyze_evaluates_each_jacobian_once(count_calls, capsys):
+    counts = count_calls((equilibria.jacobian_at,))
+    assert main(["analyze", "--a", "7/10", "--b", "1/2", "--format", "json"]) == 0
+    # 8 points: s1, s2, four divisor points of the blown-up origin, ±x at infinity
+    assert counts["jacobian_at"] <= 8
+
+
+def test_field_is_differentiated_once():
+    f = cdk_poly_field(Fraction(7, 10), Fraction(1, 2))
+    assert f.jacobian_polys() is f.jacobian_polys()
+
+
+_small = st.integers(min_value=-6, max_value=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.tuples(_small, _small), st.tuples(_small, _small)))
+def test_exact_and_float_linear_verdicts_agree(J):
+    exact = equilibria.classify_linear(J)
+    approx = equilibria.classify_linear(tuple(tuple(float(v) for v in row) for row in J))
+    assert not exact.boundary
+    if not approx.boundary:
+        assert exact == approx

@@ -88,12 +88,43 @@ def test_exponent_must_be_nonnegative_integer():
     assert parse_system("x^(2) ; y").field.p == X**2
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("x^(9^9^9) ; y", 5), ("(x+y+1)^100 ; y", 8)],
+    ids=["folded-exponent", "degree-100"],
+)
+def test_oversized_power_is_rejected_at_its_caret(text, column):
+    with pytest.raises(UnsupportedConstructError) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_power_caps_are_degree_24_and_1024_bits():
+    assert parse_system("(x^2+y^2)^2 ; y").field.p == (X**2 + Y**2) ** 2
+    assert parse_system("2^64*x ; y").field.p == 2**64 * X
+    assert parse_system("x^24 ; 2^1023").field.p == X**24
+    for text in ("x^25 ; y", "x ; 2^1024", "x ; (1/2)^1024"):
+        with pytest.raises(UnsupportedConstructError):
+            parse_system(text)
+
+
 def test_decimal_literals_are_exact():
     assert parse_system("0.25*x ; y").field.p == F(1, 4) * X
 
 
 def test_newline_separated_sides():
     assert parse_system("x\n-y").field.r == -Y
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x ; y +", (1, 7)), ("x\n+ 1 ; y +", (2, 9))],
+    ids=["same-line", "next-line"],
+)
+def test_second_side_error_reports_its_position(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == position
 
 
 def test_precedence_and_associativity():
@@ -125,8 +156,13 @@ def test_long_flat_sum_parses():
 
 @pytest.mark.parametrize(
     "text, line",
-    [("param a = 1/2\nparam a = 2\na*x ; y\n", 2), ("param b = 1\nparam x = 2\nx ; y\n", 2)],
-    ids=["duplicate", "variable-name"],
+    [
+        ("param a = 1/2\nparam a = 2\na*x ; y\n", 2),
+        ("param b = 1\nparam x = 2\nx ; y\n", 2),
+        # only the whole word "param" starts a binding
+        ("parama = 2\na*x ; y\n", 1),
+    ],
+    ids=["duplicate", "variable-name", "param-prefix"],
 )
 def test_bad_param_line_is_rejected_with_its_line(text, line):
     with pytest.raises(ParseError) as err:

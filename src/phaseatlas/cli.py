@@ -295,8 +295,28 @@ def cmd_scan(args):
         "boundary_loci": {k: list(v) for k, v in sorted(res.boundary_loci.items())},
         "distinct_regions": sorted(res.distinct_regions()),
     }
-    _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _emit(args, _indented_json(doc) + "\n")
     return EXIT_OK
+
+
+def _indented_json(value, pad="") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) by the C encoder, which indent would turn off.
+
+    Each list of scalars is one call with indent=2's item separator, so a list
+    must hold only containers or only scalars.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) and value:
+        body = sep.join(f"{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in sorted(value.items()))
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        body = sep.join(_indented_json(v, inner) for v in value)
+    elif isinstance(value, list) and value:
+        body = json.dumps(value, separators=(sep, ": "))[1:-1]
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
 def _read_scan_map(path) -> atlas.ScanResult:

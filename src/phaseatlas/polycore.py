@@ -1,21 +1,26 @@
 """Exact bivariate polynomial arithmetic over the rationals.
 
-A polynomial in x, y is stored sparsely as a mapping from exponent pairs
-(i, j) to nonzero Fraction coefficients.  The zero polynomial is the empty
-mapping.  All arithmetic is exact; floating point appears only at the
-evaluation boundary and for the irrational roots of `real_roots`, each
-given as the nearest double.  Float evaluation has one arithmetic:
-`BiPoly.float_terms()` summed term by term as c·x^i·y^j, both in
-`BiPoly.eval` at float coordinates and in the integrator's
-`PolyField.compiled`.
+A polynomial in x, y is stored sparsely as integer numerators over one
+common denominator D > 0: a mapping from exponent pairs (i, j) to nonzero
+ints n_ij, for the sum of n_ij/D·x^i·y^j.  The form is canonical, with
+gcd(D, n_ij, ...) == 1 and the zero polynomial the empty mapping over D = 1,
+so equality and hashing compare the mapping and D.  Arithmetic, gcds and
+root isolation run on ints only (primitive parts and pseudo-division in
+Z[x][y]; Knuth, TAOCP vol. 2, §4.6.1).  `fractions.Fraction` is the public
+boundary: constructors accept Fractions, and `terms`, iteration,
+`constant_value()` and exact `eval` return them.
 
-Rationals are plain `fractions.Fraction` values: they are always stored in
-lowest terms with a positive denominator, which is exactly the invariant
-this package needs.
+Floating point appears only at the evaluation boundary and for the
+irrational roots of `real_roots`, each given as the nearest double.  Float
+evaluation has one arithmetic: `BiPoly.float_terms()`, n_ij / D (the same
+correctly rounded division as float(Fraction(n_ij, D))) cached per
+polynomial and summed term by term as c·x^i·y^j, both in `BiPoly.eval` at
+float coordinates and in the integrator's `PolyField.compiled`.  Its order
+is the storage order: a sum or product appends each new exponent as it
+first appears and drops one whose coefficient cancels.
 
-Term order everywhere (printing, equality of canonical text) is graded
-lexicographic with x > y: higher total degree first, ties broken by higher
-x-exponent.
+Term order for printing and primitive parts is graded lexicographic with
+x > y: higher total degree first, ties broken by higher x-exponent.
 """
 
 from __future__ import annotations
@@ -49,18 +54,31 @@ def as_rational(value) -> Fraction:
 class BiPoly:
     """Immutable sparse polynomial in two variables over the rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den", "_floats")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         clean = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise DomainError(f"negative exponent in term {(i, j)}")
-                c = as_rational(c) if not isinstance(c, Fraction) else c
-                if c != 0:
-                    clean[(int(i), int(j))] = c
-        self._terms = clean
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise DomainError(f"negative exponent in term {(i, j)}")
+            c = as_rational(c)
+            if c:
+                clean[(int(i), int(j))] = c
+        # over the lcm of lowest-terms denominators the numerators share no factor with it
+        self._den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
+        self._floats = None
+
+    @staticmethod
+    def _make(num: dict[Exponent, int], den: int) -> "BiPoly":
+        """The polynomial sum(num[e]/den·x^i·y^j) from nonzero ints and den > 0, in canonical form."""
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
+        p = object.__new__(BiPoly)
+        p._num, p._den, p._floats = num, den, None
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -70,76 +88,72 @@ class BiPoly:
 
     @staticmethod
     def const(c) -> "BiPoly":
-        c = as_rational(c)
-        return BiPoly({(0, 0): c}) if c else BiPoly()
+        return BiPoly({(0, 0): c})
 
     @staticmethod
     def monomial(c, i: int, j: int) -> "BiPoly":
-        return BiPoly({(i, j): as_rational(c)})
+        return BiPoly({(i, j): c})
 
     @staticmethod
     def var(name: str) -> "BiPoly":
         if name == "x":
-            return BiPoly({(1, 0): Fraction(1)})
+            return BiPoly({(1, 0): 1})
         if name == "y":
-            return BiPoly({(0, 1): Fraction(1)})
+            return BiPoly({(0, 1): 1})
         raise DomainError(f"unknown variable {name!r}")
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(n, self._den) for e, n in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self._terms)
+        return all(e == (0, 0) for e in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise DomainError("polynomial is not constant")
-        return self._terms.get((0, 0), Fraction(0))
+        return Fraction(self._num.get((0, 0), 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(i + j for i, j in self._terms)
+        return max(i + j for i, j in self._num)
 
     def degree_in(self, var: str) -> int:
-        if not self._terms:
+        if not self._num:
             return -1
         k = 0 if var == "x" else 1
-        return max(e[k] for e in self._terms)
+        return max(e[k] for e in self._num)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in graded-lex descending order with x > y."""
-        return sorted(
-            self._terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True
-        )
+        return sorted(self.terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)
 
-    def leading_coefficient(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        return self.sorted_terms()[0][1]
+    def _lead(self) -> int:
+        """Numerator of the graded-lex leading term; the polynomial is nonzero."""
+        return self._num[max(self._num, key=lambda e: (e[0] + e[1], e[0]))]
 
     def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
-        return iter(self._terms.items())
+        return iter(self.terms.items())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = BiPoly.const(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -155,19 +169,22 @@ class BiPoly:
         other = BiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
+        # both sides over the lcm of the two denominators
+        g = math.gcd(self._den, other._den)
+        sa, sb = other._den // g, self._den // g
+        out = {e: n * sa for e, n in self._num.items()}
+        for e, n in other._num.items():
+            s = out.get(e, 0) + n * sb
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return BiPoly(out)
+        return BiPoly._make(out, self._den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({e: -c for e, c in self._terms.items()})
+        return BiPoly._make({e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = BiPoly._coerce(other)
@@ -182,16 +199,16 @@ class BiPoly:
         other = BiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        out: dict[Exponent, int] = {}
+        for (i1, j1), c1 in self._num.items():
+            for (i2, j2), c2 in other._num.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return BiPoly(out)
+        return BiPoly._make(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -212,12 +229,11 @@ class BiPoly:
     def diff(self, var: str) -> "BiPoly":
         k = 0 if var == "x" else 1
         out = {}
-        for (i, j), c in self._terms.items():
+        for (i, j), n in self._num.items():
             e = (i, j)[k]
             if e:
-                ne = (i - 1, j) if k == 0 else (i, j - 1)
-                out[ne] = out.get(ne, Fraction(0)) + c * e
-        return BiPoly(out)
+                out[(i - 1, j) if k == 0 else (i, j - 1)] = n * e
+        return BiPoly._make(out, self._den)
 
     def diff_x(self) -> "BiPoly":
         return self.diff("x")
@@ -226,14 +242,17 @@ class BiPoly:
         return self.diff("y")
 
     def float_terms(self) -> list[tuple[float, int, int]]:
-        """Float coefficient table [(float(c), i, j), ...] in storage order."""
-        return [(float(c), i, j) for (i, j), c in self._terms.items()]
+        """Float coefficient table [(float(c), i, j), ...] in storage order, built once: do not modify it."""
+        if self._floats is None:
+            self._floats = [(n / self._den, i, j) for (i, j), n in self._num.items()]
+        return self._floats
 
     def eval(self, x, y):
         """Evaluate at a point; exact for Fraction/int coordinates.
 
         Float coordinates sum `float_terms()` term by term as c·x^i·y^j, the
-        same arithmetic as the integrator's `PolyField.compiled`.
+        same arithmetic as the integrator's `PolyField.compiled`.  At p/q, r/s
+        the value is sum(n_ij·p^i·q^(dx-i)·r^j·s^(dy-j)) / (D·q^dx·s^dy) in ints.
         """
         if isinstance(x, float) or isinstance(y, float):
             x, y = float(x), float(y)
@@ -241,18 +260,19 @@ class BiPoly:
             for c, i, j in self.float_terms():
                 total += c * x**i * y**j
             return total
-        x = as_rational(x)
-        y = as_rational(y)
-        total = Fraction(0)
-        for (i, j), c in self._terms.items():
-            total += c * x**i * y**j
-        return total
+        x, y = as_rational(x), as_rational(y)
+        (p, q), (r, s) = (x.numerator, x.denominator), (y.numerator, y.denominator)
+        dx, dy = self.degree_in("x"), self.degree_in("y")
+        xs = [p**i * q ** (dx - i) for i in range(dx + 1)]
+        ys = [r**j * s ** (dy - j) for j in range(dy + 1)]
+        total = sum(n * xs[i] * ys[j] for (i, j), n in self._num.items())
+        return Fraction(total, self._den * q ** max(dx, 0) * s ** max(dy, 0))
 
     # -- structural operations ----------------------------------------------
 
     def homogeneous_part(self, d: int) -> "BiPoly":
         """Sum of the terms of total degree exactly d."""
-        return BiPoly({e: c for e, c in self._terms.items() if e[0] + e[1] == d})
+        return BiPoly._make({e: n for e, n in self._num.items() if e[0] + e[1] == d}, self._den)
 
     def shift(self, dx, dy) -> "BiPoly":
         """Substitute x -> x + dx, y -> y + dy (exact binomial expansion)."""
@@ -271,49 +291,45 @@ class BiPoly:
         for _ in range(self.degree_in("y")):
             ypows.append(ypows[-1] * py)
         out = BiPoly.zero()
-        for (i, j), c in self._terms.items():
-            out = out + BiPoly.const(c) * xpows[i] * ypows[j]
+        for (i, j), n in self._num.items():
+            out = out + BiPoly._make({(0, 0): n}, self._den) * xpows[i] * ypows[j]
         return out
 
     def swapped(self) -> "BiPoly":
         """p(y, x): x and y exchanged, terms kept in storage order."""
-        return BiPoly({(j, i): c for (i, j), c in self._terms.items()})
+        return BiPoly._make({(j, i): n for (i, j), n in self._num.items()}, self._den)
 
     def mul_monomial(self, c, i: int, j: int) -> "BiPoly":
         c = as_rational(c)
-        return BiPoly({(e0 + i, e1 + j): cc * c for (e0, e1), cc in self._terms.items()})
+        num = {(e0 + i, e1 + j): n * c.numerator for (e0, e1), n in self._num.items()}
+        return BiPoly._make(num, self._den * c.denominator) if c else BiPoly()
 
     def monomial_order(self, var: str) -> int:
         """Largest k with var^k dividing self; large sentinel for zero poly."""
-        if not self._terms:
+        if not self._num:
             return 1 << 30
         k = 0 if var == "x" else 1
-        return min(e[k] for e in self._terms)
+        return min(e[k] for e in self._num)
 
     def div_monomial(self, var: str, power: int) -> "BiPoly":
         if power == 0:
             return self
         k = 0 if var == "x" else 1
         out = {}
-        for (i, j), c in self._terms.items():
+        for (i, j), n in self._num.items():
             if (i, j)[k] < power:
                 raise DomainError(f"{var}^{power} does not divide polynomial")
-            out[(i - power, j) if k == 0 else (i, j - power)] = c
-        return BiPoly(out)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c having integer coprime coefficients."""
-        return _ucontent(list(self._terms.values()))
+            out[(i - power, j) if k == 0 else (i, j - power)] = n
+        return BiPoly._make(out, self._den)
 
     def primitive(self) -> "BiPoly":
         """Scale to content 1 with positive leading (graded-lex) coefficient."""
-        if not self._terms:
+        if not self._num:
             return self
-        c = self.content()
-        p = BiPoly({e: v / c for e, v in self._terms.items()})
-        if p.leading_coefficient() < 0:
-            p = -p
-        return p
+        g = math.gcd(*self._num.values())
+        if self._lead() < 0:
+            g = -g
+        return BiPoly._make({e: n // g for e, n in self._num.items()}, 1)
 
     # -- printing ------------------------------------------------------------
 
@@ -367,13 +383,14 @@ def format_poly(p: BiPoly) -> str:
     return out
 
 
-# -- univariate helpers over Q[x]: the bivariate gcd and real roots ----------
+# -- univariate helpers over Z[x]: the bivariate gcd and real roots ----------
 #
-# A univariate polynomial is a plain list of rationals (Fractions or ints),
-# index = degree, trailing zeros stripped.  The empty list is zero.
+# A univariate polynomial is a plain list of ints, index = degree, trailing
+# zeros stripped.  The empty list is zero.  By Gauss's lemma a primitive
+# divisor that divides in Q[x] divides in Z[x].
 
 
-def _utrim(u: list[Fraction]) -> list[Fraction]:
+def _utrim(u: list[int]) -> list[int]:
     while u and u[-1] == 0:
         u.pop()
     return u
@@ -391,7 +408,7 @@ def _uneg(a):
 def _umul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -399,36 +416,24 @@ def _umul(a, b):
     return _utrim(out)
 
 
-def _udivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / Fraction(b[-1])
-    while len(a) >= len(b) and _utrim(a):
+def _uquo(a: list[int], b: list[int]) -> list[int] | None:
+    """The quotient a / b if b divides a in Z[x], else None; b is nonzero."""
+    a, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
         k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[i + k] -= c * cb
+        q[k], r = divmod(a[-1], b[-1])
+        if r:
+            return None
+        for i, v in enumerate(b):
+            a[i + k] -= q[k] * v
         _utrim(a)
-    return _utrim(q), _utrim(a)
+    return None if a else _utrim(q)
 
 
-def _ucontent(a) -> Fraction:
-    if not a:
-        return Fraction(0)
-    g, l = 0, 1
-    for c in a:
-        g = math.gcd(g, abs(c.numerator))
-        l = l * c.denominator // math.gcd(l, c.denominator)
-    return Fraction(g, l)
-
-
-def _integerize(a) -> list[int]:
-    """a times a positive rational, as coprime integers: the signs of a everywhere."""
-    c = _ucontent(a)
-    return [int(v / c) for v in a]
+def _integerize(a: list[int]) -> list[int]:
+    """a divided by the gcd of its entries: coprime integers with the signs of a."""
+    g = math.gcd(*a)
+    return [v // g for v in a]
 
 
 def _urem(a: list[int], b: list[int]) -> list[int]:
@@ -440,12 +445,12 @@ def _urem(a: list[int], b: list[int]) -> list[int]:
         for i, v in enumerate(b):
             a[i + k] -= la * v
         _utrim(a)
-    return _integerize(a) if a else a
+    return _integerize(a)
 
 
 def _ugcd(a, b):
     """A gcd as coprime integers, up to sign; [] for gcd(0, 0)."""
-    a, b = [_integerize(u) if u else u for u in (_utrim(list(a)), _utrim(list(b)))]
+    a, b = _integerize(a), _integerize(b)
     while b:
         a, b = b, _urem(a, b)
     return a
@@ -500,22 +505,27 @@ def _isolate(chain) -> list[tuple[int, int, int]]:
 def _root_in(p: list[int], lo: int, hi: int, den: int):
     """The root of p in (lo/den, hi/den]: a Fraction if rational, else the nearest float.
 
-    A rational root's denominator divides lc, and such rationals lie 1/lc^2 apart;
-    so once the interval is narrower than 1/(2 lc^2), the nearest of them to hi is
-    the root if any is.  Else bisection goes on until both ends round to one double.
+    The root stays strictly inside (lo, hi): bisection returns one it lands on.
+    A rational root's denominator divides lc, so it is a multiple of 1/lc; once
+    the interval is narrower than 1/(2 lc), the multiple of 1/lc nearest to hi
+    is the root if it lies inside and p vanishes there.  Else bisection goes on
+    until both ends round to one double.
     """
     lc, s = abs(p[-1]), _value_at(p, hi, den)
     if not s:
         return Fraction(hi, den)
     candidate = True
     while candidate or lo / den != hi / den:
-        if candidate and 2 * lc * lc * (hi - lo) < den:
-            r = Fraction(hi, den).limit_denominator(lc)
-            if not _value_at(p, r.numerator, r.denominator):
-                return r
+        if candidate and 2 * lc * (hi - lo) < den:
+            u = (2 * hi * lc + den) // (2 * den)
+            if lo * lc < u * den < hi * lc and not _value_at(p, u, lc):
+                return Fraction(u, lc)
             candidate = False
         mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-        if (_value_at(p, mid, den) > 0) == (s > 0):
+        v = _value_at(p, mid, den)
+        if not v:
+            return Fraction(mid, den)
+        if (v > 0) == (s > 0):
             hi = mid
         else:
             lo = mid
@@ -530,13 +540,14 @@ def real_roots(coeffs: list[Fraction]):
     is the degree less the real roots with multiplicity, summed along g <- gcd(g, g').
     Returns (exact_roots, float_roots, complex_count), the root lists ascending.
     """
-    c = _utrim(list(coeffs))
+    m = math.lcm(*(v.denominator for v in coeffs))
+    c = _utrim([v.numerator * (m // v.denominator) for v in coeffs])
     if not c:
         raise DomainError("zero polynomial has no root list")
     roots, real, g = [], 0, c
     while len(g) > 1:
         h = _ugcd(g, _uderiv(g))
-        chain = _sturm(_udivmod(g, h)[0])
+        chain = _sturm(_uquo(g, h))
         intervals = _isolate(chain)
         if g is c:
             roots = [_root_in(chain[0], *iv) for iv in intervals]
@@ -546,25 +557,23 @@ def real_roots(coeffs: list[Fraction]):
     return exact, sorted(r for r in roots if isinstance(r, float)), len(c) - 1 - real
 
 
-def _to_y_coeffs(p: BiPoly) -> list[list[Fraction]]:
-    """View p as a polynomial in y with coefficients in Q[x]."""
-    dy = p.degree_in("y")
-    rows: list[list[Fraction]] = [[] for _ in range(dy + 1)] if dy >= 0 else []
-    for (i, j), c in p.terms.items():
+def _to_y_coeffs(p: BiPoly) -> list[list[int]]:
+    """The numerators of p as a polynomial in y with coefficients in Z[x]."""
+    rows: list[list[int]] = [[] for _ in range(p.degree_in("y") + 1)]
+    for (i, j), n in p._num.items():
         row = rows[j]
-        while len(row) <= i:
-            row.append(Fraction(0))
-        row[i] = c
-    return [_utrim(r) for r in rows]
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] = n
+    return rows
 
 
-def _from_y_coeffs(rows: list[list[Fraction]]) -> BiPoly:
+def _from_y_coeffs(rows: list[list[int]], den: int) -> BiPoly:
     terms = {}
     for j, row in enumerate(rows):
         for i, c in enumerate(row):
             if c:
                 terms[(i, j)] = c
-    return BiPoly(terms)
+    return BiPoly._make(terms, den)
 
 
 def _ytrim(rows):
@@ -583,11 +592,11 @@ def _y_content(rows) -> list[int]:
 
 def _y_primitive(rows):
     c = _y_content(rows)
-    return [_udivmod(row, c)[0] for row in rows] if c else rows
+    return [_uquo(row, c) for row in rows] if c else rows
 
 
 def _y_pseudo_rem(a, b):
-    """Pseudo-remainder of a by b, both polynomials in y over Q[x]."""
+    """Pseudo-remainder of a by b, both polynomials in y over Z[x]."""
     a = [list(r) for r in a]
     lb = b[-1]
     while len(a) >= len(b) and _ytrim(a):
@@ -604,10 +613,10 @@ def _y_pseudo_rem(a, b):
 def poly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     """Greatest common divisor in Q[x, y].
 
-    Primitive polynomial-remainder sequence over Q[x][y] with content
-    extraction; adequate at the small degrees this package works with.  The
-    result is normalized to be primitive with a positive leading coefficient
-    in graded-lex order.
+    Primitive polynomial-remainder sequence over Z[x][y] on the numerators,
+    with content extraction; adequate at the small degrees this package
+    works with.  The result is normalized to be primitive with a positive
+    leading coefficient in graded-lex order.
     """
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
@@ -626,8 +635,8 @@ def poly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     while b:
         a, b = b, _y_primitive(_y_pseudo_rem(a, b))
 
-    # gcd = gcd(contents) * primitive-part gcd; contents live in Q[x]
-    return _from_y_coeffs([_umul(row, cont) for row in a]).primitive()
+    # gcd = gcd(contents) * primitive-part gcd; contents live in Z[x]
+    return _from_y_coeffs([_umul(row, cont) for row in a], 1).primitive()
 
 
 def poly_divexact(p: BiPoly, d: BiPoly) -> BiPoly:
@@ -637,17 +646,17 @@ def poly_divexact(p: BiPoly, d: BiPoly) -> BiPoly:
     if p.is_zero():
         return p
     if d.is_constant():
-        c = d.constant_value()
-        return BiPoly({e: v / c for e, v in p.terms.items()})
-    a, b = _to_y_coeffs(p), _to_y_coeffs(d)
-    # long division in y over the rational-function field Q(x); exactness of
-    # the quotient makes every coefficient division come out polynomial
-    quo: list[list[Fraction]] = [[] for _ in range(len(a) - len(b) + 1)]
+        return p.mul_monomial(Fraction(d._den, d._num[(0, 0)]), 0, 0)
+    # long division in y of p's numerators by the primitive part of d's, whose
+    # quotient is integral when it exists (Gauss's lemma)
+    g = math.gcd(*d._num.values())
+    a, b = _to_y_coeffs(p), [[v // g for v in row] for row in _to_y_coeffs(d)]
+    quo: list[list[int]] = [[] for _ in range(len(a) - len(b) + 1)]
     lb = b[-1]
     while len(a) >= len(b) and _ytrim(a):
         k = len(a) - len(b)
-        qcoef, rem = _udivmod(a[-1], lb)
-        if rem:
+        qcoef = _uquo(a[-1], lb)
+        if qcoef is None:
             raise DomainError("inexact polynomial division")
         quo[k] = qcoef
         for i, rb in enumerate(b):
@@ -655,7 +664,8 @@ def poly_divexact(p: BiPoly, d: BiPoly) -> BiPoly:
         _ytrim(a)
     if _ytrim(a):
         raise DomainError("inexact polynomial division")
-    return _from_y_coeffs(quo)
+    # p / d = (quotient / p._den) / (g / d._den)
+    return _from_y_coeffs([[c * d._den for c in row] for row in quo], p._den * g)
 
 
 def poly_lcm(p: BiPoly, q: BiPoly) -> BiPoly:
@@ -675,10 +685,9 @@ def reduce_fraction(n: BiPoly, d: BiPoly) -> tuple[BiPoly, BiPoly]:
     g = poly_gcd(n, d)
     if not g.is_constant():
         n, d = poly_divexact(n, g), poly_divexact(d, g)
-    scale = d.content()
-    if d.leading_coefficient() < 0:
-        scale = -scale
-    return BiPoly({e: c / scale for e, c in n}), BiPoly({e: c / scale for e, c in d})
+    # 1/scale, for the scale that makes d primitive with a positive lead
+    inv = Fraction(d._den if d._lead() > 0 else -d._den, math.gcd(*d._num.values()))
+    return n.mul_monomial(inv, 0, 0), d.mul_monomial(inv, 0, 0)
 
 
 # -- restriction to an exceptional divisor {var = 0} ---------------------------------
@@ -781,14 +790,12 @@ def _lower_hull_normals(points: Iterable[Exponent]) -> list[tuple[int, int]]:
 
 
 def is_nilpotent_origin(P: BiPoly, Q: BiPoly) -> bool:
-    """True when the origin is stationary with a nilpotent linearization."""
-    if P.eval(0, 0) != 0 or Q.eval(0, 0) != 0:
-        return False
-    a11 = P.diff_x().eval(0, 0)
-    a12 = P.diff_y().eval(0, 0)
-    a21 = Q.diff_x().eval(0, 0)
-    a22 = Q.diff_y().eval(0, 0)
-    return a11 + a22 == 0 and a11 * a22 - a12 * a21 == 0
+    """True when the origin is stationary with a nilpotent linearization.
+
+    The Jacobian there is the linear coefficients of P and Q, read as numerators over D > 0.
+    """
+    (p0, a11, a12), (q0, a21, a22) = ([f._num.get(e, 0) for e in ((0, 0), (1, 0), (0, 1))] for f in (P, Q))
+    return not (p0 or q0) and a11 * Q._den + a22 * P._den == 0 and a11 * a22 - a12 * a21 == 0
 
 
 def newton_weight_candidates(P: BiPoly, Q: BiPoly) -> list[NewtonWeights]:

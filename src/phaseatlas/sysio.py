@@ -13,8 +13,10 @@ the variables x and y, declared parameter names, and integer or decimal
 literals (decimals are rationalized exactly from their digits).  A
 parameter name is an identifier other than x and y, bound once per file;
 an exponent must fold to a nonnegative integer without naming x, y or a
-parameter.  A power may not reach a total degree above 24, and a power of
-a constant may not have a numerator or denominator of more than 1024 bits.
+parameter.  No product or power the parser forms, the cross-multiplied
+numerators and denominators of +, - and / included, may reach a total
+degree above 24, and a power of a constant may not have a numerator or
+denominator of more than 1024 bits.
 Each side is parsed in one pass into a numerator/denominator
 pair of polynomials, which `RationalField` reduces to lowest terms once.
 Anything else (function calls, undeclared names, division by an
@@ -30,6 +32,7 @@ as human-readable text.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -78,11 +81,13 @@ _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 # expression stays well inside the default recursion limit of 1000
 _MAX_DEPTH = 50
 
-# a power whose result would have a total degree above _MAX_POWER_DEGREE, or
-# a constant power with a numerator or denominator of more than
-# _MAX_POWER_BITS bits, is rejected before it is expanded: (x+y+1)^24 takes
-# about 0.1 s to expand, (x+y+1)^100 about 50 s, and 9^9^9 would not finish
-_MAX_POWER_DEGREE = 24
+# a product or power whose result would have a total degree above
+# _MAX_DEGREE, or a constant power with a numerator or denominator of more
+# than _MAX_POWER_BITS bits, is rejected before it is expanded: a dense
+# product costs the product of its factors' term counts ((x+y+1)^100 takes
+# about 3 s, the product of four (x+y+1)^24 about 0.8 s), and 9^9^9 would
+# not finish
+_MAX_DEGREE = 24
 _MAX_POWER_BITS = 1024
 
 
@@ -137,18 +142,26 @@ class _Parser:
                 return ln, ld
             self.next()
             rn, rd = self.parse_expression(prec + 1)
+            mul = functools.partial(self.product, tok)
             if tok.value == "+":
-                ln, ld = ln * rd + rn * ld, ld * rd
+                ln, ld = mul(ln, rd) + mul(rn, ld), mul(ld, rd)
             elif tok.value == "-":
-                ln, ld = ln * rd - rn * ld, ld * rd
+                ln, ld = mul(ln, rd) - mul(rn, ld), mul(ld, rd)
             elif tok.value == "*":
-                ln, ld = ln * rn, ld * rd
+                ln, ld = mul(ln, rn), mul(ld, rd)
             elif rn.is_zero():
                 raise ZeroDenominatorError(
                     f"division by zero (line {tok.line}, column {tok.column})"
                 )
             else:
-                ln, ld = ln * rd, ld * rn
+                ln, ld = mul(ln, rd), mul(ld, rn)
+
+    @staticmethod
+    def product(tok, a, b):
+        """a * b for the operator tok, refused at tok above total degree _MAX_DEGREE."""
+        if a.total_degree() + b.total_degree() > _MAX_DEGREE:
+            raise UnsupportedConstructError(f"product of total degree above {_MAX_DEGREE}", tok.line, tok.column)
+        return a * b
 
     def parse_unary(self):
         # ^ binds tighter than unary minus: -x^2 reads -(x^2)
@@ -165,9 +178,9 @@ class _Parser:
         if tok is not None and tok.kind == "op" and tok.value == "^":
             self.next()
             k = self.parse_exponent(tok)
-            if k * max(n.total_degree(), d.total_degree()) > _MAX_POWER_DEGREE:
+            if k * max(n.total_degree(), d.total_degree()) > _MAX_DEGREE:
                 raise UnsupportedConstructError(
-                    f"power of total degree above {_MAX_POWER_DEGREE}", tok.line, tok.column
+                    f"power of total degree above {_MAX_DEGREE}", tok.line, tok.column
                 )
             if n.is_constant() and d.is_constant():
                 # |v|^k has at least (bit_length(v) - 1) * k + 1 bits

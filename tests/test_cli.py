@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -232,6 +233,27 @@ def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "portrait", "--scan-map", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: scan map ") and message in err
+
+
+def test_scan_json_is_the_indent_2_encoding(capsys):
+    from phaseatlas.cli import _indented_json
+
+    for argv in (["--resolution", "1"], ["--resolution", "7"], ["--a-range", "1/2:3/2", "--resolution", "3"]):
+        code, out, _ = run(capsys, "scan", *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    doc = {"b": [], "a": {"z": ["1"], "y": {}}, "c": [[], ["x", "y"]], "d": [{"k": [1, 2.5, None]}], "e": "s"}
+    assert _indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_product_above_degree_24_exits_2_at_once(tmp_path, capsys):
+    spec = tmp_path / "product.txt"
+    spec.write_text("(x+y+1)^24*(x+y+1)^24*(x+y+1)^24*(x+y+1)^24 ; y\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", "--system", str(spec))
+    # expanding the product took about 11 s before products were bounded
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "product of total degree above 24" in err
 
 
 def test_portrait_output_file(tmp_path, capsys):

@@ -82,6 +82,8 @@ OTHER_DIGESTS = {
     "blowup-cusp": "e1ac68c34ee25efab3839bb395493d23ed94e4beee4216ba6af390ecb92eba0e",
     "infinity-cusp": "fed103a9363c0ce340f8bb37ccb192d0573e0df67b5f8177ea7747beb162cf6c",
     "infinity-lotka-volterra": "09021449b9a41205042c3933ac56f27a991b65c6b5dddd89374fe191c3ab0da4",
+    # recorded while the nilpotency test still differentiated P and Q
+    "analyze-cusp": "2e181c5748eb081c27ceff3714f2aa766ec0cb58a3647e9c15be60b317c99723",
 }
 
 
@@ -122,6 +124,19 @@ def test_spec_file_chart_digest(capsys, tmp_path, command, name, text):
     spec.write_text(text, encoding="utf-8")
     got = _digest(capsys, command, "--system", str(spec))
     assert got == OTHER_DIGESTS[f"{command}-{name}"]
+
+
+def test_cusp_analyze_reads_the_origin_jacobian_without_diff(monkeypatch, capsys, tmp_path):
+    # the nilpotency test, made twice, reads the linear coefficients: 24
+    # differentiations where 4 per test made it 32
+    calls = []
+    diff = polycore.BiPoly.diff
+    monkeypatch.setattr(polycore.BiPoly, "diff", lambda self, var: calls.append(var) or diff(self, var))
+    spec = tmp_path / "cusp.txt"
+    spec.write_text(CUSP, encoding="utf-8")
+    got = _digest(capsys, "analyze", "--system", str(spec), "--format", "json")
+    assert got == OTHER_DIGESTS["analyze-cusp"]
+    assert len(calls) == 24
 
 
 SCANS = {

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaseatlas.desing import PolyField
@@ -14,6 +14,7 @@ from phaseatlas.polycore import (
     X,
     Y,
     format_poly,
+    is_nilpotent_origin,
     newton_weight_candidates,
     newton_weights,
     poly_divexact,
@@ -352,6 +353,22 @@ def test_real_roots_rational_root_on_a_bisection_point():
     assert floats == [] and complex_count == 0
 
 
+@pytest.mark.parametrize(
+    "coeffs, exact, n_floats",
+    [
+        # x (3x^2 - 132x - 4): 0, a root, is the rational of denominator <= 3
+        # nearest the irrational root -0.0303...
+        ([F(0), F(-4), F(-132), F(3)], [0], 2),
+        # (4x + 1)(...): likewise -1/4 beside the irrational root -0.2166...
+        ([F(1, 4), F(11, 5), F(5), F(3, 4), F(-1, 5)], [F(-1, 4)], 3),
+    ],
+)
+def test_real_roots_keeps_an_irrational_root_beside_a_rational_one(coeffs, exact, n_floats):
+    got_exact, floats, complex_count = real_roots(coeffs)
+    assert got_exact == exact and complex_count == 0
+    assert len(floats) == n_floats and all(_sign_change_across(coeffs, f) for f in floats)
+
+
 _linear = st.tuples(st.integers(-6, 6), st.integers(1, 5)).map(lambda t: [F(t[0]), F(t[1])])
 _quadratic = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 4)).map(
     lambda t: [F(t[0]), F(t[1]), F(t[2])]
@@ -399,3 +416,175 @@ def test_reduce_fraction_normalizes_denominator():
     assert d == X**2 + 1
     assert n == F(-1, 2) * X
     assert reduce_fraction(BiPoly.zero(), 3 * X + 1) == (BiPoly.zero(), BiPoly.const(1))
+
+
+# -- integer numerators over one denominator against the Fraction loops ---------
+#
+# The oracle keeps a polynomial as a dict of Fractions and copies the loops
+# BiPoly ran on that representation, pop-on-cancel included, so comparing
+# list(p) pins storage order as well as values.
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, F(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _o_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            s = out.get(e, F(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _o_pow(a, n):
+    result, base = {(0, 0): F(1)}, a
+    while n:
+        if n & 1:
+            result = _o_mul(result, base)
+        base = _o_mul(base, base)
+        n >>= 1
+    return result
+
+
+def _o_diff(a, k):
+    out = {}
+    for (i, j), c in a.items():
+        e = (i, j)[k]
+        if e:
+            ne = (i - 1, j) if k == 0 else (i, j - 1)
+            out[ne] = out.get(ne, F(0)) + c * e
+    return out
+
+
+def _o_subst(a, px, py):
+    xpows, ypows = [{(0, 0): F(1)}], [{(0, 0): F(1)}]
+    for _ in range(max((i for i, _ in a), default=0)):
+        xpows.append(_o_mul(xpows[-1], px))
+    for _ in range(max((j for _, j in a), default=0)):
+        ypows.append(_o_mul(ypows[-1], py))
+    out = {}
+    for (i, j), c in a.items():
+        out = _o_add(out, _o_mul(_o_mul({(0, 0): c}, xpows[i]), ypows[j]))
+    return out
+
+
+def _o_eval(a, x, y):
+    total = F(0)
+    for (i, j), c in a.items():
+        total += c * x**i * y**j
+    return total
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# few exponents, so that sums and products cancel terms often
+_oracle_poly = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeff), max_size=6
+).map(lambda items: {e: c for e, c in dict(items).items() if c})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_oracle_poly, _oracle_poly, st.integers(0, 3), _coeff, _coeff)
+def test_arithmetic_matches_the_fraction_loops_in_storage_order(a, b, n, u, v):
+    p, q = BiPoly(a), BiPoly(b)
+    cases = [
+        (p + q, _o_add(a, b)),
+        (p - q, _o_add(a, {e: -c for e, c in b.items()})),
+        (p * q, _o_mul(a, b)),
+        (p**n, _o_pow(a, n)),
+        (p.diff("x"), _o_diff(a, 0)),
+        (p.diff("y"), _o_diff(a, 1)),
+        (p.swapped(), {(j, i): c for (i, j), c in a.items()}),
+        (p.subst(q, p), _o_subst(a, b, a)),
+        (p.shift(u, v), _o_subst(a, _o_add({(1, 0): F(1)}, {(0, 0): u} if u else {}),
+                                 _o_add({(0, 1): F(1)}, {(0, 0): v} if v else {}))),
+    ]
+    for got, want in cases:
+        assert list(got) == list(want.items())
+        assert got == BiPoly(want) and hash(got) == hash(BiPoly(want))
+    assert p.eval(u, v) == _o_eval(a, u, v)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(-(10**300), 10**300), st.integers(1, 10**400)),
+), max_size=6))
+@example([((0, 0), (-1, 10**400)), ((1, 0), (3, 10**310)), ((0, 1), (2**53 + 1, 2**53))])
+def test_float_terms_are_float_of_each_fraction_bit_for_bit(items):
+    # numerators up to 300 digits and denominators up to 400 reach underflow
+    # to ±0.0, subnormals and the last bit of rounding, but not overflow
+    p = BiPoly({e: F(n, d) for e, (n, d) in items})
+    want = [(float(c), i, j) for (i, j), c in p]
+    got = p.float_terms()
+    assert got == want and repr(got) == repr(want)
+    assert [math.copysign(1, c) for c, _, _ in got] == [math.copysign(1, c) for c, _, _ in want]
+
+
+def test_integer_loops_make_no_fraction_arithmetic(monkeypatch):
+    P, Q = cdk_rhs(F(7, 10), F(1, 2))
+    f = PolyField(P, Q).shifted(0, 1)
+    R = X**2 + F(3, 7) * Y - F(1, 2)
+    coeffs = [F(-2), F(0), F(3, 5), F(1, 3)]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__"):
+        method = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args))
+    products = [P + Q, P - Q, P * Q, f.P * f.Q, (P * R) ** 2, P.diff("x"), f.Q.diff("y")]
+    g = poly_gcd(P * R, Q * R)
+    quotient = poly_divexact(P * R, g)
+    roots = real_roots(coeffs)
+    monkeypatch.undo()
+    assert calls == []
+    assert g == (R * 42).primitive() and quotient * g == P * R
+    assert products[2] == P * Q and roots == real_roots(coeffs)
+
+
+def _nilpotent_by_jacobian(P, Q):
+    """The nilpotency test as it read the Jacobian: differentiate, then evaluate at 0."""
+    if P.eval(0, 0) != 0 or Q.eval(0, 0) != 0:
+        return False
+    a11, a12 = P.diff_x().eval(0, 0), P.diff_y().eval(0, 0)
+    a21, a22 = Q.diff_x().eval(0, 0), Q.diff_y().eval(0, 0)
+    return a11 + a22 == 0 and a11 * a22 - a12 * a21 == 0
+
+
+@pytest.mark.parametrize(
+    "P, Q, nilpotent",
+    [
+        (*cdk_rhs(F(1, 2), F(1, 2)), True),
+        (*cdk_rhs(F(7, 10), 1), True),
+        (Y, X**3, True),
+        (Y, X**2, True),
+        (Y, BiPoly.zero(), True),
+        (F(2, 3) * X - F(4, 9) * Y, F(1, 1) * X - F(2, 3) * Y + X**2, True),
+        (X, Y, False),
+        (X + 1, Y, False),
+        (Y, -X, False),
+        (F(1, 2) * X + Y, F(-1, 4) * X - F(1, 2) * Y + F(1, 5), False),
+        (F(1, 2) * X, F(-1, 3) * Y, False),
+    ],
+)
+def test_nilpotent_origin_verdict_is_the_jacobian_one(P, Q, nilpotent):
+    assert is_nilpotent_origin(P, Q) is nilpotent
+    assert _nilpotent_by_jacobian(P, Q) is nilpotent
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_oracle_poly, _oracle_poly)
+def test_nilpotent_origin_agrees_with_the_jacobian_on_random_fields(a, b):
+    P, Q = BiPoly(a), BiPoly(b)
+    assert is_nilpotent_origin(P, Q) == _nilpotent_by_jacobian(P, Q)

@@ -108,6 +108,31 @@ def test_power_caps_are_degree_24_and_1024_bits():
             parse_system(text)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(x+y+1)^24*(x+y+1)^24*(x+y+1)^24*(x+y+1)^24 ; y", (1, 11)),
+        ("(x+y+1)^24*(x+y+1)^24 ; y", (1, 11)),
+        # the cross-multiplications of numerators and denominators
+        ("x^20 + 1/y^5 ; y", (1, 6)),
+        ("x ; 1/y^5 - x^20", (1, 11)),
+        ("x^20/(1/y^5) ; y", (1, 5)),
+        ("param a = 1\nx ;\n(x+y)^20 * (x+y)^5\n", (3, 10)),
+    ],
+    ids=["four-factors", "two-factors", "plus", "minus", "divide", "third-line"],
+)
+def test_product_above_degree_24_is_rejected_at_its_operator(text, position):
+    with pytest.raises(UnsupportedConstructError, match="product of total degree above 24") as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == position
+
+
+def test_products_up_to_degree_24_parse():
+    assert parse_system("(x+y)^12*(x-y)^12 ; y").field.p == (X**2 - Y**2) ** 12
+    assert parse_system("x^20/y^5 ; 1/y^4 - x^20").field.s == Y**4
+    assert parse_system("x^19 + 1/y^5 ; y").field.q == Y**5
+
+
 def test_decimal_literals_are_exact():
     assert parse_system("0.25*x ; y").field.p == F(1, 4) * X
 

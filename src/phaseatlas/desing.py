@@ -22,6 +22,7 @@ lives outside the symbolic pipeline as an evaluable field object.
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,9 +54,23 @@ class RationalField:
         return (self.p.eval(x, y) / qv, self.r.eval(x, y) / sv)
 
 
-def _factors(i: int, j: int) -> str:
+def _factors(i: int, j: int, x: str, y: str) -> str:
     """Source of the factors x**i, y**j of a term; x**0 is 1.0 and x**1 is x, exactly."""
-    return "".join(f" * {v}" + (f"{e}" if e > 1 else "") for v, e in (("x", i), ("y", j)) if e)
+    return "".join(f" * {v}" + (f"{e}" if e > 1 else "") for v, e in ((x, i), (y, j)) if e)
+
+
+def field_source(tabs, x: str, y: str, out: str) -> str:
+    """Lines that set `out` to the float term tables (P, Q) summed at the point named (x, y).
+
+    Sums c * x**i * y**j from 0.0 in table order, each power taken once by `**`; a value that
+    overflows a float is a PreconditionError naming the point.
+    """
+    powers = sorted({(v, e) for tab in tabs for _, i, j in tab for v, e in ((x, i), (y, j)) if e > 1})
+    sums = ["0.0" + "".join(f" + {c!r}{_factors(i, j, x, y)}" for c, i, j in tab) for tab in tabs]
+    # source from float reprs and integer exponents only, as dataclasses builds __init__
+    return ("try:\n" + "".join(f"    {v}{e} = {v}**{e}\n" for v, e in powers)
+            + f"    {out} {sums[0]}, {sums[1]}\nexcept OverflowError:\n    raise PreconditionError("
+            f"f'field value at ({{{x}!r}}, {{{y}!r}}) overflows a float') from None\n")
 
 
 @dataclass(frozen=True)
@@ -73,28 +88,19 @@ class PolyField:
     def compiled(self):
         """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline, built once.
 
-        Sums c * x**i * y**j from 0.0 in `BiPoly.float_terms()` order, each power
-        taken once by `**`; a value that overflows a float is a PreconditionError.
+        It sums `BiPoly.float_terms()` as `field_source` writes them, and carries the two
+        tables as its `float_terms`, from which `dynamics` inlines the field into its loop.
         """
         return self._rhs
 
     @cached_property
     def _rhs(self):
         tabs = (self.P.float_terms(), self.Q.float_terms())
-        powers = sorted({(v, e) for tab in tabs for _, i, j in tab
-                         for v, e in (("x", i), ("y", j)) if e > 1})
-        sums = ["0.0" + "".join(f" + {c!r}{_factors(i, j)}" for c, i, j in tab) for tab in tabs]
-        # source from float reprs and integer exponents only, as dataclasses builds __init__
-        source = (
-            "def rhs(x, y):\n    try:\n"
-            + "".join(f"        {v}{e} = {v}**{e}\n" for v, e in powers)
-            + f"        return {sums[0]}, {sums[1]}\n    except OverflowError:\n"
-            "        raise PreconditionError(\n"
-            "            f'field value at ({x!r}, {y!r}) overflows a float') from None\n"
-        )
         namespace = {"PreconditionError": PreconditionError}
-        exec(source, namespace)
-        return namespace.pop("rhs")  # no cycle through its globals: freed with the field
+        exec("def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", "return"), "    "), namespace)
+        rhs = namespace.pop("rhs")  # no cycle through its globals: freed with the field
+        rhs.float_terms = tabs
+        return rhs
 
     def jacobian_polys(self):
         """(∂P/∂x, ∂P/∂y, ∂Q/∂x, ∂Q/∂y), differentiated once per field."""

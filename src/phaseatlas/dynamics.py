@@ -10,14 +10,27 @@ proportional step control.  Termination is part of the contract: capture
 near a known equilibrium (with the field pointing inward), box exit, time
 exhaustion, or step underflow — never a silent stop.  For fixed options the
 result is bit-deterministic.
+
+The step loop is one source template, `_LOOP`: for the evaluator that
+`PolyField.compiled()` returns it is built on the field's first `integrate`,
+with the field's powers and term sums written into each stage, and kept on the
+evaluator; any other callable gets one loop that calls it at each stage.  Both
+do a tableau loop's float operations in its order, so trajectories agree bit
+for bit.  First same as last: k6 is the next k0, since the stage-6 point is
+(x5, y5) bit for bit while both are finite (its weights are x5's first six,
+and b6 * k6 = ±0.0 changes no bit of a sum started at +0.0); a non-finite step
+ends the trajectory, and a rejected step keeps its k0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
+import textwrap
 from dataclasses import dataclass, replace
 
-from .desing import PolyField
+from .desing import PolyField, field_source
 from .errors import PreconditionError, SingularEvaluationError
 
 # Dormand-Prince 5(4) coefficients (the classic DOPRI5 tableau)
@@ -85,11 +98,45 @@ def _as_rhs(f):
 
 def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "forward") -> Trajectory:
     """Integrate the field from z0 until a termination condition fires."""
-    if opts is None:
-        opts = IntegratorOptions()
+    opts = IntegratorOptions() if opts is None else opts
     if direction not in ("forward", "backward"):
         raise PreconditionError("direction must be 'forward' or 'backward'")
     base = _as_rhs(f)
+    tabs = getattr(base, "float_terms", None)  # set by PolyField.compiled: inline the field
+    if tabs is not None and not hasattr(base, "dopri5"):
+        base.dopri5 = _build_loop(field_source(tabs, "px", "py", "u, v ="))
+    loop = _calling_loop() if tabs is None else base.dopri5
+    return loop(base, z0, opts, direction)
+
+
+@functools.cache
+def _calling_loop():
+    return _build_loop("u, v = base(px, py)\n")
+
+
+def _build_loop(field):
+    """Compile _LOOP with the tableau's sums in {stages} ... {b4v} and `field` at each FIELD line.
+
+    Each sum keeps a loop's order, start (0.0 for a stage, 0 for a solution) and zero weights,
+    so zero signs, NaN and inf come out as from that loop.
+    """
+    def weighted(start, weights, k):  # start + w0 * k0{k} + w1 * k1{k} + ...
+        return start + "".join(f" + {w!r} * k{j}{k}" for j, w in enumerate(weights))
+    stage = "        px, py = x + h * ({}), y + h * ({})\n        FIELD\n        k{}u, k{}v = sign * u, sign * v\n"
+    source = _LOOP.format(
+        stages="".join(stage.format(weighted("0.0", _A[i], "u"), weighted("0.0", _A[i], "v"), i, i)
+                       for i in range(1, 7)),
+        **{f"{name}{k}": weighted("0", w, k) for name, w in (("b5", _B5), ("b4", _B4)) for k in "uv"})
+    source = re.sub(r"^( *)FIELD\n", lambda m: textwrap.indent(field, m[1]), source, flags=re.M)
+    namespace = dict(vars(math), Trajectory=Trajectory, Termination=Termination,
+                     PreconditionError=PreconditionError, _MAX_STEPS=_MAX_STEPS)
+    exec(source, namespace)
+    return namespace.pop("dopri5")  # no cycle through its globals
+
+
+# The integrator; each FIELD line sets u, v to the unsigned field at (px, py), see _build_loop
+_LOOP = """\
+def dopri5(base, z0, opts, direction):
     sign = 1.0 if direction == "forward" else -1.0
     xmin, xmax, ymin, ymax = opts.box
     caps = [(float(ex), float(ey)) for ex, ey in opts.equilibria]
@@ -98,11 +145,14 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
 
     def capture_at(x, y):
         for ex, ey in caps:
-            if math.hypot(x - ex, y - ey) <= crad:
-                u, v = base(x, y)
-                inward = sign * (u * (ex - x) + v * (ey - y))
-                if inward > 0 or math.hypot(u, v) <= abs_tol:
-                    return (ex, ey)
+            dx, dy = x - ex, y - ey
+            # |dx| > crad or |dy| > crad implies hypot(dx, dy) > crad: hypot is called near only
+            if dx > crad or -dx > crad or dy > crad or -dy > crad or not hypot(dx, dy) <= crad:
+                continue
+            u, v = base(x, y)
+            inward = sign * (u * (ex - x) + v * (ey - y))
+            if inward > 0 or hypot(u, v) <= abs_tol:
+                return (ex, ey)
         return None
 
     x, y = float(z0[0]), float(z0[1])
@@ -115,76 +165,52 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
     if not (xmin <= x <= xmax and ymin <= y <= ymax):
         return Trajectory(tuple(samples), Termination("left_box"), direction)
 
-    speed = math.hypot(*base(x, y))
+    u, v = base(x, y)
+    k0u, k0v = sign * u, sign * v  # the first step's k0
     if fixed_step is not None:
         h = fixed_step
     else:
-        h = min(1.0, 0.01 * (1.0 + math.hypot(x, y)) / (speed + 1e-30))
+        h = min(1.0, 0.01 * (1.0 + hypot(x, y)) / (hypot(u, v) + 1e-30))
 
-    # the tableau written out: each sum keeps a loop's order, start (0.0 for a stage, 0 for a
-    # solution) and zero weights, so zero signs, NaN and inf come out as from that loop
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54), (
-        a60, a61, a62, a63, a64, a65) = _A[1:]
-    b0, b1, b2, b3, b4, b5, b6 = _B5
-    e0, e1, e2, e3, e4, e5, e6 = _B4
     for _ in range(_MAX_STEPS):
         if tau >= max_time:
             return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
-        h = min(h, max_time - tau)
-        if h < 1e-14 * max(1.0, abs(tau)):
+        h = max_time - tau if max_time - tau < h else h
+        at = abs(tau)
+        if h < 1e-14 * (at if at > 1.0 else 1.0):
             return Trajectory(tuple(samples), Termination("step_underflow"), direction)
 
-        u, v = base(x, y)
-        k0u, k0v = sign * u, sign * v
-        u, v = base(x + h * (0.0 + a10 * k0u), y + h * (0.0 + a10 * k0v))
-        k1u, k1v = sign * u, sign * v
-        u, v = base(x + h * (0.0 + a20 * k0u + a21 * k1u), y + h * (0.0 + a20 * k0v + a21 * k1v))
-        k2u, k2v = sign * u, sign * v
-        u, v = base(x + h * (0.0 + a30 * k0u + a31 * k1u + a32 * k2u),
-                    y + h * (0.0 + a30 * k0v + a31 * k1v + a32 * k2v))
-        k3u, k3v = sign * u, sign * v
-        u, v = base(x + h * (0.0 + a40 * k0u + a41 * k1u + a42 * k2u + a43 * k3u),
-                    y + h * (0.0 + a40 * k0v + a41 * k1v + a42 * k2v + a43 * k3v))
-        k4u, k4v = sign * u, sign * v
-        u, v = base(x + h * (0.0 + a50 * k0u + a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
-                    y + h * (0.0 + a50 * k0v + a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v))
-        k5u, k5v = sign * u, sign * v
-        u, v = base(
-            x + h * (0.0 + a60 * k0u + a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
-            y + h * (0.0 + a60 * k0v + a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v))
-        k6u, k6v = sign * u, sign * v
-
-        x5 = x + h * (0 + b0 * k0u + b1 * k1u + b2 * k2u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
-        y5 = y + h * (0 + b0 * k0v + b1 * k1v + b2 * k2v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        x4 = x + h * (0 + e0 * k0u + e1 * k1u + e2 * k2u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u)
-        y4 = y + h * (0 + e0 * k0v + e1 * k1v + e2 * k2v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v)
+{stages}        x5, y5 = x + h * ({b5u}), y + h * ({b5v})
+        x4, y4 = x + h * ({b4u}), y + h * ({b4v})
 
         if fixed_step is not None:
             accept, hnew = True, h
         else:
-            sx = abs_tol + rel_tol * max(abs(x), abs(x5))
-            sy = abs_tol + rel_tol * max(abs(y), abs(y5))
-            err = math.sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
+            ax, ax5, ay, ay5 = abs(x), abs(x5), abs(y), abs(y5)
+            sx = abs_tol + rel_tol * (ax5 if ax5 > ax else ax)
+            sy = abs_tol + rel_tol * (ay5 if ay5 > ay else ay)
+            err = sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
             accept = err <= 1.0
             factor = 0.9 * (err + 1e-300) ** -0.2
-            hnew = h * min(5.0, max(0.2, factor))
+            factor = factor if factor > 0.2 else 0.2
+            hnew = h * (factor if factor < 5.0 else 5.0)
 
         if accept:
             tau += h
+            k0u, k0v = k6u, k6v  # first same as last, exact as the module docstring says
             x, y = x5, y5
             samples.append((tau, (x, y)))
-            if not (math.isfinite(x) and math.isfinite(y)):
+            if not (isfinite(x) and isfinite(y)):
                 return Trajectory(tuple(samples), Termination("step_underflow"), direction)
             hit = capture_at(x, y)
             if hit is not None:
-                return Trajectory(
-                    tuple(samples), Termination("reached_equilibrium", hit), direction
-                )
+                return Trajectory(tuple(samples), Termination("reached_equilibrium", hit), direction)
             if not (xmin <= x <= xmax and ymin <= y <= ymax):
                 return Trajectory(tuple(samples), Termination("left_box"), direction)
         h = hnew
 
     return Trajectory(tuple(samples), Termination("time_exhausted"), direction)
+"""
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,14 @@ class BiPoly:
     def float_terms(self) -> list[tuple[float, int, int]]:
         """Float coefficient table [(float(c), i, j), ...] in storage order, built once: do not modify it."""
         if self._floats is None:
-            self._floats = [(n / self._den, i, j) for (i, j), n in self._num.items()]
+            floats = []
+            for (i, j), n in self._num.items():
+                try:
+                    floats.append((n / self._den, i, j))
+                except OverflowError:
+                    raise PreconditionError(
+                        f"coefficient of {_format_monomial(i, j) or '1'} overflows a float") from None
+            self._floats = floats
         return self._floats
 
     def eval(self, x, y):

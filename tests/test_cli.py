@@ -256,6 +256,17 @@ def test_product_above_degree_24_exits_2_at_once(tmp_path, capsys):
     assert code == 2 and "product of total degree above 24" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("stationary",), ("analyze",), ("portrait",), ("omega", "--start", "0.1,0.1"), ("index", "--radius", "1")]
+)
+def test_coefficient_beyond_float_range_exits_3(tmp_path, capsys, argv):
+    # 10^400 has no float; this used to end in an OverflowError traceback
+    spec = tmp_path / "wide.txt"
+    spec.write_text("x*1" + "0" * 400 + " ; -y\n", encoding="utf-8")
+    code, out, err = run(capsys, argv[0], "--system", str(spec), *argv[1:])
+    assert (code, out, err) == (3, "", "error: coefficient of x overflows a float\n")
+
+
 def test_portrait_output_file(tmp_path, capsys):
     out_path = tmp_path / "p.svg"
     code, _, _ = run(

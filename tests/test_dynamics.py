@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseatlas.desing import cdk_poly_field, desingularize, sprott_field, PolyField
 from phaseatlas.dynamics import (
@@ -21,7 +24,7 @@ from phaseatlas.dynamics import (
 )
 from phaseatlas.equilibria import cdk_stationary_points
 from phaseatlas.errors import PreconditionError, SingularEvaluationError
-from phaseatlas.polycore import X, Y
+from phaseatlas.polycore import BiPoly, X, Y
 from phaseatlas.sysio import parse_system
 
 F = Fraction
@@ -199,6 +202,17 @@ _LV_POINTS = ((0.0, 0.0), (3.0, 0.0), (0.0, 2.0), (1.0, 1.0))
 _SQUARE = (-3.0, 3.0, -3.0, 3.0)
 _PLANE = (-math.inf, math.inf, -math.inf, math.inf)
 
+def _axis_capture_case():
+    """x' = 1 along the x-axis, with a target exactly crad beyond the third sample."""
+    f = PolyField(BiPoly.const(1), BiPoly.const(0))
+    opts = IntegratorOptions(max_time=1.0, fixed_step=0.01, box=_SQUARE)
+    x3, y3 = _reference_integrate(f, (0.5, 0.0), opts).samples[3][1]
+    crad = 2.0**-10
+    assert (x3 - (x3 + crad), y3) == (-crad, 0.0)
+    opts = replace(opts, equilibria=((x3 + crad, 0.0),), equilibrium_capture_radius=crad)
+    return f, (0.5, 0.0), opts, "forward", "reached_equilibrium"
+
+
 _CASES = [
     # (field, start, options, direction, termination)
     (cdk_poly_field(F(7, 10), F(1, 2)), (0.01, 0.01),
@@ -229,6 +243,14 @@ _CASES = [
     # the same blow-up at a fixed step, without powers: the stages overflow to inf and NaN
     (PolyField(X * Y, X * Y), (1.0, 1.0),
      IntegratorOptions(fixed_step=0.25, box=_PLANE), "forward", "step_underflow"),
+    # from a slow start h is 1.0: steps are rejected and retried from the same k0
+    (PolyField(Y, -X), (1e-3, 0.0), IntegratorOptions(max_time=2.0, box=_SQUARE), "forward", "time_exhausted"),
+    # x goes from -0.0 to +0.0 in the first step, and the next k0 must be the field at +0.0:
+    # k6, whose stage point is +0.0 as well
+    (lambda x, y: (0.0 * y, math.copysign(1.0, x)), (-0.0, 0.5),
+     IntegratorOptions(max_time=1.0, box=_SQUARE), "forward", "time_exhausted"),
+    # captured at distance exactly crad, on the x-axis
+    _axis_capture_case(),
 ]
 
 
@@ -241,6 +263,99 @@ def test_integrate_matches_the_tableau_loop_bit_for_bit(f, z0, opts, direction, 
     assert repr(got.samples) == repr(want.samples)
 
 
+def _overflow_as_precondition(f):
+    """f summed term by term by BiPoly.eval, with an overflow reported as PolyField.compiled does."""
+
+    def base(x, y):
+        try:
+            return f.P.eval(x, y), f.Q.eval(x, y)
+        except OverflowError:
+            raise PreconditionError(f"field value at ({x!r}, {y!r}) overflows a float") from None
+
+    return base
+
+
+def _polynomial(coefficients):
+    return sum((c * X**i * Y**j for (i, j), c in coefficients.items()), BiPoly.const(0))
+
+
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3), st.integers(-3, 3),
+    max_size=5,
+)
+_SIMPLE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    p=_TERMS,
+    q=_TERMS,
+    start=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    direction=st.sampled_from(["forward", "backward"]),
+    targets=st.lists(st.tuples(_SIMPLE, _SIMPLE), max_size=3),
+    crad=st.sampled_from([0.0, 1e-3, 0.1, 0.5]),
+    fixed_step=st.sampled_from([None, None, 0.05]),
+)
+def test_generated_loop_matches_the_tableau_loop_on_random_fields(p, q, start, direction, targets, crad,
+                                                                   fixed_step):
+    f = PolyField(_polynomial(p), _polynomial(q))
+    # the origin is an equilibrium of every field without constant terms
+    opts = IntegratorOptions(max_time=10.0, box=(-4.0, 4.0, -4.0, 4.0), equilibria=((0.0, 0.0), *targets),
+                             equilibrium_capture_radius=crad, fixed_step=fixed_step)
+
+    def outcome(run, field):
+        try:
+            traj = run(field, start, opts, direction)
+        except PreconditionError as exc:
+            return str(exc)
+        return repr(traj.termination), repr(traj.samples)
+
+    assert outcome(integrate, f) == outcome(_reference_integrate, _overflow_as_precondition(f))
+
+
+# -- field evaluations on the call-per-stage path ------------------------------------
+
+
+def _counting(base):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return base(x, y)
+
+    return counted, calls
+
+
+def _capture_calls(traj, opts):
+    """Field evaluations of the capture test along a trajectory: one per target within reach."""
+    caps = [(float(ex), float(ey)) for ex, ey in opts.equilibria]
+    calls = 0
+    for _, (x, y) in traj.samples:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            break
+        for cap in caps:
+            if math.hypot(x - cap[0], y - cap[1]) <= opts.equilibrium_capture_radius:
+                calls += 1
+                if cap == traj.termination.which and (x, y) == traj.last_point:
+                    break
+    return calls
+
+
+@pytest.mark.parametrize("f, z0, opts, direction, kind", _CASES)
+def test_call_per_stage_path_evaluates_the_field_six_times_per_attempted_step(f, z0, opts, direction, kind):
+    base = f.compiled() if isinstance(f, PolyField) else f
+    counted, calls = _counting(base)
+    got = integrate(counted, z0, opts, direction)
+    assert repr(got.samples) == repr(integrate(f, z0, opts, direction).samples)
+    # the tableau loop evaluates seven times per attempted step, after one start evaluation
+    reference, reference_calls = _counting(base)
+    _reference_integrate(reference, z0, opts, direction)
+    captures = _capture_calls(got, opts)
+    attempts, rest = divmod(len(reference_calls) - 1 - captures, 7)
+    assert rest == 0 and attempts >= len(got.samples) - 1
+    assert len(calls) == 1 + 6 * attempts + captures
+
+
 # -- float overflow ------------------------------------------------------------------
 
 
@@ -250,6 +365,19 @@ def test_overflowing_field_value_is_a_precondition_error():
         index_on_circle(f, (0, 0), 1e200)
     with pytest.raises(PreconditionError, match=r"field value at \(1e\+200, 0\.0\) overflows"):
         integrate(f, (1e200, 0.0), IntegratorOptions(box=_PLANE))
+
+
+def test_overflow_inside_a_stage_names_the_stage_point():
+    # x' = x^2 at a fixed step: the start and the first steps are finite, then a stage's x**2 overflows
+    f, z0, opts = PolyField(X**2, -Y), (1.0, 1.0), IntegratorOptions(fixed_step=0.25, box=_PLANE)
+    with pytest.raises(PreconditionError, match="overflows a float") as want:
+        _reference_integrate(_overflow_as_precondition(f), z0, opts)
+    for field in (f, _counting(f.compiled())[0]):
+        with pytest.raises(PreconditionError) as got:
+            integrate(field, z0, opts)
+        assert str(got.value) == str(want.value)
+    x = float(str(want.value).split("(")[1].split(",")[0])
+    assert x > 1e154  # a stage point, where x**2 overflows; no sample gets there
 
 
 # -- omega limits -----------------------------------------------------------------

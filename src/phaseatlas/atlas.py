@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import blowup, compact, equilibria
 from .desing import cdk_poly_field
@@ -62,25 +63,28 @@ def classify_region(a, b, diagnostics=None) -> str:
     b = _rationalize(b, diagnostics)
     if a <= 0 or b <= 0:
         raise DomainError("parameters must be positive")
-    if a == 1 and b == 1:
-        return "1"
-    if a == 1:
-        return "3a" if b > 1 else "3b"
-    if b == 1:
-        if a < Fraction(1, 2):
+    return _region(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
+
+
+def _region(A: int, B: int, D: int) -> str:
+    """Region label of (A/D, B/D), ints A, B, D > 0: the one tree of `classify_region` and `scan_grid`."""
+    if A == D:
+        return "1" if B == D else ("3a" if B > D else "3b")
+    if B == D:
+        if 2 * A < D:
             return "3i"
-        if a == Fraction(1, 2):
+        if 2 * A == D:
             return "3j"
-        return "3k" if a < 1 else "3l"
-    if a > 1 and b < 1:
+        return "3k" if A < D else "3l"
+    if A > D and B < D:
         return "2a"
-    if a < 1 and b > 1:
+    if A < D and B > D:
         # the boundary |8a(a-1)| = b belongs to the node case
-        return "2b" if abs(8 * a * (a - 1)) > b else "2c"
-    if a > 1 and b > 1:
-        return "3c" if a == b else ("3d" if a < b else "3e")
+        return "2b" if abs(8 * A * (A - D)) > B * D else "2c"
+    if A > D and B > D:
+        return "3c" if A == B else ("3d" if A < B else "3e")
     # 0 < a, b < 1
-    return "3f" if a == b else ("3g" if a < b else "3h")
+    return "3f" if A == B else ("3g" if A < B else "3h")
 
 
 @dataclass(frozen=True)
@@ -303,15 +307,6 @@ class ScanResult:
         return out
 
 
-def _midpoints(lo: Fraction, hi: Fraction, n: int):
-    step = (hi - lo) / n
-    return [lo + step * Fraction(2 * k + 1, 2) for k in range(n)]
-
-
-def _curve(a: Fraction) -> Fraction:
-    return abs(8 * a * (a - 1))
-
-
 def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     """Region map over a rectangle of the parameter plane.
 
@@ -320,80 +315,83 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     are sampled separately so every region that meets the rectangle shows
     up in the result.
 
-    A row of fixed b is filled by runs.  Every predicate `classify_region`
-    reads (a against 1/2, 1 and b, and |8a(a-1)| > b) is monotone in a on
-    each of a < 1/2, 1/2 <= a < 1 and a >= 1, so bisection over the sorted
+    The scan runs on ints: each midpoint lo + (hi - lo)(2k+1)/(2n) is a
+    numerator A over D = 2n * lcm(denominators of the range ends), labeled by
+    `_region`; a curve point (a, 8a(1-a)) is (A*D, 8A(D-A)) over D^2.
+
+    A row of fixed b is filled by runs.  Every predicate `_region` reads
+    (a against 1/2, 1 and b, and |8a(a-1)| > b) is monotone in a on each
+    of a < 1/2, 1/2 <= a < 1 and a >= 1, so bisection over the sorted
     midpoints finds, exactly, every index where one of them can change; a
-    midpoint on a line gets a run of its own.  `classify_region` labels the
-    first cell of each run and the label fills the run.  Exact comparisons
-    thus grow as rows * log(columns), while the output stays n^2 cells.
+    midpoint on a line gets a run of its own.  The first cell of each run
+    is labeled and the label fills the run.  Exact comparisons thus grow
+    as rows * log(columns), while the output stays n^2 cells.
     """
-    a_lo, a_hi = (as_rational(v) for v in a_range)
-    b_lo, b_hi = (as_rational(v) for v in b_range)
+    ends = [as_rational(v) for v in (*a_range, *b_range)]
+    L = lcm(*(v.denominator for v in ends))
+    a_lo, a_hi, b_lo, b_hi = (v.numerator * (L // v.denominator) for v in ends)
     if not (0 <= a_lo < a_hi and 0 <= b_lo < b_hi):
         raise DomainError("ranges must be ascending and nonnegative")
     if resolution < 1:
         raise DomainError("resolution must be at least 1")
+    n = resolution
+    D = 2 * n * L
+    a_vals = [2 * n * a_lo + (a_hi - a_lo) * (2 * k + 1) for k in range(n)]
+    b_vals = [2 * n * b_lo + (b_hi - b_lo) * (2 * k + 1) for k in range(n)]
+    a_lo, a_hi, b_lo, b_hi = (2 * n * v for v in (a_lo, a_hi, b_lo, b_hi))  # over D
 
-    a_vals = _midpoints(a_lo, a_hi, resolution)
-    b_vals = _midpoints(b_lo, b_hi, resolution)
+    def curve(A):
+        return abs(8 * A * (A - D))
 
-    n = len(a_vals)
-    half = bisect_left(a_vals, Fraction(1, 2))
-    one = bisect_left(a_vals, 1)
-    fixed = {0, n, half, one, bisect_right(a_vals, Fraction(1, 2)), bisect_right(a_vals, 1)}
+    half = bisect_left(a_vals, D // 2)
+    one = bisect_left(a_vals, D)
+    fixed = {0, n, half, one, bisect_right(a_vals, D // 2), bisect_right(a_vals, D)}
     cells = []
-    for b in b_vals:
+    for B in b_vals:
+        K = B * D  # b over D^2, the denominator of the curve key
         cuts = sorted(fixed | {
-            bisect_left(a_vals, b),
-            bisect_right(a_vals, b),
+            bisect_left(a_vals, B),
+            bisect_right(a_vals, B),
             # |8a(a-1)| > b: it rises below a = 1/2, falls up to a = 1, rises after
-            bisect_right(a_vals, b, 0, half, key=_curve),
-            bisect_left(a_vals, -b, half, one, key=lambda a: -_curve(a)),
-            bisect_right(a_vals, b, one, n, key=_curve),
+            bisect_right(a_vals, K, 0, half, key=curve),
+            bisect_left(a_vals, -K, half, one, key=lambda A: -curve(A)),
+            bisect_right(a_vals, K, one, n, key=curve),
         })
         row = []
         for lo, hi in zip(cuts, cuts[1:]):
-            row += [classify_region(a_vals[lo], b)] * (hi - lo)
+            row += [_region(a_vals[lo], B, D)] * (hi - lo)
         cells.append(tuple(row))
 
-    def in_a(v):
-        return a_lo < v <= a_hi
-
-    def in_b(v):
-        return b_lo < v <= b_hi
-
+    a_one, b_one = a_lo < D <= a_hi, b_lo < D <= b_hi  # the lines a = 1 and b = 1 meet the rectangle
     loci: dict[str, tuple] = {}
-    if in_a(Fraction(1)):
-        ids = {classify_region(1, b) for b in b_vals}
-        if in_b(Fraction(1)):
-            ids.add(classify_region(1, 1))
+    if a_one:
+        ids = {_region(D, B, D) for B in b_vals}
+        if b_one:
+            ids.add(_region(D, D, D))
         loci["a=1"] = tuple(sorted(ids))
-    if in_b(Fraction(1)):
-        ids = {classify_region(a, 1) for a in a_vals if in_a(a)}
-        if in_a(Fraction(1, 2)):
-            ids.add(classify_region(Fraction(1, 2), 1))
-        if in_a(Fraction(1)):
-            ids.add(classify_region(1, 1))
+    if b_one:
+        ids = {_region(A, D, D) for A in a_vals}
+        if a_lo < D // 2 <= a_hi:
+            ids.add(_region(D // 2, D, D))
+        if a_one:
+            ids.add(_region(D, D, D))
         loci["b=1"] = tuple(sorted(ids))
-    diag = [v for v in a_vals if in_b(v)]
-    if diag:
-        ids = {classify_region(v, v) for v in diag}
-        if in_a(Fraction(1)) and in_b(Fraction(1)):
+    ids = {_region(V, V, D) for V in a_vals if b_lo < V <= b_hi}
+    if ids:
+        if a_one and b_one:
             ids.add("1")
         loci["a=b"] = tuple(sorted(ids))
-    # the focus/node boundary b = |8a(a-1)| inside b>1>a
+    # the focus/node boundary b = |8a(a-1)| inside b>1>a, at b = C/D^2
     curve_ids = set()
-    for a in a_vals:
-        if a < 1:
-            bval = 8 * a * (1 - a)
-            if bval > 1 and in_b(bval):
-                curve_ids.add(classify_region(a, bval))
+    for A in a_vals:
+        C = 8 * A * (D - A)
+        if C > D * D and b_lo * D < C <= b_hi * D:
+            curve_ids.add(_region(A * D, C, D * D))
     if curve_ids:
         loci["|8a(a-1)|=b"] = tuple(sorted(curve_ids))
     return ScanResult(
-        a_values=tuple(a_vals),
-        b_values=tuple(b_vals),
+        a_values=tuple(Fraction(A, D) for A in a_vals),
+        b_values=tuple(Fraction(B, D) for B in b_vals),
         cells=tuple(cells),
         boundary_loci=loci,
     )

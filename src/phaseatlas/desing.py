@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import textwrap
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,6 +74,11 @@ def field_source(tabs, x: str, y: str, out: str) -> str:
             f"f'field value at ({{{x}!r}}, {{{y}!r}}) overflows a float') from None\n")
 
 
+def compile_named(source: str, kind: str):
+    """Code of `source` filed as <phaseatlas KIND CRC>: a profile keeps each distinct source apart."""
+    return compile(source, f"<phaseatlas {kind} {zlib.crc32(source.encode()):08x}>", "exec")
+
+
 @dataclass(frozen=True)
 class PolyField:
     """Polynomial planar field (P, Q) with the time multiplier that produced it."""
@@ -97,7 +103,8 @@ class PolyField:
     def _rhs(self):
         tabs = (self.P.float_terms(), self.Q.float_terms())
         namespace = {"PreconditionError": PreconditionError}
-        exec("def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", "return"), "    "), namespace)
+        source = "def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", "return"), "    ")
+        exec(compile_named(source, "rhs"), namespace)
         rhs = namespace.pop("rhs")  # no cycle through its globals: freed with the field
         rhs.float_terms = tabs
         return rhs

@@ -30,7 +30,7 @@ import re
 import textwrap
 from dataclasses import dataclass, replace
 
-from .desing import PolyField, field_source
+from .desing import PolyField, compile_named, field_source
 from .errors import PreconditionError, SingularEvaluationError
 
 # Dormand-Prince 5(4) coefficients (the classic DOPRI5 tableau)
@@ -130,7 +130,7 @@ def _build_loop(field):
     source = re.sub(r"^( *)FIELD\n", lambda m: textwrap.indent(field, m[1]), source, flags=re.M)
     namespace = dict(vars(math), Trajectory=Trajectory, Termination=Termination,
                      PreconditionError=PreconditionError, _MAX_STEPS=_MAX_STEPS)
-    exec(source, namespace)
+    exec(compile_named(source, "dopri5"), namespace)
     return namespace.pop("dopri5")  # no cycle through its globals
 
 

@@ -217,3 +217,91 @@ def test_scan_cells_match_classify_region(rect):
     assert res.cells == tuple(
         tuple(classify_region(a, b) for a in res.a_values) for b in res.b_values
     )
+
+
+# -- one integer decision tree ----------------------------------------------------------
+
+
+def _fraction_tree(a, b):
+    """The region decision tree as it read in Fraction arithmetic (oracle for the integer one)."""
+    if a == 1 and b == 1:
+        return "1"
+    if a == 1:
+        return "3a" if b > 1 else "3b"
+    if b == 1:
+        if a < F(1, 2):
+            return "3i"
+        if a == F(1, 2):
+            return "3j"
+        return "3k" if a < 1 else "3l"
+    if a > 1 and b < 1:
+        return "2a"
+    if a < 1 and b > 1:
+        return "2b" if abs(8 * a * (a - 1)) > b else "2c"
+    if a > 1 and b > 1:
+        return "3c" if a == b else ("3d" if a < b else "3e")
+    return "3f" if a == b else ("3g" if a < b else "3h")
+
+
+_positive = st.fractions(min_value=F(1, 10**9), max_value=9, max_denominator=10**9)
+
+
+@st.composite
+def _points_on_the_loci(draw):
+    """(a, b) mostly on a = 1/2, a = 1, b = 1, a = b or b = |8a(a-1)|."""
+    a = draw(st.one_of(st.sampled_from([F(1, 2), F(1), F(1, 4), F(3, 4)]), _positive))
+    locus = draw(st.sampled_from(["b=1", "a=b", "curve", "curve", "free"]))
+    if locus == "b=1":
+        return a, F(1)
+    if locus == "a=b":
+        return a, a
+    if locus == "curve" and a != 1:
+        return a, abs(8 * a * (a - 1))  # (1/4, 3/2) and (3/4, 3/2) among them
+    return a, draw(_positive)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_points_on_the_loci())
+def test_integer_tree_matches_the_fraction_tree(point):
+    a, b = point
+    assert classify_region(a, b) == _fraction_tree(a, b)
+    assert classify_region(str(a), str(b)) == _fraction_tree(a, b)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.fractions(max_value=0), st.fractions())
+def test_nonpositive_parameter_is_a_domain_error(nonpositive, other):
+    for a, b in ((nonpositive, other), (abs(other) + 1, nonpositive)):
+        with pytest.raises(DomainError, match="parameters must be positive"):
+            classify_region(a, b)
+
+
+def test_float_parameters_are_rationalized_with_a_diagnostic():
+    notes = []
+    assert classify_region(0.5, 1.0, notes) == "3j"
+    assert classify_region(0.25, 1.5, notes) == _fraction_tree(F(1, 4), F(3, 2)) == "2c"
+    assert len(notes) == 4
+    assert notes[0].startswith("parameter 0.5 was rationalized from a float")
+    assert classify_region(0.1, 0.1) == "3f"  # the nearest double, on the diagonal
+
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__floordiv__", "__pow__", "__neg__", "__abs__", "__eq__",
+                 "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_scan_of_17_digit_ranges_runs_on_integers(monkeypatch):
+    a_range = (F("0.12345678901234567"), F("3.12345678901234567"))
+    b_range = (F("0.98765432109876543"), F("3.98765432109876543"))
+    calls = []
+    for name in _FRACTION_OPS:
+        method = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args))
+    res = scan_grid(a_range, b_range, 200)
+    monkeypatch.undo()
+    assert calls == []
+    assert res.cells == tuple(
+        tuple(classify_region(a, b) for a in res.a_values) for b in res.b_values
+    )
+    assert res.a_values[0] == a_range[0] + F(3, 400) and res.b_values[-1] == b_range[1] - F(3, 400)
+    assert len(res.distinct_regions()) >= 10

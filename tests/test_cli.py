@@ -208,6 +208,15 @@ def test_scan_classifies_once_per_run(count_calls, capsys):
     assert counts["classify_region"] <= 2500  # one per cell would be 40,000
 
 
+def test_scan_labels_once_per_run(count_calls, capsys):
+    from phaseatlas import atlas
+
+    counts = count_calls((atlas._region,))
+    code, _, _ = run(capsys, "scan", "--a-range", "0:3", "--b-range", "0:3", "--resolution", "200")
+    assert code == 0
+    assert 0 < counts["_region"] <= 2500  # one per cell would be 40,000
+
+
 _SCAN_DOC = {
     "a_values": ["1/2", "3/2"],
     "b_values": ["1/2", "3/2"],

@@ -13,6 +13,7 @@ from phaseatlas.dynamics import (
     _B4,
     _B5,
     _MAX_STEPS,
+    _calling_loop,
     IntegratorOptions,
     Termination,
     Trajectory,
@@ -354,6 +355,21 @@ def test_call_per_stage_path_evaluates_the_field_six_times_per_attempted_step(f,
     attempts, rest = divmod(len(reference_calls) - 1 - captures, 7)
     assert rest == 0 and attempts >= len(got.samples) - 1
     assert len(calls) == 1 + 6 * attempts + captures
+
+
+def test_generated_functions_are_filed_apart_for_profilers():
+    f, g = cdk_poly_field(F(7, 10), F(1, 2)), cdk_poly_field(F(1, 5), F(1, 2))
+    opts = _cdk_opts(F(7, 10), F(1, 2))
+    for field in (f, g):
+        integrate(field, (0.3, 0.4), opts)
+    names = [code.co_filename for field in (f, g)
+             for code in (field.compiled().__code__, field.compiled().dopri5.__code__)]
+    names.append(_calling_loop().__code__.co_filename)
+    assert all(name.startswith("<phaseatlas ") for name in names)
+    assert len(set(names)) == 5
+    # an equal field writes the same source, under the same name
+    same = cdk_poly_field(F(7, 10), F(1, 2)).compiled().__code__.co_filename
+    assert same == names[0]
 
 
 # -- float overflow ------------------------------------------------------------------

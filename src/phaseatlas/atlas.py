@@ -58,7 +58,7 @@ def _rationalize(value, diagnostics=None):
 
 
 def classify_region(a, b, diagnostics=None) -> str:
-    """Region label of (a, b); exact comparisons, boundaries included."""
+    """Region label of (a, b), boundaries included: `_region` on a and b over one denominator."""
     a = _rationalize(a, diagnostics)
     b = _rationalize(b, diagnostics)
     if a <= 0 or b <= 0:

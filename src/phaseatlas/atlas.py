@@ -307,6 +307,11 @@ class ScanResult:
         return out
 
 
+# The largest scan resolution, whose region-map SVG is about 77 MB.  An
+# unbounded n = 10^5 would ask for 10^10 cells and run out of memory.
+MAX_RESOLUTION = 1000
+
+
 def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     """Region map over a rectangle of the parameter plane.
 
@@ -326,6 +331,9 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     midpoint on a line gets a run of its own.  The first cell of each run
     is labeled and the label fills the run.  Exact comparisons thus grow
     as rows * log(columns), while the output stays n^2 cells.
+
+    The resolution n runs from 1 to `MAX_RESOLUTION` (1000); any other
+    value is a DomainError, raised before a cell is made.
     """
     ends = [as_rational(v) for v in (*a_range, *b_range)]
     L = lcm(*(v.denominator for v in ends))
@@ -334,6 +342,8 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
         raise DomainError("ranges must be ascending and nonnegative")
     if resolution < 1:
         raise DomainError("resolution must be at least 1")
+    if resolution > MAX_RESOLUTION:
+        raise DomainError(f"resolution must be at most {MAX_RESOLUTION}")
     n = resolution
     D = 2 * n * L
     a_vals = [2 * n * a_lo + (a_hi - a_lo) * (2 * k + 1) for k in range(n)]

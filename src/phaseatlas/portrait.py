@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -325,7 +326,14 @@ REGION_COLORS = {
 
 
 def render_region_map(scan) -> str:
-    """Colorable SVG map of a parameter-plane scan (one rect per cell)."""
+    """Colorable SVG map of a parameter-plane scan (one rect per cell).
+
+    A scan row has a few runs of equal labels, so each run is written by one
+    join of its columns' `<rect x=...` prefixes, with the row's `y`, the cell
+    size and the run's fill as the separator.  The bytes are those of one
+    line per cell.  A row longer than `a_values` is cut at the last column;
+    a shorter row draws only its own cells.
+    """
     n_a, n_b = len(scan.a_values), len(scan.b_values)
     a_lo = float(scan.a_values[0]) - (float(scan.a_values[1]) - float(scan.a_values[0])) / 2 if n_a > 1 else 0.0
     b_lo = float(scan.b_values[0]) - (float(scan.b_values[1]) - float(scan.b_values[0])) / 2 if n_b > 1 else 0.0
@@ -333,15 +341,20 @@ def render_region_map(scan) -> str:
     db = (float(scan.b_values[1]) - float(scan.b_values[0])) if n_b > 1 else 1.0
     width, height = n_a * da, n_b * db
     out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="600" height="600" '
-        f'viewBox="{_fmt(a_lo)} {_fmt(-b_lo - height)} {_fmt(width)} {_fmt(height)}">',
+        f'viewBox="{_fmt(a_lo)} {_fmt(-b_lo - height)} {_fmt(width)} {_fmt(height)}">\n',
     ]
     # each coordinate is formatted once, per column and per row
     columns = [f'<rect x="{_fmt(a_lo + i * da)}" y="' for i in range(n_a)]
     size = f'" width="{_fmt(da)}" height="{_fmt(db)}" fill="'
     for j in range(n_b):
         tail = _fmt(-(b_lo + (j + 1) * db)) + size
-        out += [f'{x}{tail}{REGION_COLORS[c]}"/>' for x, c in zip(columns, scan.cells[j])]
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        i = 0
+        for c, run in groupby(scan.cells[j][:n_a]):
+            k = i + len(list(run))
+            line_end = f'{tail}{REGION_COLORS[c]}"/>\n'
+            out += (line_end.join(columns[i:k]), line_end)
+            i = k
+    out.append("</svg>\n")
+    return "".join(out)

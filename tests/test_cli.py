@@ -217,6 +217,15 @@ def test_scan_labels_once_per_run(count_calls, capsys):
     assert 0 < counts["_region"] <= 2500  # one per cell would be 40,000
 
 
+@pytest.mark.parametrize("resolution", ["1001", "1000000000"])
+def test_scan_above_the_resolution_bound_exits_3_at_once(capsys, resolution):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--resolution", resolution)
+    # unbounded, 10^9 would ask for 10^18 cells
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "resolution must be at most 1000" in err
+
+
 _SCAN_DOC = {
     "a_values": ["1/2", "3/2"],
     "b_values": ["1/2", "3/2"],

@@ -77,6 +77,9 @@ OTHER_DIGESTS = {
     "region-map-8": "4aa726fe21df523592657eff818fce300dc5dc1b8c02aeac528029ac5fcf6f1b",
     "region-map-20": "e68992a6c75d0f300139fb6b7acaa1f253f948c198fb01147ebcc42725a68ee4",
     "region-map-1": "0287fa026d293541eed6b9488bb6ae3973962dbbfdfb012b0a78eefa7aef4fcc",
+    # the benchmark's scan-map size, 200x200 over 0:3
+    "scan-200": "3516f6afd05b6e6c5ef9cdc9c46438fda8cf025d165c79803208ba774f3001a8",
+    "region-map-200": "1ed57b66c5089ef30a21a4dc9aee103e15a5c16ca0b5ec5866007445a29b57eb",
     # spec-file charts: the cdk cases reach weights (1, 1) and (1, 2) only, and
     # Lotka-Volterra's points at infinity are not those of a cdk field
     "blowup-cusp": "e1ac68c34ee25efab3839bb395493d23ed94e4beee4216ba6af390ecb92eba0e",
@@ -141,6 +144,7 @@ def test_cusp_analyze_reads_the_origin_jacobian_without_diff(monkeypatch, capsys
 
 SCANS = {
     "20": ("--resolution", "20"),
+    "200": ("--resolution", "200"),
     "8": ("--a-range", "1/8:17/8", "--b-range", "1/8:17/8", "--resolution", "8"),
     "1": ("--a-range", "1/2:3/2", "--b-range", "1/2:3/2", "--resolution", "1"),
 }
@@ -149,6 +153,11 @@ SCANS = {
 def test_scan_digest(capsys):
     got = _digest(capsys, "scan", *SCANS["20"])
     assert got == OTHER_DIGESTS["scan-20"]
+
+
+def test_scan_at_the_benchmark_size_digest(capsys):
+    got = _digest(capsys, "scan", *SCANS["200"])
+    assert got == OTHER_DIGESTS["scan-200"]
 
 
 def test_scan_on_every_locus_digest(capsys):

@@ -1,15 +1,20 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from phaseatlas.atlas import scan_grid
+from phaseatlas.atlas import REGION_IDS, ScanResult, scan_grid
 from phaseatlas.blowup import classify_nilpotent_origin
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.equilibria import ClassificationKind, cdk_stationary_points
 from phaseatlas.polycore import BiPoly, X, Y
 from phaseatlas.portrait import (
     GLYPH_MAP,
+    REGION_COLORS,
+    _fmt,
     glyph_for,
     render_portrait,
     render_region_map,
@@ -104,6 +109,70 @@ def test_region_map_renders_all_colors():
     svg = render_region_map(res)
     assert svg.count("<rect") == 64
     assert render_region_map(res) == svg
+
+
+def _per_cell_region_map(scan):
+    """The region map written with one f-string per cell, the reference for the run writer."""
+    n_a, n_b = len(scan.a_values), len(scan.b_values)
+    a_lo = float(scan.a_values[0]) - (float(scan.a_values[1]) - float(scan.a_values[0])) / 2 if n_a > 1 else 0.0
+    b_lo = float(scan.b_values[0]) - (float(scan.b_values[1]) - float(scan.b_values[0])) / 2 if n_b > 1 else 0.0
+    da = (float(scan.a_values[1]) - float(scan.a_values[0])) if n_a > 1 else 1.0
+    db = (float(scan.b_values[1]) - float(scan.b_values[0])) if n_b > 1 else 1.0
+    width, height = n_a * da, n_b * db
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="600" height="600" '
+        f'viewBox="{_fmt(a_lo)} {_fmt(-b_lo - height)} {_fmt(width)} {_fmt(height)}">',
+    ]
+    columns = [f'<rect x="{_fmt(a_lo + i * da)}" y="' for i in range(n_a)]
+    size = f'" width="{_fmt(da)}" height="{_fmt(db)}" fill="'
+    for j in range(n_b):
+        tail = _fmt(-(b_lo + (j + 1) * db)) + size
+        out += [f'{x}{tail}{REGION_COLORS[c]}"/>' for x, c in zip(columns, scan.cells[j])]
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+_labels = st.sampled_from(REGION_IDS)
+_row_kinds = st.sampled_from(["one label", "single cells", "all 16", "runs"])
+_steps = st.integers(1, 15)
+_runs = st.lists(st.tuples(_labels, st.integers(1, 8)), max_size=26)
+_sizes = st.integers(2, 24)
+
+
+def _row(draw, n):
+    """A row of about n labels: one label, single-cell runs, all 16 labels or random runs."""
+    length = max(0, n + draw(st.integers(-2, 2)))  # rows shorter and longer than a_values
+    kind = draw(_row_kinds)
+    if kind == "one label":
+        return (draw(_labels),) * length
+    if kind == "single cells":
+        steps = [draw(_steps) for _ in range(length)]
+        return tuple(REGION_IDS[i % 16] for i in accumulate(steps, initial=draw(_steps)))[:length]
+    if kind == "all 16":
+        return tuple(draw(st.permutations(REGION_IDS)) * (length // 16 + 1))[:length]
+    return tuple(label for label, size in draw(_runs) for _ in range(size))[: n + 2]
+
+
+def _axis(draw, n):
+    start = Fraction(draw(st.integers(0, 500)), draw(_sizes))
+    step = Fraction(draw(st.integers(1, 200)), draw(_sizes))
+    return tuple(start + k * step for k in range(n))
+
+
+@st.composite
+def _region_maps(draw):
+    n = draw(_sizes)
+    n_a, n_b = draw(st.sampled_from([(1, 1), (1, n), (n, 1), (n, draw(_sizes))]))
+    cells = tuple(_row(draw, n_a) for _ in range(n_b))
+    return ScanResult(_axis(draw, n_a), _axis(draw, n_b), cells, {})
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_region_maps())
+@example(ScanResult(tuple(range(1, 17)), (1,), (REGION_IDS,), {}))
+def test_region_map_matches_the_per_cell_writer(scan):
+    assert render_region_map(scan) == _per_cell_region_map(scan)
 
 
 def test_glyphs_match_stationary_point_kinds():

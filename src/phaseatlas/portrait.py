@@ -328,7 +328,7 @@ REGION_COLORS = {
 def render_region_map(scan) -> str:
     """Colorable SVG map of a parameter-plane scan (one rect per cell).
 
-    A scan row has a few runs of equal labels, so each run is written by one
+    A scan row has few runs of equal labels, so each run is written by one
     join of its columns' `<rect x=...` prefixes, with the row's `y`, the cell
     size and the run's fill as the separator.  The bytes are those of one
     line per cell.  A row longer than `a_values` is cut at the last column;

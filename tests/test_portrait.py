@@ -138,11 +138,13 @@ _row_kinds = st.sampled_from(["one label", "single cells", "all 16", "runs"])
 _steps = st.integers(1, 15)
 _runs = st.lists(st.tuples(_labels, st.integers(1, 8)), max_size=26)
 _sizes = st.integers(2, 24)
+_length_offsets = st.integers(-2, 2)  # rows shorter and longer than a_values
+_orders = st.permutations(REGION_IDS)
 
 
 def _row(draw, n):
     """A row of about n labels: one label, single-cell runs, all 16 labels or random runs."""
-    length = max(0, n + draw(st.integers(-2, 2)))  # rows shorter and longer than a_values
+    length = max(0, n + draw(_length_offsets))
     kind = draw(_row_kinds)
     if kind == "one label":
         return (draw(_labels),) * length
@@ -150,7 +152,7 @@ def _row(draw, n):
         steps = [draw(_steps) for _ in range(length)]
         return tuple(REGION_IDS[i % 16] for i in accumulate(steps, initial=draw(_steps)))[:length]
     if kind == "all 16":
-        return tuple(draw(st.permutations(REGION_IDS)) * (length // 16 + 1))[:length]
+        return tuple(draw(_orders) * (length // 16 + 1))[:length]
     return tuple(label for label, size in draw(_runs) for _ in range(size))[: n + 2]
 
 

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import atlas, blowup, compact, dynamics, equilibria, portrait, sysio
-from .desing import cdk_poly_field, sprott_field
+from .desing import cdk_poly_field, desingularize, sprott_field
 from .errors import (
     DomainError,
     InternalInconsistencyError,
@@ -34,7 +34,7 @@ from .errors import (
     PhaseAtlasError,
     PreconditionError,
 )
-from .polycore import BiPoly, format_poly
+from .polycore import BiPoly, format_poly, is_nilpotent_origin
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,8 +88,6 @@ class _System:
             except UnicodeDecodeError as exc:
                 raise ParseError(f"system file {args.system} is not UTF-8 text: {exc}") from None
             self.spec = sysio.parse_system(text)
-            from .desing import desingularize
-
             self.field = desingularize(self.spec.field)
             self.text = self.spec.canonical_text().strip()
             self.params = self.spec.parameters
@@ -141,8 +139,6 @@ def cmd_analyze(args):
     else:
         points, circle = _stationary_pieces(f)
         region = sectors = None
-        from .polycore import is_nilpotent_origin
-
         if is_nilpotent_origin(f.P, f.Q):
             try:
                 sectors = blowup.classify_nilpotent_origin(f)

@@ -7,8 +7,8 @@ interval subdivision plus Newton polishing cross-checks the closed form
 and serves arbitrary polynomial fields.
 
 Classification: hyperbolic kinds drop out of the 2x2 eigenvalue structure;
-points with exactly one zero eigenvalue go through a center-manifold series
-(exact rational coefficients) and the standard semi-hyperbolic trichotomy.
+points with exactly one zero eigenvalue get an exact polynomial center
+manifold and the standard semi-hyperbolic trichotomy.
 
 Every stationary point the package classifies, finite, on a blow-up
 divisor or at infinity, is linearized on one path: `jacobian_at` evaluates
@@ -20,6 +20,7 @@ semi-hyperbolic point.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .polycore import BiPoly, as_rational
+from .polycore import X, BiPoly, as_rational
 
 KIND_NAMES = (
     "saddle",
@@ -115,8 +116,10 @@ def eigenvalues_2x2(J) -> tuple[complex, complex]:
     Cancellation is avoided by computing the small root from the product of
     roots when the discriminant is positive.
     """
-    a11, a12 = float(J[0][0]), float(J[0][1])
-    a21, a22 = float(J[1][0]), float(J[1][1])
+    try:
+        (a11, a12), (a21, a22) = ((float(v) for v in row) for row in J)
+    except OverflowError:
+        raise PreconditionError("a Jacobian entry overflows a float") from None
     tr = a11 + a22
     det = a11 * a22 - a12 * a21
     disc = tr * tr - 4.0 * det
@@ -208,35 +211,6 @@ class SemiHyperbolicAnalysis:
     hyperbolic_direction: tuple
 
 
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if i + j > order:
-                    break
-                out[i + j] += ca * cb
-    return out
-
-
-def _series_of_bipoly(p: BiPoly, h, order):
-    """Series of p(xi, h(xi)) truncated at the given order; h[0] = h[1] = 0."""
-    if p.is_zero():
-        return [Fraction(0)] * (order + 1)
-    hpow = [[Fraction(1)] + [Fraction(0)] * order]
-    for _ in range(p.degree_in("y")):
-        hpow.append(_series_mul(hpow[-1], h, order))
-    out = [Fraction(0)] * (order + 1)
-    for (i, j), c in p.terms.items():
-        if i > order:
-            continue
-        for k, hk in enumerate(hpow[j]):
-            if i + k > order:
-                break
-            out[i + k] += c * hk
-    return out
-
-
 def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     """Center-manifold classification at a point with one zero eigenvalue.
 
@@ -271,29 +245,20 @@ def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     A = (t22 * Pn - t12 * Qn) * (Fraction(1) / dT)
     B = (-t21 * Pn + t11 * Qn) * (Fraction(1) / dT)
 
-    # h(xi) = sum c_k xi^k from the invariance equation B(xi,h) = h'(xi) A(xi,h)
-    h = [Fraction(0)] * (_CENTER_ORDER + 1)
+    # h(xi) = sum c_k xi^k from the invariance equation B(xi,h) = h'(xi) A(xi,h);
+    # B's linear eta-term contributes mu * c_k at order k, so solve it out
+    h = BiPoly.zero()
     for k in range(2, _CENTER_ORDER + 1):
-        bs = _series_of_bipoly(B, h, k)
-        as_ = _series_of_bipoly(A, h, k)
-        hp = [Fraction(0)] * (_CENTER_ORDER + 1)
-        for m in range(1, _CENTER_ORDER):
-            hp[m] = (m + 1) * h[m + 1] if m + 1 <= _CENTER_ORDER else Fraction(0)
-        lhs_k = bs[k] - _series_mul(hp, as_, k)[k]
-        # B's linear eta-term contributes mu * c_k at order k; solve it out
-        h[k] = -lhs_k / mu
+        c = (B.subst(X, h) - h.diff_x() * A.subst(X, h)).terms.get((k, 0), 0)
+        h = h + BiPoly.monomial(-c / mu, k, 0)
 
-    gseries = _series_of_bipoly(A, h, _CENTER_ORDER)
-    m = None
-    for k in range(2, _CENTER_ORDER + 1):
-        if gseries[k] != 0:
-            m = k
-            break
+    g = A.subst(X, h).terms
+    m = next((k for k in range(2, _CENTER_ORDER + 1) if g.get((k, 0))), None)
     if m is None:
         raise InconclusiveError(
             f"center-manifold flow vanishes through order {_CENTER_ORDER}", order=_CENTER_ORDER
         )
-    coeff = gseries[m]
+    coeff = g[(m, 0)]
 
     if m % 2 == 0:
         subkind = "saddle_node"
@@ -338,7 +303,9 @@ def sqrt_exact_or_float(v: Fraction):
     """Square root of a nonnegative rational: Fraction if perfect square, else float.
 
     The float branch is correctly rounded from the exact numerator and
-    denominator roots; its relative error is bounded by a few ulp (< 1e-15).
+    denominator roots, or from v scaled by a power of 4 when they exceed the
+    float range; its relative error is bounded by a few ulp (< 1e-15).  A
+    root that is not a double raises PreconditionError.
     """
     if v < 0:
         raise DomainError("square root of a negative rational")
@@ -346,7 +313,16 @@ def sqrt_exact_or_float(v: Fraction):
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
-    return math.sqrt(n / d) if n < 2**52 and d < 2**52 else math.sqrt(n) / math.sqrt(d)
+    try:
+        return math.sqrt(n / d) if n < 2**52 and d < 2**52 else math.sqrt(n) / math.sqrt(d)
+    except OverflowError:
+        pass
+    # n or d is beyond float range: scale v by 4^-s to within (1/2, 4), and the root back by 2^s
+    s = (n.bit_length() - d.bit_length()) // 2
+    with contextlib.suppress(OverflowError):
+        if root := math.ldexp(math.sqrt(n / (d << 2 * s) if s >= 0 else (n << -2 * s) / d), s):
+            return root
+    raise PreconditionError(f"square root of ~1e{round(math.log10(n) - math.log10(d))} is not a double")
 
 
 def _s34_kind(a: Fraction, b: Fraction) -> ClassificationKind:

@@ -57,7 +57,8 @@ class AmbiguityError(PhaseAtlasError):
 
 
 class UnresolvedError(PhaseAtlasError):
-    """Desingularization hit its recursion cap; partial data attached."""
+    """Sector assembly met a non-elementary divisor point, a continuum on the
+    divisor or a zero radial eigenvalue; partial data attached."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

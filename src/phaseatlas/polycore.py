@@ -782,7 +782,7 @@ def _lower_hull_normals(points: Iterable[Exponent]) -> list[tuple[int, int]]:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             cross = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
-            if cross >= 0:
+            if cross <= 0:
                 hull.pop()
             else:
                 break

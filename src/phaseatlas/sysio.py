@@ -461,7 +461,8 @@ def format_report(report: dict, fmt: str = "json") -> str:
     if "infinity" in report:
         inf = report["infinity"]
         if inf.get("continuum"):
-            lines.append("infinity: every point stationary (one outgoing trajectory each)")
+            each = "" if inf["one_outgoing_trajectory_each"] else "not "
+            lines.append(f"infinity: every point stationary ({each}one outgoing trajectory each)")
         else:
             lines.append("infinity:")
             for p in inf["points"]:

@@ -304,6 +304,14 @@ def test_sectors_b1_large_a():
     assert len(rep) == 2 and all(s.halfplane == "upper" for s in rep)
 
 
+def test_sectors_monodromic_origin():
+    # y' = -x^3: no characteristic direction, so no sectors (a center or focus)
+    dec = classify_nilpotent_origin(PolyField(Y, -(X**3)))
+    assert dec.sectors == ()
+    assert dec.index == 1
+    assert dec.homoclinic is False
+
+
 def test_sectors_rejects_hyperbolic_origin():
     with pytest.raises(PreconditionError):
         classify_nilpotent_origin(PolyField(X, -Y))

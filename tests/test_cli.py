@@ -285,6 +285,39 @@ def test_coefficient_beyond_float_range_exits_3(tmp_path, capsys, argv):
     assert (code, out, err) == (3, "", "error: coefficient of x overflows a float\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # square roots of rationals beyond float range whose roots are doubles
+        ("analyze", "--a", "1e160", "--b", "1/2"),
+        ("analyze", "--a", "1/2", "--b", "1e200"),
+        ("stationary", "--a", "1e-300", "--b", "3"),
+        # a Jacobian entry beyond float range
+        ("analyze", "--a", "1e400", "--b", "1/2"),
+        ("region", "--a", "1e400", "--b", "1/2"),
+        ("portrait", "--a", "1e400", "--b", "1/2"),
+    ],
+)
+def test_parameter_beyond_float_range_never_crashes(capsys, argv):
+    # each of these used to end in an OverflowError traceback
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 3)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, each", [("x ; y", False), ("-x ; -y", True)])
+def test_human_analyze_reports_the_infinity_continuum_flag(tmp_path, capsys, spec, each):
+    path = tmp_path / "sys.txt"
+    path.write_text(spec + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--system", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["infinity"]["one_outgoing_trajectory_each"] is each
+    code, out, _ = run(capsys, "analyze", "--system", str(path))
+    assert code == 0
+    text = "one outgoing trajectory each" if each else "not one outgoing trajectory each"
+    assert f"infinity: every point stationary ({text})\n" in out
+
+
 def test_portrait_output_file(tmp_path, capsys):
     out_path = tmp_path / "p.svg"
     code, _, _ = run(

@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.equilibria import (
     Continuum,
+    SemiHyperbolicAnalysis,
     StationaryCircle,
     classify_linear,
     classify_semihyperbolic,
@@ -17,10 +20,11 @@ from phaseatlas.equilibria import (
     finite_stationary,
     jacobian_at,
     s34_eigenvalues,
+    semihyperbolic_analysis,
     shift_to_origin,
     sqrt_exact_or_float,
 )
-from phaseatlas.errors import DomainError
+from phaseatlas.errors import DomainError, InconclusiveError, PreconditionError
 from phaseatlas.polycore import BiPoly, X, Y
 
 F = Fraction
@@ -264,9 +268,111 @@ def test_semihyperbolic_node_prototypes():
 
 
 def test_semihyperbolic_analysis_refuses_a_float_point():
-    # the center-manifold series is exact; a float point is a domain error
+    # the center-manifold analysis is exact; a float point is a domain error
     with pytest.raises(DomainError):
         classify_semihyperbolic(PolyField(X**2, -Y), (0.0, 0.0))
+
+
+def _series_mul(a, b, order):
+    out = [F(0)] * (order + 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if i + j > order:
+                    break
+                out[i + j] += ca * cb
+    return out
+
+
+def _series_of_bipoly(p, h, order):
+    """Series of p(xi, h(xi)) truncated at the given order; h[0] = h[1] = 0."""
+    if p.is_zero():
+        return [F(0)] * (order + 1)
+    hpow = [[F(1)] + [F(0)] * order]
+    for _ in range(p.degree_in("y")):
+        hpow.append(_series_mul(hpow[-1], h, order))
+    out = [F(0)] * (order + 1)
+    for (i, j), c in p.terms.items():
+        if i > order:
+            continue
+        for k, hk in enumerate(hpow[j]):
+            if i + k > order:
+                break
+            out[i + k] += c * hk
+    return out
+
+
+def _series_semihyperbolic_analysis(f, z, order=6):
+    """Reference: the center manifold as truncated Fraction series, one list per power series."""
+    x0, y0 = F(z[0]), F(z[1])
+    (a11, a12), (a21, a22) = jacobian_at(f, (x0, y0))
+    tr, det = a11 + a22, a11 * a22 - a12 * a21
+    if det != 0 or tr == 0:
+        raise PreconditionError("point does not have exactly one zero eigenvalue")
+    mu = tr
+    v0 = (a12, -a11) if (a12, a11) != (0, 0) else (a22, -a21)
+    vmu = (a12, mu - a11) if (a12, mu - a11) != (0, 0) else (mu - a22, a21)
+    (t11, t21), (t12, t22) = v0, vmu
+    dT = t11 * t22 - t12 * t21
+    if dT == 0:
+        raise PreconditionError("degenerate eigenbasis")
+    xi_x = BiPoly.monomial(t11, 1, 0) + BiPoly.monomial(t12, 0, 1) + x0
+    xi_y = BiPoly.monomial(t21, 1, 0) + BiPoly.monomial(t22, 0, 1) + y0
+    Pn, Qn = f.P.subst(xi_x, xi_y), f.Q.subst(xi_x, xi_y)
+    A = (t22 * Pn - t12 * Qn) * (F(1) / dT)
+    B = (-t21 * Pn + t11 * Qn) * (F(1) / dT)
+    h = [F(0)] * (order + 1)
+    for k in range(2, order + 1):
+        bs, as_ = _series_of_bipoly(B, h, k), _series_of_bipoly(A, h, k)
+        hp = [F(0)] * (order + 1)
+        for m in range(1, order):
+            hp[m] = (m + 1) * h[m + 1]
+        h[k] = -(bs[k] - _series_mul(hp, as_, k)[k]) / mu
+    g = _series_of_bipoly(A, h, order)
+    m = next((k for k in range(2, order + 1) if g[k] != 0), None)
+    if m is None:
+        raise InconclusiveError("center-manifold flow vanishes", order=order)
+    coeff = g[m]
+    if m % 2 == 0:
+        subkind = "saddle_node"
+    elif coeff > 0:
+        subkind = "saddle" if mu < 0 else "repelling_node"
+    else:
+        subkind = "attracting_node" if mu < 0 else "saddle"
+    return SemiHyperbolicAnalysis(subkind, mu, m, coeff, v0, vmu)
+
+
+def _outcome(analysis, f, z):
+    try:
+        return repr(analysis(f, z))
+    except (InconclusiveError, PreconditionError) as exc:
+        return type(exc)
+
+
+_coef = st.integers(min_value=-3, max_value=3)
+_rational = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+# one coefficient per monomial of degree 2-4, each zero half the time
+_MONOMIALS = [(i, d - i) for d in (2, 3, 4) for i in range(d + 1)]
+_nonlinear = st.tuples(*[st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))] * len(_MONOMIALS)).map(
+    lambda cs: dict(zip(_MONOMIALS, cs))
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_coef, _coef, _coef, _coef, _coef, _nonlinear, _nonlinear, _rational, _rational)
+def test_semihyperbolic_analysis_matches_the_series_solution(t11, t12, t21, t22, mu, a, b, x0, y0):
+    # xi' = a(xi, eta), eta' = mu*eta + b(xi, eta) in the frame (x, y) = T (xi, eta),
+    # moved to (x0, y0): the Jacobian T diag(0, mu) T^-1 has rank one and trace
+    # mu, and sparse a, b often leave the reduced flow no xi^2 or xi^3 term
+    d = t11 * t22 - t12 * t21
+    assume(d != 0 and mu != 0)
+    xi = (t22 * X - t12 * Y) * F(1, d)
+    eta = (-t21 * X + t11 * Y) * F(1, d)
+    A = BiPoly(a).subst(xi, eta)
+    B = mu * eta + BiPoly(b).subst(xi, eta)
+    f = PolyField(t11 * A + t12 * B, t21 * A + t22 * B).shifted(-x0, -y0)
+    z = (x0, y0)
+    assert _outcome(semihyperbolic_analysis, f, z) == _outcome(_series_semihyperbolic_analysis, f, z)
 
 
 # -- numeric finder -----------------------------------------------------------------------

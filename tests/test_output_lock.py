@@ -61,6 +61,27 @@ ANALYZE_DIGESTS = {
     ("0.2000000003", "1"): "4bce58712e00b5e3ae9eb80bff5902853786d7acefcbdaa9722beffe8bedffb2",
 }
 
+# the default (human) analyze text at the appendix parameter pairs: its
+# region, circle, origin-sector and infinity lines
+ANALYZE_HUMAN_DIGESTS = {
+    ("1", "1"): "aef61be88da549742623786a26b4eb4876aa73a94caa97a650056aa3d63c407b",
+    ("1", "1/2"): "fb5c75b3055d5533add60fcf464fff5ad55eea374181daba40d94def23ad141f",
+    ("1", "19/10"): "e638d82778e74633ce7a76a669c62d3c80c99a5cb92a58dce81af20739358da9",
+    ("1/2", "1"): "f3ed8b07f8651f176f899bac15949f92073a4ee4a43d4e00ead40935a9f93b4a",
+    ("1/2", "1/2"): "3a305091f2b4ad8dd8bba4ac36defd39366fe020d176e338f9bda8184173bdd9",
+    ("1/2", "19/10"): "afef9842f94ca08a153953f8eecf4777784dd1b018c5761c2337302b923b33ef",
+    ("1/5", "1"): "a7e9faeeded23c5e8e1743ba24d1212292d9022728826c1c4f1cfdd53642b5eb",
+    ("1/5", "1/2"): "c6fed84f1da54b74a1a57577fbf1914f024b089894f107ad63f2b473f229b4ae",
+    ("19/10", "19/10"): "08e0a46608b8e4158679681d3c0ef3d276682f1ea790809a7186e338526b62d6",
+    ("5/2", "1"): "21b735cdd27ce697d829a45a8244acf580737bb2fb1e1ecac18f42f49fe3a67e",
+    ("5/2", "1/2"): "93c5904c53a6b7b8965f0bcde50f2279583d156ed95f37d9fb6ed3a40c3c048b",
+    ("5/2", "19/10"): "804c037a142ca690b5d4b17f60061ff23a6147b080bb654c9652d58f978f1082",
+    ("6/5", "19/10"): "a2f853dbd197dc80e45dac4241f21a36cff6e9e0ac8e8cd5d2f0e9d1ba1ad32c",
+    ("7/10", "1"): "7d135e0914f32ec27456e67c2b2261334bfabc5c1fd75ca897bef4bb6e791052",
+    ("7/10", "1/2"): "54a63cf239bdde3b24a93dfcc92efe5a7838b412385ad7457550c184cb78a2e1",
+    ("7/10", "19/10"): "d14c35a53d61970e3db70dfaf1f7e57b7a3d1a2c375d4977697eb2e4884c6d09",
+}
+
 LOTKA_VOLTERRA = "param p = 3\nx*(p - x - 2*y) ; y*(2 - x - y)\n"
 
 # weights (2, 3), irrational divisor roots and a -x chart with even alpha
@@ -99,6 +120,12 @@ def _digest(capsys, *argv):
 def test_analyze_json_digest(capsys, a, b):
     got = _digest(capsys, "analyze", "--system", "cdk", "--a", a, "--b", b, "--format", "json")
     assert got == ANALYZE_DIGESTS[(a, b)]
+
+
+@pytest.mark.parametrize("a,b", sorted(ANALYZE_HUMAN_DIGESTS))
+def test_analyze_human_digest(capsys, a, b):
+    got = _digest(capsys, "analyze", "--system", "cdk", "--a", a, "--b", b)
+    assert got == ANALYZE_HUMAN_DIGESTS[(a, b)]
 
 
 def test_spec_file_analyze_digest(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phaseatlas import polycore
 from phaseatlas.desing import PolyField
 from phaseatlas.errors import DomainError, PreconditionError
 from phaseatlas.polycore import (
@@ -253,6 +254,29 @@ def test_weight_candidates_exposed():
     P, Q = cdk_rhs(Fraction(1, 2), Fraction(1, 2))
     cands = newton_weight_candidates(P, Q)
     assert (1, 1) in cands
+
+
+@pytest.mark.parametrize(
+    "points, normals",
+    [
+        # convex staircase: both edges are compact edges of the polygon
+        ([(0, 4), (1, 1), (3, 0)], [(3, 1), (1, 2)]),
+        # concave staircase: the middle point lies above the chord
+        ([(0, 4), (2, 3), (3, 0)], [(4, 3)]),
+        # collinear staircase: one edge through all three points
+        ([(0, 4), (1, 2), (2, 0)], [(2, 1)]),
+    ],
+)
+def test_lower_hull_keeps_only_convex_staircase_vertices(points, normals):
+    assert polycore._lower_hull_normals(points) == normals
+
+
+def test_weights_from_the_lowest_of_two_edges():
+    # support {(1, 1), (3, 0), (0, 4)}: edges of weights (3, 1) and (1, 2), not the chord (4, 3)
+    P, Q = X**2 * Y + X**4, Y**5
+    assert newton_weights(P, Q) == (1, 2)
+    assert newton_weight_candidates(P, Q) == [(1, 2), (3, 1)]
+    assert _bruteforce_weights(P, Q) == (1, 2)
 
 
 # -- canonical text -------------------------------------------------------------

@@ -20,7 +20,6 @@ from .compact import (
     InfinityContinuum,
     compactify_chart,
     disc_coords,
-    disc_coords_inverse,
     infinite_stationary_points,
 )
 from .desing import (
@@ -37,7 +36,6 @@ from .dynamics import (
     index_on_circle,
     integrate,
     omega_limit,
-    slope_limit_check,
 )
 from .equilibria import (
     ClassificationKind,

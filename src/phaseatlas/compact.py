@@ -170,13 +170,6 @@ def points_at_infinity(charts: PoincareCharts):
 # -- Poincaré disc coordinates -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfinityMarker:
-    """Returned by the inverse map on the boundary circle."""
-
-    direction: tuple
-
-
 def disc_coords(z) -> tuple[float, float]:
     """Diffeomorphism of the plane onto the open unit disc.
 
@@ -186,17 +179,6 @@ def disc_coords(z) -> tuple[float, float]:
     x, y = float(z[0]), float(z[1])
     r = math.sqrt(1.0 + x * x + y * y)
     return (x / r, y / r)
-
-
-def disc_coords_inverse(q):
-    """Inverse of disc_coords; boundary points map to an InfinityMarker."""
-    X, Y = float(q[0]), float(q[1])
-    rho2 = X * X + Y * Y
-    if rho2 >= 1.0:
-        norm = math.sqrt(rho2)
-        return InfinityMarker(direction=(X / norm, Y / norm))
-    r = math.sqrt(1.0 - rho2)
-    return (X / r, Y / r)
 
 
 def boundary_point(direction_angle: float) -> tuple[float, float]:

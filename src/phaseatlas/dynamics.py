@@ -12,8 +12,9 @@ exhaustion, or step underflow — never a silent stop.  For fixed options the
 result is bit-deterministic.
 
 The step loop is one source template, `_LOOP`: for the evaluator that
-`PolyField.compiled()` returns it is built on the field's first `integrate`,
-with the field's powers and term sums written into each stage, and kept on the
+`PolyField.compiled()` returns it is built once by `step_loop`, on the field's
+first `integrate` or before `portrait` forks its trajectory worker, with the
+field's powers and term sums written into each stage, and kept on the
 evaluator; any other callable gets one loop that calls it at each stage.  Both
 do a tableau loop's float operations in its order, so trajectories agree bit
 for bit.  First same as last: k6 is the next k0, since the stage-6 point is
@@ -28,10 +29,10 @@ import functools
 import math
 import re
 import textwrap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .desing import PolyField, compile_named, field_source
-from .errors import PreconditionError, SingularEvaluationError
+from .errors import PreconditionError
 
 # Dormand-Prince 5(4) coefficients (the classic DOPRI5 tableau)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -101,12 +102,17 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
     opts = IntegratorOptions() if opts is None else opts
     if direction not in ("forward", "backward"):
         raise PreconditionError("direction must be 'forward' or 'backward'")
+    loop, base = step_loop(f)
+    return loop(base, z0, opts, direction)
+
+
+def step_loop(f):
+    """(loop, evaluator) that `integrate` runs for f; a PolyField's loop is built here once."""
     base = _as_rhs(f)
     tabs = getattr(base, "float_terms", None)  # set by PolyField.compiled: inline the field
     if tabs is not None and not hasattr(base, "dopri5"):
         base.dopri5 = _build_loop(field_source(tabs, "px", "py", "u, v ="))
-    loop = _calling_loop() if tabs is None else base.dopri5
-    return loop(base, z0, opts, direction)
+    return (_calling_loop() if tabs is None else base.dopri5), base
 
 
 @functools.cache
@@ -279,24 +285,3 @@ def index_on_circle(f, center, radius: float, n: int = 4096) -> int:
     total = sum(turn(thetas[i], angles[i], thetas[i + 1], angles[i + 1]) for i in range(n))
     return round(total / (2.0 * math.pi))
 
-
-def slope_limit_check(fixture, y0: float, x_eval: float) -> float:
-    """Trajectory slope dy/dx of the logarithmic system at (x_eval, y0).
-
-    Equals (½ln x² + x) / (½ln x² − y0); the limit for x → 0 is 1 for
-    every y0, which is how the streamlines cross the y-axis.
-    """
-    if x_eval == 0:
-        raise PreconditionError("x_eval must be nonzero")
-    half_log = math.log(x_eval * x_eval) / 2.0
-    denom = half_log - y0
-    if denom == 0.0:
-        raise SingularEvaluationError("evaluation point lies on the x-nullcline")
-    return (half_log + x_eval) / denom
-
-
-def default_cdk_options(points, **overrides) -> IntegratorOptions:
-    """Options preloaded with capture targets from a stationary-point list."""
-    eqs = tuple(p.location_floats() for p in points)
-    base = IntegratorOptions(equilibria=eqs)
-    return replace(base, **overrides) if overrides else base

@@ -10,12 +10,19 @@ infinity); separatrices are red (unstable) and blue (stable).
 
 Rendering is deterministic: fixed background seeds, fixed layer order
 (continua, trajectories, separatrices, glyphs), fixed float formatting.
-Identical inputs give byte-identical SVG.
+Identical inputs give byte-identical SVG.  Where `os.fork` exists, two CPUs
+are usable and no other thread runs, the field's step loop is built and one
+forked worker integrates every other trajectory; the SVG bytes are the same
+with or without it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -114,7 +121,8 @@ class VectorDocument:
                 )
             elif el[0] == "path":
                 _, pts, color, width = el
-                d = "M " + " L ".join(f"{_fmt(x)} {_fmt(-y)}" for x, y in pts)
+                # one format per point; "-0.0000" can only be a whole coordinate
+                d = ("M " + " L ".join("%.4f %.4f" % (x, -y) for x, y in pts)).replace("-0.0000", "0.0000")
                 out.append(
                     f'<path d="{d}" stroke="{color}" stroke-width="{_fmt(width)}" '
                     'fill="none" stroke-linejoin="round"/>'
@@ -172,20 +180,15 @@ def _eigen_directions(J):
     return out
 
 
-def trace_separatrices(f: PolyField, points, sectors=None):
-    """Separatrices of saddles and semi-hyperbolic points, plus the
-    characteristic orbits bounding the sectors of a nilpotent origin.
-
-    Integrator failures are collected as document warnings by the caller,
-    never raised.
-    """
+def _separatrix_jobs(f: PolyField, points, sectors):
+    """(options, [(seed, direction, stable, source), ...]) of the separatrices, in drawing order."""
     opts = dynamics.IntegratorOptions(
         max_time=200.0,
         box=(-40, 40, -40, 40),
         equilibria=tuple(p.location_floats() for p in points),
         equilibrium_capture_radius=1e-5,
     )
-    out = []
+    jobs = []
     for p in points:
         name = p.kind.name
         if name == "saddle" or (name == "semi_hyperbolic" and p.kind.subkind in ("saddle", "saddle_node")):
@@ -197,16 +200,24 @@ def trace_separatrices(f: PolyField, points, sectors=None):
                 eps = 1e-5 * (1.0 + abs(lam))
                 for sgn in (1.0, -1.0):
                     seed = (x0 + sgn * eps * vx, y0 + sgn * eps * vy)
-                    direction = "backward" if stable else "forward"
-                    traj = dynamics.integrate(f, seed, opts, direction)
-                    out.append(Separatrix(traj, stable, p.label or name))
+                    jobs.append((seed, "backward" if stable else "forward", stable, p.label or name))
     if sectors is not None:
         for label, seed in sectors.boundary_seeds(5e-3):
             for direction in ("forward", "backward"):
-                traj = dynamics.integrate(f, seed, opts, direction)
-                stable = direction == "forward"
-                out.append(Separatrix(traj, stable, f"origin[{label}]"))
-    return out
+                jobs.append((seed, direction, direction == "forward", f"origin[{label}]"))
+    return opts, jobs
+
+
+def trace_separatrices(f: PolyField, points, sectors=None):
+    """Separatrices of saddles and semi-hyperbolic points, plus the
+    characteristic orbits bounding the sectors of a nilpotent origin.
+
+    Integrator failures are collected as document warnings by the caller,
+    never raised.
+    """
+    opts, jobs = _separatrix_jobs(f, points, sectors)
+    return [Separatrix(dynamics.integrate(f, seed, opts, direction), stable, source)
+            for seed, direction, stable, source in jobs]
 
 
 # -- portrait assembly -----------------------------------------------------------------
@@ -214,6 +225,59 @@ def trace_separatrices(f: PolyField, points, sectors=None):
 
 def _disc_path(samples):
     return [compact.disc_coords(z) for _, z in samples]
+
+
+def _use_worker():
+    """True where one forked worker can take half the trajectories: os.fork, two CPUs, one thread."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _job_paths(f, jobs):
+    """(termination kind, disc path) of each (seed, options, direction) job, in job order.
+
+    Where `_use_worker()` holds, a forked child runs the odd-indexed jobs until its first
+    exception and sends the results it finished as one marshal string; this process runs
+    the even ones.  Every result not received is then computed here in job order, so the
+    first failing job raises as in a serial run.
+    """
+    def run(job):
+        traj = dynamics.integrate(f, *job)
+        return traj.termination.kind, _disc_path(traj.samples)
+
+    def run_until_error(indices):
+        with contextlib.suppress(Exception):
+            for i in indices:
+                results[i] = run(jobs[i])
+
+    results, pid = [None] * len(jobs), None
+    if len(jobs) > 1 and _use_worker():
+        dynamics.step_loop(f)  # built before the fork, so the child does not build it again
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(rfd)
+        if pid == 0:  # the child writes nothing else, calls no numpy and always ends in os._exit
+            try:
+                os.close(rfd)
+                run_until_error(range(1, len(jobs), 2))
+                with open(wfd, "wb") as pipe:
+                    pipe.write(marshal.dumps(results[1::2]))
+            finally:
+                os._exit(0)
+        os.close(wfd)
+    if pid is not None:
+        pipe = open(rfd, "rb")
+        try:
+            run_until_error(range(0, len(jobs), 2))
+            data = pipe.read()
+        finally:
+            pipe.close()  # before the wait: a child still writing gets EPIPE, not a full pipe
+            status = os.waitpid(pid, 0)[1]
+        if status == 0 and data:
+            results[1::2] = marshal.loads(data)
+    return [run(job) if result is None else result for job, result in zip(jobs, results)]
 
 
 def _circle_points(center, radius, n=256):
@@ -276,19 +340,20 @@ def render_portrait(f: PolyField) -> VectorDocument:
     for k in range(INNER_SEED_COUNT):
         th = 2 * math.pi * k / INNER_SEED_COUNT
         seeds.append((INNER_PLANE_RADIUS * math.cos(th), INNER_PLANE_RADIUS * math.sin(th)))
-    for seed in seeds:
-        for direction in ("forward", "backward"):
-            traj = dynamics.integrate(f, seed, opts, direction)
-            if traj.termination.kind == "step_underflow":
-                doc.add_warning(f"trajectory from {seed} stopped: step underflow")
-            doc.add_path(_disc_path(traj.samples), TRAJECTORY_COLOR, TRAJECTORY_WIDTH)
+    background = [(seed, opts, direction) for seed in seeds for direction in ("forward", "backward")]
+    sep_opts, separatrices = _separatrix_jobs(f, finite_points, sectors)
+    paths = iter(_job_paths(f, background + [(seed, sep_opts, d) for seed, d, _, _ in separatrices]))
+    for (seed, _, _), (kind, path) in zip(background, paths):
+        if kind == "step_underflow":
+            doc.add_warning(f"trajectory from {seed} stopped: step underflow")
+        doc.add_path(path, TRAJECTORY_COLOR, TRAJECTORY_WIDTH)
 
     # separatrices
-    for sep in trace_separatrices(f, finite_points, sectors):
-        if sep.trajectory.termination.kind == "step_underflow":
-            doc.add_warning(f"separatrix of {sep.source} stopped: step underflow")
-        color = STABLE_SEPARATRIX_COLOR if sep.stable else UNSTABLE_SEPARATRIX_COLOR
-        doc.add_path(_disc_path(sep.trajectory.samples), color, SEPARATRIX_WIDTH)
+    for (_, _, stable, source), (kind, path) in zip(separatrices, paths):
+        if kind == "step_underflow":
+            doc.add_warning(f"separatrix of {source} stopped: step underflow")
+        color = STABLE_SEPARATRIX_COLOR if stable else UNSTABLE_SEPARATRIX_COLOR
+        doc.add_path(path, color, SEPARATRIX_WIDTH)
 
     # glyphs: finite equilibria, then infinite stationary points on the rim
     for p in finite_points:

@@ -27,6 +27,8 @@ from phaseatlas.desing import (
 )
 from phaseatlas.polycore import BiPoly, NewtonWeights, X, Y, poly_gcd
 
+from oracles import default_cdk_options, slope_limit_check
+
 F = Fraction
 W11 = NewtonWeights(1, 1)
 W12 = NewtonWeights(1, 2)
@@ -242,7 +244,7 @@ def test_criterion_8_absorbing_circle_refutation():
     r_squared = max(1 / a**2, (2 - b) / b**2)
     assert r_squared == F(4, 25)  # r = 2/5 = 0.4 exactly
     pts = equilibria.cdk_stationary_points(a, b)
-    opts = dynamics.default_cdk_options(pts, max_time=1e3, equilibrium_capture_radius=1e-6)
+    opts = default_cdk_options(pts, max_time=1e3, equilibrium_capture_radius=1e-6)
     res = dynamics.omega_limit(cdk_poly_field(a, b), (0.1, 0.9), opts)
     assert res.kind == "equilibrium"
     assert math.hypot(res.point[0] - 0.0, res.point[1] - 1.0) <= 1e-6
@@ -261,7 +263,7 @@ def test_criterion_9_sprott_fixture():
     assert abs(math.log(abs(w)) - mw) < 1e-12
     kind = equilibria.classify_linear(s.jacobian_original(w, mw))
     assert kind.name == "repelling_focus"
-    assert abs(dynamics.slope_limit_check(s, 0.0, 1e-8) - 1.0) < 1e-2
+    assert abs(slope_limit_check(s, 0.0, 1e-8) - 1.0) < 1e-2
 
 
 # -- criterion 10: property suites -------------------------------------------------------------------

@@ -6,15 +6,15 @@ import pytest
 
 from phaseatlas.compact import (
     InfinityContinuum,
-    InfinityMarker,
     PoincareCharts,
     compactify_chart,
     disc_coords,
-    disc_coords_inverse,
     infinite_stationary_points,
 )
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.polycore import BiPoly, X, Y
+
+from oracles import InfinityMarker, disc_coords_inverse
 
 F = Fraction
 

@@ -17,16 +17,16 @@ from phaseatlas.dynamics import (
     IntegratorOptions,
     Termination,
     Trajectory,
-    default_cdk_options,
     index_on_circle,
     integrate,
     omega_limit,
-    slope_limit_check,
 )
 from phaseatlas.equilibria import cdk_stationary_points
 from phaseatlas.errors import PreconditionError, SingularEvaluationError
 from phaseatlas.polycore import BiPoly, X, Y
 from phaseatlas.sysio import parse_system
+
+from oracles import default_cdk_options, slope_limit_check
 
 F = Fraction
 

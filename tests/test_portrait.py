@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from fractions import Fraction
 from itertools import accumulate
 
@@ -6,10 +8,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from phaseatlas import cli, dynamics, portrait
 from phaseatlas.atlas import REGION_IDS, ScanResult, scan_grid
 from phaseatlas.blowup import classify_nilpotent_origin
-from phaseatlas.desing import PolyField, cdk_poly_field
+from phaseatlas.desing import PolyField, cdk_poly_field, desingularize
 from phaseatlas.equilibria import ClassificationKind, cdk_stationary_points
+from phaseatlas.errors import PreconditionError
 from phaseatlas.polycore import BiPoly, X, Y
 from phaseatlas.portrait import (
     GLYPH_MAP,
@@ -20,8 +24,17 @@ from phaseatlas.portrait import (
     render_region_map,
     trace_separatrices,
 )
+from phaseatlas.sysio import parse_system
 
 F = Fraction
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every render in this file reaps the worker it forked."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_glyph_map_total_over_kinds():
@@ -197,3 +210,95 @@ def test_slope_points_at_infinity_sit_at_their_directions():
     directions = ((1, 2), (-1, 2), (-1, -2), (1, -2))
     want = sorted(math.degrees(math.atan2(dy, dx)) % 360 for dx, dy in directions)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+# -- the forked trajectory worker ----------------------------------------------------------
+
+_WORKER_FIELDS = {
+    "s3-s4-saddles": cdk_poly_field(F(5, 2), F(1, 2)),
+    "elliptic-origin": cdk_poly_field(F(1, 2), F(1, 2)),
+    "circle": cdk_poly_field(1, 1),
+    "on-b-1": cdk_poly_field(F(5, 2), 1),
+    "lotka-volterra": desingularize(parse_system("x*(3 - x - 2*y) ; y*(2 - x - y)").field),
+}
+
+
+def _render(monkeypatch, f, worker):
+    monkeypatch.setattr(portrait, "_use_worker", lambda: worker)
+    return render_portrait(f).to_svg()
+
+
+def _integrate_calls(monkeypatch, f, worker):
+    """(seed, options, direction) of each integrate call this process makes while rendering f."""
+    calls, real = [], dynamics.integrate
+
+    def recording(field, seed, opts, direction):
+        calls.append((seed, opts, direction))
+        return real(field, seed, opts, direction)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "integrate", recording)
+        _render(m, f, worker)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_WORKER_FIELDS))
+def test_worker_gives_the_serial_bytes(monkeypatch, name):
+    f = _WORKER_FIELDS[name]
+    serial = _integrate_calls(monkeypatch, f, False)
+    parent = _integrate_calls(monkeypatch, f, True)
+    assert parent == serial[::2]  # the child ran the odd-indexed jobs
+    assert _render(monkeypatch, f, True) == _render(monkeypatch, f, False)
+
+
+def test_worker_needs_a_single_thread():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not portrait._use_worker()
+    finally:
+        release.set()
+        other.join()
+
+
+def _failing_at(monkeypatch, jobs, indices):
+    """Make integrate raise PreconditionError, naming the job, on the jobs at these indices."""
+    real, failing = dynamics.integrate, {jobs[i]: i % len(jobs) for i in indices}
+
+    def integrate(field, seed, opts, direction):
+        k = failing.get((seed, opts, direction))
+        if k is not None:
+            raise PreconditionError(f"forced failure at job {k}")
+        return real(field, seed, opts, direction)
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    return min(failing.values())
+
+
+# job indices: even ones run in this process, odd ones in the child, -1 is the last separatrix
+@pytest.mark.parametrize("failing", [(6,), (11,), (6, 11), (3, 10), (-1,)])
+def test_worker_raises_the_first_failure_of_a_serial_run(monkeypatch, capsys, failing):
+    f = _WORKER_FIELDS["s3-s4-saddles"]
+    first = _failing_at(monkeypatch, _integrate_calls(monkeypatch, f, False), failing)
+    message = f"forced failure at job {first}"
+    for worker in (False, True):
+        with pytest.raises(PreconditionError) as exc:
+            _render(monkeypatch, f, worker)
+        assert type(exc.value) is PreconditionError and str(exc.value) == message
+        assert cli.main(["portrait", "--a", "5/2", "--b", "1/2"]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_worker_that_dies_without_output_changes_nothing(monkeypatch):
+    f = _WORKER_FIELDS["elliptic-origin"]
+    serial = _render(monkeypatch, f, False)
+    parent, real = os.getpid(), dynamics.integrate
+
+    def integrate(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    assert _render(monkeypatch, f, True) == serial

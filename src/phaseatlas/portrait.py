@@ -251,7 +251,7 @@ def _job_paths(f, jobs):
                 results[i] = run(jobs[i])
 
     results, pid = [None] * len(jobs), None
-    if len(jobs) > 1 and _use_worker():
+    if _use_worker():
         dynamics.step_loop(f)  # built before the fork, so the child does not build it again
         rfd, wfd = os.pipe()
         try:

@@ -13,7 +13,6 @@ from .blowup import (
     blowup_directional,
     classify_nilpotent_origin,
     divisor_stationary_points,
-    sector_probe,
 )
 from .compact import (
     InfinitePoint,
@@ -46,8 +45,6 @@ from .equilibria import (
     classify_semihyperbolic,
     find_stationary,
     jacobian_at,
-    s34_eigenvalues,
-    shift_to_origin,
 )
 from .polycore import BiPoly, NewtonWeights, Rational, newton_weights, poly_gcd
 from .portrait import render_portrait, render_region_map

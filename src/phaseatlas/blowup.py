@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dynamics
 from .desing import PolyField
 from .equilibria import ClassificationKind, classify_point, jacobian_at
 from .errors import DomainError, InternalInconsistencyError, PreconditionError, UnresolvedError
@@ -438,125 +437,4 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
         index=index,
         weights=w,
         boundary_directions=boundary,
-    )
-
-
-# -- empirical probe ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeArc:
-    evidence: str  # "elliptic" | "hyperbolic" | "parabolic"
-    start_index: int
-    end_index: int
-    start_angle: float
-    end_angle: float
-
-
-@dataclass(frozen=True)
-class ProbeMap:
-    radius: float
-    count: int
-    evidence: tuple  # per-start evidence strings
-    arcs: tuple
-    gaps: tuple  # indices where integration failed
-
-    def elliptic_arc_count(self) -> int:
-        return sum(1 for a in self.arcs if a.evidence == "elliptic")
-
-
-def sector_probe(
-    f: PolyField,
-    radius: float,
-    n: int,
-    horizon: float = 1e4,
-    other_equilibria: tuple = (),
-) -> ProbeMap:
-    """Empirical sector evidence from forward/backward integrations.
-
-    Starts on the circle of the given radius; a run counts as "returned"
-    when it enters radius/10 around the origin, and as "exited" when it
-    leaves the ball of radius max(10·radius, 2) or is captured by one of
-    the other equilibria.  Both returned: elliptic evidence; both exited:
-    hyperbolic; otherwise parabolic.
-    """
-    if radius <= 0 or n <= 0:
-        raise PreconditionError("radius and sample count must be positive")
-    exit_radius = max(10 * radius, 2.0)
-    box = (-exit_radius, exit_radius, -exit_radius, exit_radius)
-    eqs = ((0.0, 0.0),) + tuple(other_equilibria)
-    opts = dynamics.IntegratorOptions(
-        rel_tol=1e-8,
-        abs_tol=1e-11,
-        max_time=horizon,
-        box=box,
-        equilibrium_capture_radius=radius / 10,
-        equilibria=eqs,
-    )
-
-    evidence = []
-    gaps = []
-    for i in range(n):
-        theta = 2 * math.pi * i / n
-        z0 = (radius * math.cos(theta), radius * math.sin(theta))
-        verdict = {}
-        failed = False
-        for direction in ("forward", "backward"):
-            traj = dynamics.integrate(f, z0, opts, direction)
-            term = traj.termination
-            if term.kind == "reached_equilibrium" and term.which == (0.0, 0.0):
-                verdict[direction] = "returned"
-            elif term.kind in ("left_box", "reached_equilibrium"):
-                verdict[direction] = "exited"
-            elif term.kind == "step_underflow":
-                failed = True
-                verdict[direction] = "failed"
-            else:
-                verdict[direction] = "undecided"
-        if failed:
-            gaps.append(i)
-            evidence.append("gap")
-        elif verdict["forward"] == "returned" and verdict["backward"] == "returned":
-            evidence.append("elliptic")
-        elif verdict["forward"] == "exited" and verdict["backward"] == "exited":
-            evidence.append("hyperbolic")
-        else:
-            evidence.append("parabolic")
-
-    arcs = []
-    i = 0
-    visited = [False] * n
-    while i < n:
-        if visited[i] or evidence[i] == "gap":
-            i += 1
-            continue
-        kind = evidence[i]
-        # extend backwards across the wrap to find the arc start
-        start = i
-        while evidence[(start - 1) % n] == kind and (start - 1) % n != i:
-            start = (start - 1) % n
-            if start == i:
-                break
-        end = start
-        while evidence[(end + 1) % n] == kind and (end + 1) % n != start:
-            end = (end + 1) % n
-        j = start
-        while True:
-            visited[j] = True
-            if j == end:
-                break
-            j = (j + 1) % n
-        arcs.append(
-            ProbeArc(
-                evidence=kind,
-                start_index=start,
-                end_index=end,
-                start_angle=2 * math.pi * start / n,
-                end_angle=2 * math.pi * end / n,
-            )
-        )
-        i += 1
-    arcs.sort(key=lambda a: a.start_index)
-    return ProbeMap(
-        radius=radius, count=n, evidence=tuple(evidence), arcs=tuple(arcs), gaps=tuple(gaps)
     )

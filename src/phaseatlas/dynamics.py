@@ -51,6 +51,9 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 # backstop on the step attempts of one trajectory
 _MAX_STEPS = 500_000
 
+# largest sample count of index_on_circle: its lists are built before any field value
+MAX_SAMPLES = 2**20
+
 
 @dataclass(frozen=True)
 class IntegratorOptions:
@@ -102,6 +105,8 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
     opts = IntegratorOptions() if opts is None else opts
     if direction not in ("forward", "backward"):
         raise PreconditionError("direction must be 'forward' or 'backward'")
+    if not (math.isfinite(z0[0]) and math.isfinite(z0[1])):
+        raise PreconditionError(f"start point ({z0[0]}, {z0[1]}) is not finite")
     loop, base = step_loop(f)
     return loop(base, z0, opts, direction)
 
@@ -241,7 +246,7 @@ def omega_limit(f, z0, opts: IntegratorOptions | None = None) -> OmegaResult:
 def index_on_circle(f, center, radius: float, n: int = 4096) -> int:
     """Winding number of the field direction around a circle.
 
-    Samples the field at n points and adds up the direction changes between
+    Samples the field at n points, 3 <= n <= MAX_SAMPLES, and adds up the direction changes between
     neighbours, each wrapped into [-π, π].  Wrapped changes always add up to
     a multiple of 2π, so the sum cannot expose an undersampled circle;
     instead each step that turns the field by π/2 or more is bisected until
@@ -255,6 +260,8 @@ def index_on_circle(f, center, radius: float, n: int = 4096) -> int:
     if n < 3:
         # the samples are the vertices of a polygon that must enclose the centre
         raise PreconditionError("sample count must be at least 3")
+    if n > MAX_SAMPLES:
+        raise PreconditionError(f"sample count must be at most {MAX_SAMPLES}")
 
     def field_at(theta):
         return rhs(cx + radius * math.cos(theta), cy + radius * math.sin(theta))

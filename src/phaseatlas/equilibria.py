@@ -193,11 +193,6 @@ def jacobian_at(f: PolyField, z):
     )
 
 
-def shift_to_origin(f: PolyField, z) -> PolyField:
-    """Field in coordinates moving z to the origin (exact recomposition)."""
-    return f.shifted(as_rational(z[0]), as_rational(z[1]))
-
-
 # -- semi-hyperbolic analysis ------------------------------------------------------
 
 
@@ -342,26 +337,6 @@ def _s34_kind(a: Fraction, b: Fraction) -> ClassificationKind:
         return ClassificationKind("saddle")
     tr = b * (1 - b) / (a * (b - a))
     return ClassificationKind("attracting_node" if tr < 0 else "repelling_node")
-
-
-def s34_eigenvalues(a, b) -> tuple[complex, complex]:
-    """Shared eigenvalue pair of s3/s4:
-    [b(1-b) ± (b-1)·sqrt(b(b+8a(a-1)))] / (2a(b-a))."""
-    a, b = as_rational(a), as_rational(b)
-    if not (b > 1 > a or a > 1 > b):
-        raise DomainError("s3/s4 exist only for b>1>a or a>1>b")
-    radicand = b * (b + 8 * a * (a - 1))
-    denom = 2 * a * (b - a)
-    base = b * (1 - b)
-    if radicand >= 0:
-        root = sqrt_exact_or_float(radicand)
-        lam1 = (float(base) + float(b - 1) * float(root)) / float(denom)
-        lam2 = (float(base) - float(b - 1) * float(root)) / float(denom)
-        return (complex(lam1), complex(lam2))
-    root = math.sqrt(float(-radicand))
-    re = float(base) / float(denom)
-    im = float(b - 1) * root / float(denom)
-    return (complex(re, abs(im)), complex(re, -abs(im)))
 
 
 def _make_point(f: PolyField, loc, label, kind=None, exact=True, error_bound=None):

@@ -10,10 +10,13 @@ infinity); separatrices are red (unstable) and blue (stable).
 
 Rendering is deterministic: fixed background seeds, fixed layer order
 (continua, trajectories, separatrices, glyphs), fixed float formatting.
-Identical inputs give byte-identical SVG.  Where `os.fork` exists, two CPUs
-are usable and no other thread runs, the field's step loop is built and one
-forked worker integrates every other trajectory; the SVG bytes are the same
-with or without it.
+Identical inputs give byte-identical SVG.  Each trajectory is written as SVG
+path data by the process that integrated it.  Where `os.fork` exists, two
+CPUs are usable and no other thread runs, the field's step loop is built and
+one worker is forked as soon as the background seeds are known: it claims
+background trajectories from a queue while this process runs the blow-up,
+the analysis at infinity and the separatrices, then claims from the same
+queue.  The SVG bytes are the same with or without the worker.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -82,6 +85,17 @@ def _fmt(v: float) -> str:
     return "0.0000" if out == "-0.0000" else out
 
 
+def _path_data(points):
+    """SVG path data of plane points drawn on the disc, or None if fewer than two project to finite points.
+
+    Each point is projected by `compact.disc_coords` and written with one "%.4f %.4f",
+    y flipped; "-0.0000" can only be a whole coordinate, so it is fixed once per path.
+    """
+    pts = ["%.4f %.4f" % (x, -y) for x, y in map(compact.disc_coords, points)
+           if math.isfinite(x) and math.isfinite(y)]
+    return ("M " + " L ".join(pts)).replace("-0.0000", "0.0000") if len(pts) >= 2 else None
+
+
 @dataclass
 class VectorDocument:
     """An ordered list of draw elements, serializable to SVG 1.1."""
@@ -93,9 +107,12 @@ class VectorDocument:
         self.elements.append(("circle", center, radius, color, width, fill))
 
     def add_path(self, points, color, width):
-        pts = [p for p in points if math.isfinite(p[0]) and math.isfinite(p[1])]
-        if len(pts) >= 2:
-            self.elements.append(("path", tuple(pts), color, width))
+        """Draw plane points on the disc, see `_path_data`."""
+        self.add_path_data(_path_data(points), color, width)
+
+    def add_path_data(self, d, color, width):
+        if d is not None:
+            self.elements.append(("path", d, color, width))
 
     def add_marker(self, shape, center, size, color):
         self.elements.append(("marker", shape, center, size, color))
@@ -120,9 +137,7 @@ class VectorDocument:
                     f'stroke="{color}" stroke-width="{_fmt(width)}" fill="{fill}"/>'
                 )
             elif el[0] == "path":
-                _, pts, color, width = el
-                # one format per point; "-0.0000" can only be a whole coordinate
-                d = ("M " + " L ".join("%.4f %.4f" % (x, -y) for x, y in pts)).replace("-0.0000", "0.0000")
+                _, d, color, width = el
                 out.append(
                     f'<path d="{d}" stroke="{color}" stroke-width="{_fmt(width)}" '
                     'fill="none" stroke-linejoin="round"/>'
@@ -223,61 +238,93 @@ def trace_separatrices(f: PolyField, points, sectors=None):
 # -- portrait assembly -----------------------------------------------------------------
 
 
-def _disc_path(samples):
-    return [compact.disc_coords(z) for _, z in samples]
-
-
 def _use_worker():
-    """True where one forked worker can take half the trajectories: os.fork, two CPUs, one thread."""
+    """True where one forked worker can share the trajectories: os.fork, two CPUs, one thread."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-def _job_paths(f, jobs):
-    """(termination kind, disc path) of each (seed, options, direction) job, in job order.
+def _run_job(f, job):
+    """(termination kind, path data) of one (seed, options, direction) job."""
+    traj = dynamics.integrate(f, *job)
+    return traj.termination.kind, _path_data(z for _, z in traj.samples)
 
-    Where `_use_worker()` holds, a forked child runs the odd-indexed jobs until its first
-    exception and sends the results it finished as one marshal string; this process runs
-    the even ones.  Every result not received is then computed here in job order, so the
-    first failing job raises as in a serial run.
+
+def _run_until_error(f, jobs, indices):
+    """{index: result} of the jobs at these indices, run in order up to the first exception."""
+    results = {}
+    with contextlib.suppress(Exception):
+        for i in indices:
+            results[i] = _run_job(f, jobs[i])
+    return results
+
+
+def _claimed(queue):
+    """Job indices claimed from the queue pipe, one byte each, until it is empty."""
+    while index := os.read(queue, 1):
+        yield index[0]
+
+
+class _Worker:
+    """One forked child that runs the background jobs it claims from a queue pipe.
+
+    The background job indices are written to the queue before the fork, so the write
+    cannot block.  The child claims indices until the queue is empty or a job raises, and
+    sends {index: result} of the jobs it finished as one marshal string; it writes nothing
+    else, calls no numpy and always ends in os._exit.  Where `_use_worker()` is false or
+    the fork fails there is no child, and `gather` returns {}.
     """
-    def run(job):
-        traj = dynamics.integrate(f, *job)
-        return traj.termination.kind, _disc_path(traj.samples)
 
-    def run_until_error(indices):
-        with contextlib.suppress(Exception):
-            for i in indices:
-                results[i] = run(jobs[i])
-
-    results, pid = [None] * len(jobs), None
-    if _use_worker():
+    def __init__(self, f, background):
+        self.f, self.background, self.pid = f, background, None
+        if not _use_worker():
+            return
         dynamics.step_loop(f)  # built before the fork, so the child does not build it again
+        self.queue, wfd = os.pipe()
+        os.write(wfd, bytes(range(len(background))))
+        os.close(wfd)
         rfd, wfd = os.pipe()
         try:
-            pid = os.fork()
+            self.pid = os.fork()
         except OSError:
-            os.close(rfd)
-        if pid == 0:  # the child writes nothing else, calls no numpy and always ends in os._exit
+            for fd in (self.queue, rfd, wfd):
+                os.close(fd)
+            return
+        if self.pid == 0:
             try:
                 os.close(rfd)
-                run_until_error(range(1, len(jobs), 2))
+                results = _run_until_error(f, background, _claimed(self.queue))
                 with open(wfd, "wb") as pipe:
-                    pipe.write(marshal.dumps(results[1::2]))
+                    pipe.write(marshal.dumps(results))
             finally:
                 os._exit(0)
         os.close(wfd)
-    if pid is not None:
-        pipe = open(rfd, "rb")
-        try:
-            run_until_error(range(0, len(jobs), 2))
-            data = pipe.read()
-        finally:
-            pipe.close()  # before the wait: a child still writing gets EPIPE, not a full pipe
-            status = os.waitpid(pid, 0)[1]
-        if status == 0 and data:
-            results[1::2] = marshal.loads(data)
-    return [run(job) if result is None else result for job, result in zip(jobs, results)]
+        self.results = open(rfd, "rb")
+
+    def gather(self, jobs):
+        """{index: result} of the jobs either process finished; jobs begins with the background jobs.
+
+        This process runs the jobs after the background ones in order, then claims background
+        jobs until the queue is empty; each process stops at its first exception.
+        """
+        if self.pid is None:
+            return {}
+        claims = chain(range(len(self.background), len(jobs)), _claimed(self.queue))
+        results = _run_until_error(self.f, jobs, claims)
+        data = self.results.read()
+        if self.close() == 0 and data:
+            results.update(marshal.loads(data))
+        return results
+
+    def close(self):
+        """Reap the child and return its wait status; None where there is no child."""
+        if self.pid is None:
+            return None
+        os.read(self.queue, len(self.background))  # claim what is left: the child stops after its job
+        os.close(self.queue)
+        self.results.close()  # before the wait: a child still writing gets EPIPE, not a full pipe
+        pid, self.pid = self.pid, None
+        return os.waitpid(pid, 0)[1]
 
 
 def _circle_points(center, radius, n=256):
@@ -308,22 +355,8 @@ def render_portrait(f: PolyField) -> VectorDocument:
         doc.add_warning("continuum of finite stationary points detected")
     else:
         finite_points, circle = found
-    # only cdk origins get sector separatrices; spec-file portraits keep their drawing
-    if f.provenance[0] == "cdk" and circle is None:
-        try:
-            sectors = blowup.classify_nilpotent_origin(f)
-        except PhaseAtlasError as exc:
-            doc.add_warning(f"origin sectors unresolved: {exc}")
-    infinity = compact.infinite_stationary_points(f)
 
-    if circle is not None:
-        pts = [compact.disc_coords(z) for z in _circle_points(
-            (float(circle.center[0]), float(circle.center[1])), float(circle.radius))]
-        doc.add_path(pts, FINITE_CONTINUUM_COLOR, SEPARATRIX_WIDTH)
-    if isinstance(infinity, compact.InfinityContinuum):
-        doc.add_circle((0.0, 0.0), 1.0, INFINITE_CONTINUUM_COLOR, SEPARATRIX_WIDTH)
-
-    # background trajectories from the fixed seed ring
+    # background trajectories from the fixed seed ring; the worker starts on them here
     eqs = tuple(p.location_floats() for p in finite_points)
     opts = dynamics.IntegratorOptions(
         max_time=TRAJECTORY_TIME,
@@ -341,19 +374,40 @@ def render_portrait(f: PolyField) -> VectorDocument:
         th = 2 * math.pi * k / INNER_SEED_COUNT
         seeds.append((INNER_PLANE_RADIUS * math.cos(th), INNER_PLANE_RADIUS * math.sin(th)))
     background = [(seed, opts, direction) for seed in seeds for direction in ("forward", "backward")]
-    sep_opts, separatrices = _separatrix_jobs(f, finite_points, sectors)
-    paths = iter(_job_paths(f, background + [(seed, sep_opts, d) for seed, d, _, _ in separatrices]))
-    for (seed, _, _), (kind, path) in zip(background, paths):
+    worker = _Worker(f, background)
+    try:
+        # only cdk origins get sector separatrices; spec-file portraits keep their drawing
+        if f.provenance[0] == "cdk" and circle is None:
+            try:
+                sectors = blowup.classify_nilpotent_origin(f)
+            except PhaseAtlasError as exc:
+                doc.add_warning(f"origin sectors unresolved: {exc}")
+        infinity = compact.infinite_stationary_points(f)
+        sep_opts, separatrices = _separatrix_jobs(f, finite_points, sectors)
+        jobs = background + [(seed, sep_opts, d) for seed, d, _, _ in separatrices]
+        results = worker.gather(jobs)
+    finally:
+        worker.close()
+    # what neither process finished runs here in job order, so an error is a serial run's
+    paths = iter([results[i] if i in results else _run_job(f, job) for i, job in enumerate(jobs)])
+
+    if circle is not None:
+        doc.add_path(_circle_points((float(circle.center[0]), float(circle.center[1])), float(circle.radius)),
+                     FINITE_CONTINUUM_COLOR, SEPARATRIX_WIDTH)
+    if isinstance(infinity, compact.InfinityContinuum):
+        doc.add_circle((0.0, 0.0), 1.0, INFINITE_CONTINUUM_COLOR, SEPARATRIX_WIDTH)
+
+    for (seed, _, _), (kind, d) in zip(background, paths):
         if kind == "step_underflow":
             doc.add_warning(f"trajectory from {seed} stopped: step underflow")
-        doc.add_path(path, TRAJECTORY_COLOR, TRAJECTORY_WIDTH)
+        doc.add_path_data(d, TRAJECTORY_COLOR, TRAJECTORY_WIDTH)
 
     # separatrices
-    for (_, _, stable, source), (kind, path) in zip(separatrices, paths):
+    for (_, _, stable, source), (kind, d) in zip(separatrices, paths):
         if kind == "step_underflow":
             doc.add_warning(f"separatrix of {source} stopped: step underflow")
         color = STABLE_SEPARATRIX_COLOR if stable else UNSTABLE_SEPARATRIX_COLOR
-        doc.add_path(path, color, SEPARATRIX_WIDTH)
+        doc.add_path_data(d, color, SEPARATRIX_WIDTH)
 
     # glyphs: finite equilibria, then infinite stationary points on the rim
     for p in finite_points:

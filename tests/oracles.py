@@ -3,8 +3,12 @@
 import math
 from dataclasses import dataclass, replace
 
+from phaseatlas import dynamics
+from phaseatlas.desing import PolyField
 from phaseatlas.dynamics import IntegratorOptions
-from phaseatlas.errors import PreconditionError, SingularEvaluationError
+from phaseatlas.equilibria import sqrt_exact_or_float
+from phaseatlas.errors import DomainError, PreconditionError, SingularEvaluationError
+from phaseatlas.polycore import as_rational
 
 
 def slope_limit_check(fixture, y0: float, x_eval: float) -> float:
@@ -45,3 +49,147 @@ def disc_coords_inverse(q):
         return InfinityMarker(direction=(X / norm, Y / norm))
     r = math.sqrt(1.0 - rho2)
     return (X / r, Y / r)
+
+
+def shift_to_origin(f: PolyField, z) -> PolyField:
+    """Field in coordinates moving z to the origin (exact recomposition)."""
+    return f.shifted(as_rational(z[0]), as_rational(z[1]))
+
+
+def s34_eigenvalues(a, b) -> tuple[complex, complex]:
+    """Shared eigenvalue pair of s3/s4:
+    [b(1-b) ± (b-1)·sqrt(b(b+8a(a-1)))] / (2a(b-a))."""
+    a, b = as_rational(a), as_rational(b)
+    if not (b > 1 > a or a > 1 > b):
+        raise DomainError("s3/s4 exist only for b>1>a or a>1>b")
+    radicand = b * (b + 8 * a * (a - 1))
+    denom = 2 * a * (b - a)
+    base = b * (1 - b)
+    if radicand >= 0:
+        root = sqrt_exact_or_float(radicand)
+        lam1 = (float(base) + float(b - 1) * float(root)) / float(denom)
+        lam2 = (float(base) - float(b - 1) * float(root)) / float(denom)
+        return (complex(lam1), complex(lam2))
+    root = math.sqrt(float(-radicand))
+    re = float(base) / float(denom)
+    im = float(b - 1) * root / float(denom)
+    return (complex(re, abs(im)), complex(re, -abs(im)))
+
+
+# criterion 4's float probe of the sectors round the origin
+@dataclass(frozen=True)
+class ProbeArc:
+    evidence: str  # "elliptic" | "hyperbolic" | "parabolic"
+    start_index: int
+    end_index: int
+    start_angle: float
+    end_angle: float
+
+
+@dataclass(frozen=True)
+class ProbeMap:
+    radius: float
+    count: int
+    evidence: tuple  # per-start evidence strings
+    arcs: tuple
+    gaps: tuple  # indices where integration failed
+
+    def elliptic_arc_count(self) -> int:
+        return sum(1 for a in self.arcs if a.evidence == "elliptic")
+
+
+def sector_probe(
+    f: PolyField,
+    radius: float,
+    n: int,
+    horizon: float = 1e4,
+    other_equilibria: tuple = (),
+) -> ProbeMap:
+    """Empirical sector evidence from forward/backward integrations.
+
+    Starts on the circle of the given radius; a run counts as "returned"
+    when it enters radius/10 around the origin, and as "exited" when it
+    leaves the ball of radius max(10·radius, 2) or is captured by one of
+    the other equilibria.  Both returned: elliptic evidence; both exited:
+    hyperbolic; otherwise parabolic.
+    """
+    if radius <= 0 or n <= 0:
+        raise PreconditionError("radius and sample count must be positive")
+    exit_radius = max(10 * radius, 2.0)
+    box = (-exit_radius, exit_radius, -exit_radius, exit_radius)
+    eqs = ((0.0, 0.0),) + tuple(other_equilibria)
+    opts = dynamics.IntegratorOptions(
+        rel_tol=1e-8,
+        abs_tol=1e-11,
+        max_time=horizon,
+        box=box,
+        equilibrium_capture_radius=radius / 10,
+        equilibria=eqs,
+    )
+
+    evidence = []
+    gaps = []
+    for i in range(n):
+        theta = 2 * math.pi * i / n
+        z0 = (radius * math.cos(theta), radius * math.sin(theta))
+        verdict = {}
+        failed = False
+        for direction in ("forward", "backward"):
+            traj = dynamics.integrate(f, z0, opts, direction)
+            term = traj.termination
+            if term.kind == "reached_equilibrium" and term.which == (0.0, 0.0):
+                verdict[direction] = "returned"
+            elif term.kind in ("left_box", "reached_equilibrium"):
+                verdict[direction] = "exited"
+            elif term.kind == "step_underflow":
+                failed = True
+                verdict[direction] = "failed"
+            else:
+                verdict[direction] = "undecided"
+        if failed:
+            gaps.append(i)
+            evidence.append("gap")
+        elif verdict["forward"] == "returned" and verdict["backward"] == "returned":
+            evidence.append("elliptic")
+        elif verdict["forward"] == "exited" and verdict["backward"] == "exited":
+            evidence.append("hyperbolic")
+        else:
+            evidence.append("parabolic")
+
+    arcs = []
+    i = 0
+    visited = [False] * n
+    while i < n:
+        if visited[i] or evidence[i] == "gap":
+            i += 1
+            continue
+        kind = evidence[i]
+        # extend backwards across the wrap to find the arc start
+        start = i
+        while evidence[(start - 1) % n] == kind and (start - 1) % n != i:
+            start = (start - 1) % n
+            if start == i:
+                break
+        end = start
+        while evidence[(end + 1) % n] == kind and (end + 1) % n != start:
+            end = (end + 1) % n
+        j = start
+        while True:
+            visited[j] = True
+            if j == end:
+                break
+            j = (j + 1) % n
+        arcs.append(
+            ProbeArc(
+                evidence=kind,
+                start_index=start,
+                end_index=end,
+                start_angle=2 * math.pi * start / n,
+                end_angle=2 * math.pi * end / n,
+            )
+        )
+        i += 1
+    arcs.sort(key=lambda a: a.start_index)
+    return ProbeMap(
+        radius=radius, count=n, evidence=tuple(evidence), arcs=tuple(arcs), gaps=tuple(gaps)
+    )

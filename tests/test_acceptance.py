@@ -27,7 +27,7 @@ from phaseatlas.desing import (
 )
 from phaseatlas.polycore import BiPoly, NewtonWeights, X, Y, poly_gcd
 
-from oracles import default_cdk_options, slope_limit_check
+from oracles import default_cdk_options, sector_probe, slope_limit_check
 
 F = Fraction
 W11 = NewtonWeights(1, 1)
@@ -154,7 +154,7 @@ def test_criterion_4_probe_agreement():
         # on b = 1 the homoclinic return has cubic axis contact (xdot ~ -a x^3),
         # so reaching radius/10 takes tau ~ 1/(2a (r/10)^2) ~ 1e5
         horizon = 2.5e5 if b == 1 else 1e4
-        pm = blowup.sector_probe(
+        pm = sector_probe(
             cdk_poly_field(a, b), 0.05, 16, horizon=horizon, other_equilibria=others(a, b)
         )
         assert (pm.elliptic_arc_count() > 0) == hom, (a, b, pm.evidence)

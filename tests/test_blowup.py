@@ -10,11 +10,12 @@ from phaseatlas.blowup import (
     blowup_directional,
     classify_nilpotent_origin,
     divisor_stationary_points,
-    sector_probe,
 )
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.errors import PreconditionError, UnresolvedError
 from phaseatlas.polycore import BiPoly, NewtonWeights, X, Y
+
+from oracles import sector_probe
 
 F = Fraction
 W11 = NewtonWeights(1, 1)

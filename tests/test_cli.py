@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -139,6 +140,20 @@ def test_index_without_samples_exits_3(capsys):
     assert "at least 3" in err
 
 
+@pytest.mark.parametrize("n", ["1048577", "100000000000"])
+def test_index_above_the_sample_bound_exits_3_at_once(capsys, n):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "index", "--a", "1/2", "--b", "1/2", "--radius", "0.1", "-n", n)
+        # unbounded, 10^11 started building 10^11 samples
+        assert time.perf_counter() - start < 1.0
+        assert tracemalloc.get_traced_memory()[1] < 2**20 * 8  # no list of n samples was built
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and err == "error: sample count must be at most 1048576\n"
+
+
 def test_index_on_overflowing_circle_exits_3(capsys):
     # x**3 overflows a float at radius 1e200; this used to end in an OverflowError traceback
     code, out, err = run(capsys, "index", "--a", "1/2", "--b", "1/2", "--radius", "1e200")
@@ -168,6 +183,14 @@ def test_omega_rejects_unusable_options_exits_3(capsys, extra):
     )
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize("start", ["nan,0.9", "inf,0.9", "0.1,-inf"])
+def test_omega_from_a_start_that_is_not_finite_exits_3(capsys, start):
+    # this used to print "omega limit: unresolved (left_box)" and exit 0
+    code, out, err = run(capsys, "omega", "--a", "5/2", "--b", "19/10", "--start", start)
+    assert code == 3 and out == ""
+    assert err.startswith("error: start point (") and err.endswith(") is not finite\n")
 
 
 def test_region_subcommand(capsys):

@@ -14,6 +14,7 @@ from phaseatlas.dynamics import (
     _B5,
     _MAX_STEPS,
     _calling_loop,
+    MAX_SAMPLES,
     IntegratorOptions,
     Termination,
     Trajectory,
@@ -70,6 +71,15 @@ def test_tau_strictly_increasing_and_deterministic():
     assert t1.samples == t2.samples
     times = [t for t, _ in t1.samples]
     assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("z0", [(math.nan, 0.9), (math.inf, 0.9), (0.1, -math.inf)])
+def test_integrate_rejects_a_start_that_is_not_finite(z0):
+    # a NaN start used to fail the box test and end as left_box
+    f = cdk_poly_field(F(5, 2), F(19, 10))
+    for direction in ("forward", "backward"):
+        with pytest.raises(PreconditionError, match="is not finite"):
+            integrate(f, z0, IntegratorOptions(), direction)
 
 
 def test_left_box_termination():
@@ -506,6 +516,14 @@ def test_index_rejects_too_few_samples(n):
     f = cdk_poly_field(F(1, 2), F(1, 2))
     with pytest.raises(PreconditionError, match="at least 3"):
         index_on_circle(f, (0, 0), 0.1, n=n)
+
+
+def test_index_rejects_too_many_samples_before_sampling():
+    def field(x, y):
+        raise AssertionError("sampled the field")
+
+    with pytest.raises(PreconditionError, match=f"at most {MAX_SAMPLES}"):
+        index_on_circle(field, (0, 0), 0.1, n=MAX_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])

@@ -19,13 +19,13 @@ from phaseatlas.equilibria import (
     find_stationary,
     finite_stationary,
     jacobian_at,
-    s34_eigenvalues,
     semihyperbolic_analysis,
-    shift_to_origin,
     sqrt_exact_or_float,
 )
 from phaseatlas.errors import DomainError, InconclusiveError, PreconditionError
 from phaseatlas.polycore import BiPoly, X, Y
+
+from oracles import s34_eigenvalues, shift_to_origin
 
 F = Fraction
 

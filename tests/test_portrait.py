@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from phaseatlas import cli, dynamics, portrait
+from phaseatlas import cli, compact, dynamics, portrait
 from phaseatlas.atlas import REGION_IDS, ScanResult, scan_grid
 from phaseatlas.blowup import classify_nilpotent_origin
 from phaseatlas.desing import PolyField, cdk_poly_field, desingularize
@@ -98,14 +98,26 @@ def test_render_elliptic_case_has_black_x_at_origin():
     assert 'stroke="#000000"' in svg  # the nilpotent-origin x glyph
 
 
-def test_all_coordinates_inside_viewport():
+def test_all_coordinates_inside_viewport(monkeypatch):
+    # the path writer projects the plane points it receives; check their finite projections
+    monkeypatch.setattr(portrait, "_use_worker", lambda: False)
+    received, real = [], portrait._path_data
+
+    def path_data(points):
+        points = list(points)
+        received.extend(points)
+        return real(points)
+
+    monkeypatch.setattr(portrait, "_path_data", path_data)
     f = cdk_poly_field(F(1, 2), F(19, 10))
     doc = render_portrait(f)
+    disc = [compact.disc_coords(z) for z in received]
+    finite = [(x, y) for x, y in disc if math.isfinite(x) and math.isfinite(y)]
+    assert len(finite) > 1000
+    for x, y in finite:
+        assert math.hypot(x, y) <= 1.0 + 1e-6
     for el in doc.elements:
-        if el[0] == "path":
-            for x, y in el[1]:
-                assert math.hypot(x, y) <= 1.0 + 1e-6
-        elif el[0] == "marker":
+        if el[0] == "marker":
             x, y = el[2]
             assert math.hypot(x, y) <= 1.0 + 1e-6
 
@@ -247,7 +259,12 @@ def test_worker_gives_the_serial_bytes(monkeypatch, name):
     f = _WORKER_FIELDS[name]
     serial = _integrate_calls(monkeypatch, f, False)
     parent = _integrate_calls(monkeypatch, f, True)
-    assert parent == serial[::2]  # the child ran the odd-indexed jobs
+    # this process runs every separatrix in order, then the background jobs it claims
+    n = 2 * (portrait.RING_SEED_COUNT + portrait.INNER_SEED_COUNT)
+    background, separatrices = serial[:n], serial[n:]
+    assert parent[: len(separatrices)] == separatrices
+    claimed = [background.index(call) for call in parent[len(separatrices):]]
+    assert claimed == sorted(set(claimed))
     assert _render(monkeypatch, f, True) == _render(monkeypatch, f, False)
 
 
@@ -276,7 +293,8 @@ def _failing_at(monkeypatch, jobs, indices):
     return min(failing.values())
 
 
-# job indices: even ones run in this process, odd ones in the child, -1 is the last separatrix
+# serial job indices: the 64 background jobs, claimed by either process, then the separatrices,
+# which run in this process; -1 is the last separatrix
 @pytest.mark.parametrize("failing", [(6,), (11,), (6, 11), (3, 10), (-1,)])
 def test_worker_raises_the_first_failure_of_a_serial_run(monkeypatch, capsys, failing):
     f = _WORKER_FIELDS["s3-s4-saddles"]
@@ -302,3 +320,14 @@ def test_worker_that_dies_without_output_changes_nothing(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
     assert _render(monkeypatch, f, True) == serial
+
+
+def test_error_after_the_fork_is_the_serial_error(monkeypatch, capsys):
+    def infinite_stationary_points(f):
+        raise PreconditionError("forced failure at infinity")
+
+    monkeypatch.setattr(compact, "infinite_stationary_points", infinite_stationary_points)
+    for worker in (False, True):
+        monkeypatch.setattr(portrait, "_use_worker", lambda: worker)
+        assert cli.main(["portrait", "--a", "5/2", "--b", "1/2"]) == 3
+        assert capsys.readouterr() == ("", "error: forced failure at infinity\n")

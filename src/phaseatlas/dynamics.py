@@ -8,19 +8,21 @@ zero set.
 The integrator is an embedded Dormand-Prince 5(4) pair with standard
 proportional step control.  Termination is part of the contract: capture
 near a known equilibrium (with the field pointing inward), box exit, time
-exhaustion, or step underflow — never a silent stop.  For fixed options the
-result is bit-deterministic.
+exhaustion, or step underflow — never a silent stop.  A start point that is
+not finite is rejected before the loop.  For fixed options the result is
+bit-deterministic.
 
 The step loop is one source template, `_LOOP`: for the evaluator that
 `PolyField.compiled()` returns it is built once by `step_loop`, on the field's
-first `integrate` or before `portrait` forks its trajectory worker, with the
-field's powers and term sums written into each stage, and kept on the
-evaluator; any other callable gets one loop that calls it at each stage.  Both
-do a tableau loop's float operations in its order, so trajectories agree bit
-for bit.  First same as last: k6 is the next k0, since the stage-6 point is
-(x5, y5) bit for bit while both are finite (its weights are x5's first six,
-and b6 * k6 = ±0.0 changes no bit of a sum started at +0.0); a non-finite step
-ends the trajectory, and a rejected step keeps its k0.
+first `integrate` or before `portrait` forks the worker that shares its
+trajectories, with the field's powers and term sums written into each stage,
+and kept on the evaluator; any other callable gets one loop that calls it at
+each stage.  Both do a tableau loop's float operations in its order, so
+trajectories agree bit for bit.  First same as last: k6 is the next k0, since
+the stage-6 point is (x5, y5) bit for bit while both are finite (its weights
+are x5's first six, and b6 * k6 = ±0.0 changes no bit of a sum started at
++0.0); a non-finite step ends the trajectory, and a rejected step keeps its
+k0.
 """
 
 from __future__ import annotations

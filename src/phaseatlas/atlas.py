@@ -46,21 +46,9 @@ REGION_IDS = (
 )
 
 
-def _rationalize(value, diagnostics=None):
-    if isinstance(value, float):
-        if diagnostics is not None:
-            diagnostics.append(
-                f"parameter {value!r} was rationalized from a float; exact region "
-                "boundaries need exact rational input"
-            )
-        return Fraction(value)
-    return as_rational(value)
-
-
-def classify_region(a, b, diagnostics=None) -> str:
+def classify_region(a, b) -> str:
     """Region label of (a, b), boundaries included: `_region` on a and b over one denominator."""
-    a = _rationalize(a, diagnostics)
-    b = _rationalize(b, diagnostics)
+    a, b = as_rational(a), as_rational(b)
     if a <= 0 or b <= 0:
         raise DomainError("parameters must be positive")
     return _region(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
@@ -210,7 +198,7 @@ def _validate_sectors(dec, case: str):
 
 def region_summary(a, b) -> RegionSummary:
     """Full qualitative record of the region of (a, b); see `cdk_field_summary`."""
-    return cdk_field_summary(cdk_poly_field(_rationalize(a), _rationalize(b)))
+    return cdk_field_summary(cdk_poly_field(a, b))
 
 
 def cdk_field_summary(f) -> RegionSummary:

@@ -68,15 +68,13 @@ class _System:
 
     def __init__(self, args):
         self.kind = args.system
-        self.a = self.b = None
-        self.spec = None
         if args.system == "cdk":
             if args.a is None or args.b is None:
                 raise ParseError("the cdk fixture needs both --a and --b")
-            self.a, self.b = _rational(args.a), _rational(args.b)
-            self.field = cdk_poly_field(self.a, self.b)
+            a, b = _rational(args.a), _rational(args.b)
+            self.field = cdk_poly_field(a, b)
             self.text = "cdk"
-            self.params = (("a", self.a), ("b", self.b))
+            self.params = (("a", a), ("b", b))
         elif args.system == "sprott":
             self.field = sprott_field()
             self.text = "sprott"
@@ -87,10 +85,10 @@ class _System:
                     text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"system file {args.system} is not UTF-8 text: {exc}") from None
-            self.spec = sysio.parse_system(text)
-            self.field = desingularize(self.spec.field)
-            self.text = self.spec.canonical_text().strip()
-            self.params = self.spec.parameters
+            spec = sysio.parse_system(text)
+            self.field = desingularize(spec.field)
+            self.text = spec.canonical_text().strip()
+            self.params = spec.parameters
 
     def require_polynomial(self):
         if self.kind == "sprott":

@@ -89,10 +89,6 @@ class Trajectory:
     termination: Termination
     direction: str = "forward"
 
-    @property
-    def last_point(self) -> tuple[float, float]:
-        return self.samples[-1][1]
-
 
 def _as_rhs(f):
     if isinstance(f, PolyField):

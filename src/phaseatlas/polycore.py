@@ -277,10 +277,6 @@ class BiPoly:
 
     # -- structural operations ----------------------------------------------
 
-    def homogeneous_part(self, d: int) -> "BiPoly":
-        """Sum of the terms of total degree exactly d."""
-        return BiPoly._make({e: n for e, n in self._num.items() if e[0] + e[1] == d}, self._den)
-
     def shift(self, dx, dy) -> "BiPoly":
         """Substitute x -> x + dx, y -> y + dy (exact binomial expansion)."""
         dx = as_rational(dx)

@@ -103,8 +103,8 @@ class VectorDocument:
     elements: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def add_circle(self, center, radius, color, width, fill="none"):
-        self.elements.append(("circle", center, radius, color, width, fill))
+    def add_circle(self, center, radius, color, width):
+        self.elements.append(("circle", center, radius, color, width))
 
     def add_path(self, points, color, width):
         """Draw plane points on the disc, see `_path_data`."""
@@ -131,10 +131,10 @@ class VectorDocument:
         out.append('<rect x="-1.1" y="-1.1" width="2.2" height="2.2" fill="#ffffff"/>')
         for el in self.elements:
             if el[0] == "circle":
-                _, (cx, cy), r, color, width, fill = el
+                _, (cx, cy), r, color, width = el
                 out.append(
                     f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" '
-                    f'stroke="{color}" stroke-width="{_fmt(width)}" fill="{fill}"/>'
+                    f'stroke="{color}" stroke-width="{_fmt(width)}" fill="none"/>'
                 )
             elif el[0] == "path":
                 _, d, color, width = el
@@ -172,13 +172,6 @@ def _marker_svg(shape, cx, cy, s, color) -> str:
 
 
 # -- separatrices --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Separatrix:
-    trajectory: dynamics.Trajectory
-    stable: bool  # stable manifolds blue, unstable red
-    source: str  # label of the equilibrium it belongs to
 
 
 def _eigen_directions(J):
@@ -223,18 +216,6 @@ def _separatrix_jobs(f: PolyField, points, sectors):
     return opts, jobs
 
 
-def trace_separatrices(f: PolyField, points, sectors=None):
-    """Separatrices of saddles and semi-hyperbolic points, plus the
-    characteristic orbits bounding the sectors of a nilpotent origin.
-
-    Integrator failures are collected as document warnings by the caller,
-    never raised.
-    """
-    opts, jobs = _separatrix_jobs(f, points, sectors)
-    return [Separatrix(dynamics.integrate(f, seed, opts, direction), stable, source)
-            for seed, direction, stable, source in jobs]
-
-
 # -- portrait assembly -----------------------------------------------------------------
 
 
@@ -244,19 +225,11 @@ def _use_worker():
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-def _run_job(f, job):
-    """(termination kind, path data) of one (seed, options, direction) job."""
-    traj = dynamics.integrate(f, *job)
-    return traj.termination.kind, _path_data(z for _, z in traj.samples)
-
-
-def _run_until_error(f, jobs, indices):
-    """{index: result} of the jobs at these indices, run in order up to the first exception."""
-    results = {}
-    with contextlib.suppress(Exception):
-        for i in indices:
-            results[i] = _run_job(f, jobs[i])
-    return results
+def _run_jobs(f, jobs, indices, results):
+    """Store (termination kind, path data) of jobs[i] in results[i] for each index in order; raises."""
+    for i in indices:
+        traj = dynamics.integrate(f, *jobs[i])
+        results[i] = traj.termination.kind, _path_data(z for _, z in traj.samples)
 
 
 def _claimed(queue):
@@ -293,7 +266,9 @@ class _Worker:
         if self.pid == 0:
             try:
                 os.close(rfd)
-                results = _run_until_error(f, background, _claimed(self.queue))
+                results = {}
+                with contextlib.suppress(Exception):
+                    _run_jobs(f, background, _claimed(self.queue), results)
                 with open(wfd, "wb") as pipe:
                     pipe.write(marshal.dumps(results))
             finally:
@@ -310,7 +285,9 @@ class _Worker:
         if self.pid is None:
             return {}
         claims = chain(range(len(self.background), len(jobs)), _claimed(self.queue))
-        results = _run_until_error(self.f, jobs, claims)
+        results = {}
+        with contextlib.suppress(Exception):
+            _run_jobs(self.f, jobs, claims, results)
         data = self.results.read()
         if self.close() == 0 and data:
             results.update(marshal.loads(data))
@@ -389,7 +366,8 @@ def render_portrait(f: PolyField) -> VectorDocument:
     finally:
         worker.close()
     # what neither process finished runs here in job order, so an error is a serial run's
-    paths = iter([results[i] if i in results else _run_job(f, job) for i, job in enumerate(jobs)])
+    _run_jobs(f, jobs, [i for i in range(len(jobs)) if i not in results], results)
+    paths = iter([results[i] for i in range(len(jobs))])
 
     if circle is not None:
         doc.add_path(_circle_points((float(circle.center[0]), float(circle.center[1])), float(circle.radius)),

@@ -1,8 +1,8 @@
 """Textual system specifications and analysis reports.
 
-System files hold two rational right-hand sides separated by ";" or, if
-there is no ";", by a line end, optionally preceded by parameter bindings,
-lines whose first word is "param":
+System files hold two non-empty rational right-hand sides separated by
+one ";" or, if there is no ";", by a line end, optionally preceded by
+parameter bindings, lines whose first word is "param":
 
     param a = 1/2
     param b = 1/2
@@ -37,7 +37,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .desing import RationalField
 from .errors import ParseError, UnknownSymbolError, UnsupportedConstructError, ZeroDenominatorError
@@ -297,12 +296,17 @@ def parse_system(text: str) -> SystemSpec:
     # the sides are separated by ";" if there is one, else by line ends
     tokens = [tok for line in lines for tok in line]
     pieces = lines
-    if any(tok.value == ";" for tok in tokens):
-        pieces = [list(g) for semi, g in groupby(tokens, lambda t: t.value == ";") if not semi]
+    semis = [k for k, tok in enumerate(tokens) if tok.value == ";"]
+    if semis:
+        ends = [-1, *semis, len(tokens)]
+        pieces = [tokens[i + 1:j] for i, j in zip(ends, ends[1:])]
     if len(pieces) != 2:
         raise ParseError(
             f"expected exactly two right-hand sides, found {len(pieces)}", tokens[0].line, 1
         )
+    if not all(pieces):  # then there is exactly one ";"
+        semi = tokens[semis[0]]
+        raise ParseError("empty right-hand side beside ';'", semi.line, semi.column)
 
     sides = []
     for piece in pieces:
@@ -426,9 +430,7 @@ def format_report(report: dict, fmt: str = "json") -> str:
     def num(doc):
         if "exact" in doc:
             return doc["exact"]
-        if "approx" in doc:
-            return f"~{doc['approx']}"
-        return f"{num(doc['re'])}{'+' if not num(doc['im']).startswith('-') else ''}{num(doc['im'])}i"
+        return f"~{doc['approx']}"
 
     lines.append("system:")
     for line in report["system"]["text"].strip().splitlines():

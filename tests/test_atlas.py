@@ -276,13 +276,12 @@ def test_nonpositive_parameter_is_a_domain_error(nonpositive, other):
             classify_region(a, b)
 
 
-def test_float_parameters_are_rationalized_with_a_diagnostic():
-    notes = []
-    assert classify_region(0.5, 1.0, notes) == "3j"
-    assert classify_region(0.25, 1.5, notes) == _fraction_tree(F(1, 4), F(3, 2)) == "2c"
-    assert len(notes) == 4
-    assert notes[0].startswith("parameter 0.5 was rationalized from a float")
-    assert classify_region(0.1, 0.1) == "3f"  # the nearest double, on the diagonal
+def test_float_parameters_are_refused():
+    # exact region boundaries need exact input, and Fraction(1.9) is not 19/10
+    for call, a, b in ((classify_region, 0.5, 1.0), (classify_region, F(1, 2), 1.9),
+                       (region_summary, 0.5, F(19, 10))):
+        with pytest.raises(DomainError, match="refusing to coerce float"):
+            call(a, b)
 
 
 _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from phaseatlas.cli import main
+from phaseatlas.desing import sprott_field
 
 
 def run(capsys, *argv):
@@ -193,12 +194,31 @@ def test_omega_from_a_start_that_is_not_finite_exits_3(capsys, start):
     assert err.startswith("error: start point (") and err.endswith(") is not finite\n")
 
 
+def test_omega_unresolved_within_max_time(capsys):
+    code, out, _ = run(
+        capsys, "omega", "--a", "5/2", "--b", "19/10", "--start", "0.1,0.9", "--max-time", "0.5"
+    )
+    assert (code, out) == (0, "omega limit: unresolved (time_exhausted)\n")
+
+
+def test_sprott_omega_from_its_fixed_point(capsys):
+    x, y = sprott_field().fixed_point()
+    code, out, _ = run(capsys, "omega", "--system", "sprott", "--start", f"{x!r},{y!r}")
+    assert (code, out) == (0, "omega limit: equilibrium (0.56714329041, -0.56714329041)\n")
+
+
 def test_region_subcommand(capsys):
     code, out, _ = run(capsys, "region", "--a", "0.5", "--b", "1.9")
     assert code == 0
     doc = json.loads(out)
     assert doc["region"] == "2b"
     assert doc["almost_attractors"] == ["s3", "s4"]
+
+
+def test_region_human_format(capsys):
+    code, out, _ = run(capsys, "region", "--a", "7/10", "--b", "1/2", "--format", "human")
+    assert code == 0
+    assert out.startswith("region 3h: {")
 
 
 def test_region_rejects_nonpositive(capsys):
@@ -370,6 +390,16 @@ def test_bad_spec_file_exits_2(tmp_path, capsys):
     assert "ln" in err
 
 
+@pytest.mark.parametrize("text", ["x ;; y", "x ; y ;", "; x ; y"])
+def test_spec_file_with_an_empty_side_exits_2(tmp_path, capsys, text):
+    # these used to parse as "x ; y" and exit 0
+    path = tmp_path / "sys.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "stationary", "--system", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: expected exactly two right-hand sides, found 3 (line 1, column 1)\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "stationary", "--system", "/nonexistent/path.txt")
     assert code == 2
@@ -395,6 +425,25 @@ def test_zero_field_is_a_continuum(tmp_path, capsys, command):
     code, _, err = run(capsys, command[0], "--system", str(path), *command[1:])
     assert code == 3
     assert "continuum of stationary points" in err
+
+
+def test_infinity_of_the_zero_field_exits_3(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("0 ; 0\n")
+    code, out, err = run(capsys, "infinity", "--system", str(path))
+    assert (code, out, err) == (3, "", "error: cannot compactify the zero field\n")
+
+
+def test_finite_continuum_in_portrait_and_blowup(tmp_path, capsys):
+    # x*y ; x*y vanishes on both axes: two lines of stationary points
+    path = tmp_path / "xy.txt"
+    path.write_text("x*y ; x*y\n")
+    code, out, _ = run(capsys, "portrait", "--system", str(path))
+    assert code == 0
+    assert "<!-- warning: continuum of finite stationary points detected -->\n" in out
+    code, out, _ = run(capsys, "blowup", "--system", str(path))
+    assert code == 0
+    assert "sector assembly unresolved: zero radial eigenvalue at divisor point +x\n" in out
 
 
 def test_omega_with_dump(tmp_path, capsys):

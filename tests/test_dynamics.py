@@ -347,7 +347,7 @@ def _capture_calls(traj, opts):
         for cap in caps:
             if math.hypot(x - cap[0], y - cap[1]) <= opts.equilibrium_capture_radius:
                 calls += 1
-                if cap == traj.termination.which and (x, y) == traj.last_point:
+                if cap == traj.termination.which and (x, y) == traj.samples[-1][1]:
                     break
     return calls
 

@@ -1,0 +1,60 @@
+"""Package hygiene: every definition in `phaseatlas` is used by the package itself."""
+
+import ast
+from pathlib import Path
+
+import phaseatlas
+
+# definitions that no package code references, each with the reason it stays
+UNREFERENCED_ALLOWED = {
+    "StationaryCircle.contains": "test_equilibria.py asserts through it",
+    "SprottField.original": "test_desing.py checks the multiplied field against it",
+    "SprottField.jacobian_original": "acceptance criterion 9 linearizes the original system with it",
+    "PolyField.shifted": "tests move stationary points to the origin with it",
+    "BlowupChart.substitution": "the chart-identity tests check each chart against it",
+    "SectorDecomposition.counts": "acceptance criterion 4 and test_blowup.py read it",
+    "SingularEvaluationError": "tests/oracles.py raises it",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(phaseatlas.__file__).parent.glob("*.py"))}
+
+
+def _definitions(tree):
+    """Qualified names of the module-level functions and classes, and of the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+def _referenced(trees):
+    """Every name that package code reads as a name, an attribute or an import."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_definition_is_used_by_the_package():
+    modules = _modules()
+    referenced = _referenced(modules.values())
+    unreferenced = {qualname: module for module, tree in modules.items()
+                    for qualname, name in _definitions(tree) if name not in referenced}
+    stray = sorted(f"{module}.{qualname}" for qualname, module in unreferenced.items()
+                   if qualname not in UNREFERENCED_ALLOWED)
+    assert not stray, f"only tests reach these; move them to tests/oracles.py or delete them: {stray}"
+    # an allowlisted name that the package now uses, or that is gone, leaves the list
+    assert set(unreferenced) == set(UNREFERENCED_ALLOWED)

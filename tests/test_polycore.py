@@ -169,30 +169,6 @@ def test_lcm_times_gcd_is_product_up_to_scale():
     assert (g * l).primitive() == (p * q).primitive()
 
 
-# -- homogeneous decomposition -------------------------------------------------
-
-
-def test_homogeneous_parts_of_cdk_y_component():
-    _, q = cdk_rhs(Fraction(1, 2), Fraction(1, 2))
-    b = Fraction(1, 2)
-    assert q.homogeneous_part(2) == b * Y**2 + (b - 1) * X**2
-    assert q.homogeneous_part(3) == -b * (Y**3 + Y * X**2)
-
-
-def test_homogeneous_part_absent_degree():
-    assert (X + 1).homogeneous_part(5).is_zero()
-
-
-def test_homogeneous_parts_reconstruct():
-    rng = random.Random(5)
-    for _ in range(30):
-        p = random_poly(rng, 4, 8)
-        total = BiPoly.zero()
-        for d in range(p.total_degree() + 1):
-            total = total + p.homogeneous_part(d)
-        assert total == p
-
-
 # -- Newton weights -------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from phaseatlas.portrait import (
     glyph_for,
     render_portrait,
     render_region_map,
-    trace_separatrices,
 )
 from phaseatlas.sysio import parse_system
 
@@ -47,6 +46,13 @@ def test_glyph_map_total_over_kinds():
                 assert glyph_for(ClassificationKind(name, subkind=sub))
 
 
+def _separatrices(f, points):
+    """(trajectory, stable, source) of each separatrix job, integrated as render_portrait does."""
+    opts, jobs = portrait._separatrix_jobs(f, points, None)
+    return [(dynamics.integrate(f, seed, opts, direction), stable, source)
+            for seed, direction, stable, source in jobs]
+
+
 def test_linear_saddle_four_separatrices():
     f = PolyField(X, -Y)
     pts = [
@@ -54,13 +60,13 @@ def test_linear_saddle_four_separatrices():
             f, (F(0), F(0)), None
         )
     ]
-    seps = trace_separatrices(f, pts)
+    seps = _separatrices(f, pts)
     assert len(seps) == 4
-    stable = [s for s in seps if s.stable]
+    stable = [trajectory for trajectory, is_stable, _ in seps if is_stable]
     assert len(stable) == 2
     # stable rays hug the y-axis, unstable rays the x-axis
-    for s in stable:
-        x, y = s.trajectory.last_point
+    for trajectory in stable:
+        x, y = trajectory.samples[-1][1]
         assert abs(x) < 1e-3 or abs(y) > abs(x)
 
 
@@ -69,9 +75,9 @@ def test_saddle_separatrices_separate_basins():
     a, b = F(5, 2), F(1, 2)
     f = cdk_poly_field(a, b)
     pts = cdk_stationary_points(a, b)
-    seps = trace_separatrices(f, pts)
-    assert any(s.stable and s.source == "s3" for s in seps)
-    assert any(s.stable and s.source == "s4" for s in seps)
+    seps = _separatrices(f, pts)
+    assert any(stable and source == "s3" for _, stable, source in seps)
+    assert any(stable and source == "s4" for _, stable, source in seps)
 
 
 def test_render_deterministic_bytes():

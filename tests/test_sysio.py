@@ -142,6 +142,25 @@ def test_newline_separated_sides():
 
 
 @pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # the first three used to parse as "x ; y"
+        ("x ;; y", "found 3", (1, 1)),
+        ("x ; y ;", "found 3", (1, 1)),
+        ("; x ; y", "found 3", (1, 1)),
+        ("x ;\n; y", "found 3", (1, 1)),
+        ("x ; y ; z", "found 3", (1, 1)),
+        ("x ;", "empty right-hand side", (1, 3)),
+        ("\n; x", "empty right-hand side", (2, 1)),
+    ],
+)
+def test_sides_are_exactly_two_nonempty_expressions(text, message, position):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == position
+
+
+@pytest.mark.parametrize(
     "text, position",
     [("x ; y +", (1, 7)), ("x\n+ 1 ; y +", (2, 9))],
     ids=["same-line", "next-line"],

@@ -13,9 +13,14 @@
 Systems come from the built-in fixtures ("cdk" with --a/--b, "sprott") or
 from a spec file (two rational expressions, optional "param n = v" lines).
 Rational flags accept "n/d" or decimal literals; decimals are rationalized
-exactly from their digits.  Exit codes: 0 success, 2 usage or parse error,
+exactly from their digits.  A point may start with a minus sign after a
+space (--start -0.1,0.9).  Exit codes: 0 success, 2 usage or parse error,
 3 precondition or domain violation, 4 internal inconsistency.
 Output is deterministic.
+
+main() builds a parser holding only the command that argv names (COMMANDS
+lists each one's arguments), with the same usage and error text as the full
+parser, which it builds when argv names no known command.
 """
 
 from __future__ import annotations
@@ -51,16 +56,22 @@ def _rational(text: str) -> Fraction:
 
 def _point(text: str) -> tuple[float, float]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"expected 'x,y', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        if len(parts) == 2:
+            return (float(parts[0]), float(parts[1]))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
 
 
 def _range(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise ParseError(f"expected 'lo:hi', got {text!r}")
-    return (_rational(parts[0]), _rational(parts[1]))
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {text!r}")
+    try:
+        return (_rational(parts[0]), _rational(parts[1]))
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _System:
@@ -259,8 +270,6 @@ def cmd_omega(args):
 
 
 def cmd_region(args):
-    if args.a is None or args.b is None:
-        raise ParseError("region classification needs --a and --b")
     a, b = _rational(args.a), _rational(args.b)
     summary = atlas.region_summary(a, b)
     doc = {
@@ -275,8 +284,17 @@ def cmd_region(args):
     }
     if args.format == "json":
         _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        return EXIT_OK
+    lines = [f"region: {summary.region}", "finite stationary points:"]
+    lines += [f"  {label}: {kind}" for label, kind in summary.finite_points.items()]
+    lines.append(f"s1 sectors: {summary.s1_sectors}")
+    if isinstance(summary.infinity, str):
+        lines.append("infinity: every point stationary")
     else:
-        _emit(args, f"region {summary.region}: {doc}\n")
+        lines += ["infinity:", f"  x: {summary.infinity[0]}", f"  y: {summary.infinity[1]}"]
+    lines.append(f"homoclinic: {summary.homoclinic}")
+    lines.append(f"almost attractors: {', '.join(summary.almost_attractors)}")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -352,83 +370,108 @@ def cmd_portrait(args):
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SYSTEM = (
+    ("--system", dict(default="cdk", help="'cdk', 'sprott', or a spec file path")),
+    ("--a", dict(help="rational value for parameter a (n/d or decimal)")),
+    ("--b", dict(help="rational value for parameter b")),
+    ("-o --output", dict(help="write output to this file instead of stdout")),
+)
+_FORMAT = ("--format", dict(choices=("json", "human"), default="human"))
+
+# name -> (handler, help, *arguments as ("flags", add_argument keywords)), in --help order
+COMMANDS = {
+    "analyze": (
+        cmd_analyze,
+        "full report: stationary points, sectors, infinity, region",
+        *_SYSTEM,
+        _FORMAT,
+        ("--stamp", dict(action="store_true", help="include a wall-clock timestamp (output is bit-stable without it)")),
+    ),
+    "stationary": (cmd_stationary, "finite stationary points", *_SYSTEM, _FORMAT),
+    "blowup": (cmd_blowup, "directional blow-up charts at the origin", *_SYSTEM),
+    "infinity": (cmd_infinity, "stationary points at infinity", *_SYSTEM),
+    "index": (
+        cmd_index,
+        "winding number of the field on a circle",
+        *_SYSTEM,
+        ("--center", dict(type=_point, default=(0.0, 0.0))),
+        ("--radius", dict(type=float, required=True)),
+        ("-n --samples", dict(type=int, default=4096)),
+    ),
+    "omega": (
+        cmd_omega,
+        "forward limit set of a trajectory",
+        *_SYSTEM,
+        ("--start", dict(type=_point, required=True)),
+        ("--max-time", dict(type=float, default=1e4)),
+        ("--capture-radius", dict(type=float, default=1e-6)),
+        ("--dump", dict(help="write the trajectory as tau,x,y lines to this file")),
+    ),
+    "region": (
+        cmd_region,
+        "parameter-plane region of (a, b)",
+        ("--a", dict(required=True)),
+        ("--b", dict(required=True)),
+        ("-o --output", {}),
+        ("--format", dict(choices=("json", "human"), default="json")),
+    ),
+    "scan": (
+        cmd_scan,
+        "region map over a parameter rectangle",
+        ("--a-range", dict(type=_range, default=(Fraction(0), Fraction(3)))),
+        ("--b-range", dict(type=_range, default=(Fraction(0), Fraction(3)))),
+        ("--resolution", dict(type=int, default=60)),
+        ("-o --output", {}),
+    ),
+    "portrait": (
+        cmd_portrait,
+        "phase portrait (or scan map) as SVG",
+        *_SYSTEM,
+        ("--scan-map", dict(help="render a scan JSON document instead of a portrait")),
+    ),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv: only its command when argv[0] names one, else every command."""
     parser = argparse.ArgumentParser(
         prog="phaseatlas",
         description="Qualitative analysis of planar rational ODE systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_system(p):
-        p.add_argument("--system", default="cdk", help="'cdk', 'sprott', or a spec file path")
-        p.add_argument("--a", help="rational value for parameter a (n/d or decimal)")
-        p.add_argument("--b", help="rational value for parameter b")
-        p.add_argument("-o", "--output", help="write output to this file instead of stdout")
-
-    p = sub.add_parser("analyze", help="full report: stationary points, sectors, infinity, region")
-    add_system(p)
-    p.add_argument("--format", choices=("json", "human"), default="human")
-    p.add_argument(
-        "--stamp",
-        action="store_true",
-        help="include a wall-clock timestamp (output is bit-stable without it)",
-    )
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("stationary", help="finite stationary points")
-    add_system(p)
-    p.add_argument("--format", choices=("json", "human"), default="human")
-    p.set_defaults(func=cmd_stationary)
-
-    p = sub.add_parser("blowup", help="directional blow-up charts at the origin")
-    add_system(p)
-    p.set_defaults(func=cmd_blowup)
-
-    p = sub.add_parser("infinity", help="stationary points at infinity")
-    add_system(p)
-    p.set_defaults(func=cmd_infinity)
-
-    p = sub.add_parser("index", help="winding number of the field on a circle")
-    add_system(p)
-    p.add_argument("--center", type=_point, default=(0.0, 0.0))
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("-n", "--samples", type=int, default=4096)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("omega", help="forward limit set of a trajectory")
-    add_system(p)
-    p.add_argument("--start", type=_point, required=True)
-    p.add_argument("--max-time", type=float, default=1e4)
-    p.add_argument("--capture-radius", type=float, default=1e-6)
-    p.add_argument("--dump", help="write the trajectory as tau,x,y lines to this file")
-    p.set_defaults(func=cmd_omega)
-
-    p = sub.add_parser("region", help="parameter-plane region of (a, b)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--format", choices=("json", "human"), default="json")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("scan", help="region map over a parameter rectangle")
-    p.add_argument("--a-range", type=_range, default=(Fraction(0), Fraction(3)))
-    p.add_argument("--b-range", type=_range, default=(Fraction(0), Fraction(3)))
-    p.add_argument("--resolution", type=int, default=60)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("portrait", help="phase portrait (or scan map) as SVG")
-    add_system(p)
-    p.add_argument("--scan-map", help="render a scan JSON document instead of a portrait")
-    p.set_defaults(func=cmd_portrait)
-
+    names = list(COMMANDS)
+    if argv and argv[0] in COMMANDS:
+        # keeps the usage line's command list; with every command registered
+        # a metavar would rename "command" in the "required" error
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(names) + "}")
+        names = [argv[0]]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        handler, help_text, *arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags.split(), **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _attach_points(argv):
+    """Write `--start -0.1,0.9` as `--start=-0.1,0.9`; argparse reads '-0.1,0.9' as a flag."""
+    flag = {"index": "--center", "omega": "--start"}.get(argv[0] if argv else None)
+    for k in range(len(argv) - 1, 1, -1):
+        if argv[k - 1] == flag and argv[k].startswith("-"):
+            try:
+                _point(argv[k])
+            except argparse.ArgumentTypeError:
+                continue
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
+    return argv
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _attach_points(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from phaseatlas import cli
 from phaseatlas.cli import main
 from phaseatlas.desing import sprott_field
 
@@ -218,7 +219,25 @@ def test_region_subcommand(capsys):
 def test_region_human_format(capsys):
     code, out, _ = run(capsys, "region", "--a", "7/10", "--b", "1/2", "--format", "human")
     assert code == 0
-    assert out.startswith("region 3h: {")
+    assert out == (
+        "region: 3h\n"
+        "finite stationary points:\n"
+        "  s1: nilpotent (case 1)\n"
+        "  s2: saddle\n"
+        "s1 sectors: 1\n"
+        "infinity:\n"
+        "  x: repelling_node\n"
+        "  y: saddle\n"
+        "homoclinic: True\n"
+        "almost attractors: s1\n"
+    )
+
+
+def test_region_human_format_continuum_at_infinity(capsys):
+    code, out, _ = run(capsys, "region", "--a", "1", "--b", "1", "--format", "human")
+    assert code == 0
+    assert "\ninfinity: every point stationary\n" in out
+    assert out.endswith("almost attractors: s1, circle\n")
 
 
 def test_region_rejects_nonpositive(capsys):
@@ -535,3 +554,95 @@ def test_analyze_spec_file(tmp_path, capsys):
     # saddle at the origin plus the pair (±1/sqrt(2), 0)
     assert len(doc["equilibria"]) == 3
     assert "region" not in doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("omega", "--a", "5/2", "--b", "19/10", "--start", "-0.1,0.9", "--max-time", "0.5"),
+        ("index", "--a", "1/2", "--b", "1/2", "--center", "-0.5,0", "--radius", "0.1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_point_after_a_space(capsys, argv):
+    # "-0.1,0.9" used to be read as a flag: "expected one argument", exit 2
+    k = argv.index("-0.1,0.9" if argv[0] == "omega" else "-0.5,0")
+    joined = run(capsys, *argv[: k - 1], f"{argv[k - 1]}={argv[k]}", *argv[k + 1 :])
+    assert joined[0] == 0
+    assert run(capsys, *argv) == joined
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("omega", "--start", "0.1,0.9,3"), "argument --start: expected 'x,y', got '0.1,0.9,3'"),
+        (("omega", "--start", "0.1,y"), "argument --start: expected 'x,y', got '0.1,y'"),
+        (("index", "--radius", "1", "--center", "1"), "argument --center: expected 'x,y', got '1'"),
+        (("scan", "--a-range", "1"), "argument --a-range: expected 'lo:hi', got '1'"),
+        (("scan", "--b-range", "0:x"), "argument --b-range: invalid rational literal 'x': "),
+    ],
+)
+def test_type_converter_errors_name_the_expected_form(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"phaseatlas {argv[0]}: error: {message}" in err
+    assert "_point" not in err and "_range" not in err
+
+
+def _commands(parser):
+    (sub,) = [action for action in parser._actions if action.dest == "command"]
+    return list(sub.choices)
+
+
+def test_build_parser_registers_only_the_named_command():
+    assert _commands(cli.build_parser()) == list(cli.COMMANDS)
+    assert len(cli.COMMANDS) == 9
+    for argv in ([], ["-h"], ["bogus"], ["--", "scan"]):
+        assert _commands(cli.build_parser(argv)) == list(cli.COMMANDS)
+    assert _commands(cli.build_parser(["scan", "--resolution", "4"])) == ["scan"]
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser(["scan"]) is not cli.build_parser(["scan"])
+
+
+_SYSTEM_COMMANDS = ("analyze", "stationary", "blowup", "infinity", "index", "omega", "portrait")
+
+EQUIVALENCE_CORPUS = [
+    (),
+    ("-h",),
+    ("bogus",),
+    ("analyz",),
+    *((name, "-h") for name in cli.COMMANDS),
+    *((name, "--bogus", "1") for name in cli.COMMANDS),
+    *((name, "--format", "xml") for name in cli.COMMANDS),
+    *((name, "--system") for name in _SYSTEM_COMMANDS),
+    ("index",),
+    ("omega", "--a", "1/2"),
+    ("region", "--a", "1"),
+    ("region", "--b", "1", "--format", "human"),
+    ("analyze", "--a", "x", "--b", "1"),
+    ("index", "--radius", "x"),
+    ("index", "--radius", "1", "-n", "many"),
+    ("index", "--radius", "1", "--center", "1,2,3"),
+    ("omega", "--start", "x"),
+    ("omega", "--start", "0,1", "--max-time", "long"),
+    ("omega", "--start", "0,1", "--capture-radius", "wide"),
+    ("region", "--a", "x", "--b", "1"),
+    ("scan", "--resolution", "x"),
+    ("scan", "--a-range", "1"),
+    ("scan", "--b-range", "x:1"),
+    ("portrait", "--scan-map"),
+]
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    one = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    full = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
+    for argv, got, expected in zip(EQUIVALENCE_CORPUS, one, full):
+        assert got == expected, argv
+        assert got[0] in (0, 2), argv
+    assert sum(code == 0 for code, _, _ in one) == 1 + len(cli.COMMANDS)
+    assert one[0][2].endswith("error: the following arguments are required: command\n")

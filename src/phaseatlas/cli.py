@@ -55,13 +55,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
     try:
-        if len(parts) == 2:
-            return (float(parts[0]), float(parts[1]))
+        x, y = map(float, text.split(","))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}") from None
+    return (x, y)
 
 
 def _range(text: str) -> tuple[Fraction, Fraction]:
@@ -464,7 +462,7 @@ def _attach_points(argv):
                 _point(argv[k])
             except argparse.ArgumentTypeError:
                 continue
-            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
+            argv[k - 1 : k + 1] = [f"{flag}={argv[k]}"]
     return argv
 
 

@@ -557,19 +557,17 @@ def test_analyze_spec_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "command, flag, point, rest",
     [
-        ("omega", "--a", "5/2", "--b", "19/10", "--start", "-0.1,0.9", "--max-time", "0.5"),
-        ("index", "--a", "1/2", "--b", "1/2", "--center", "-0.5,0", "--radius", "0.1"),
+        ("omega", "--start", "-0.1,0.9", ("--a", "5/2", "--b", "19/10", "--max-time", "0.5")),
+        ("index", "--center", "-0.5,0", ("--a", "1/2", "--b", "1/2", "--radius", "0.1")),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_negative_point_after_a_space(capsys, argv):
-    # "-0.1,0.9" used to be read as a flag: "expected one argument", exit 2
-    k = argv.index("-0.1,0.9" if argv[0] == "omega" else "-0.5,0")
-    joined = run(capsys, *argv[: k - 1], f"{argv[k - 1]}={argv[k]}", *argv[k + 1 :])
+def test_negative_point_after_a_space(capsys, command, flag, point, rest):
+    # argparse read "-0.1,0.9" as a flag: "expected one argument", exit 2
+    joined = run(capsys, command, f"{flag}={point}", *rest)
     assert joined[0] == 0
-    assert run(capsys, *argv) == joined
+    assert run(capsys, command, flag, point, *rest) == joined
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@
 Systems come from the built-in fixtures ("cdk" with --a/--b, "sprott") or
 from a spec file (two rational expressions, optional "param n = v" lines).
 Rational flags accept "n/d" or decimal literals; decimals are rationalized
-exactly from their digits.  A point may start with a minus sign after a
-space (--start -0.1,0.9).  Exit codes: 0 success, 2 usage or parse error,
-3 precondition or domain violation, 4 internal inconsistency.
+exactly from their digits.  A value may start with a minus sign after a
+space (--a -1/2, --start -0.1,0.9).  Exit codes: 0 success, 2 usage or
+parse error, 3 precondition or domain violation, 4 internal inconsistency.
 Output is deterministic.
 
 main() builds a parser holding only the command that argv names (COMMANDS
@@ -453,21 +453,23 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_points(argv):
-    """Write `--start -0.1,0.9` as `--start=-0.1,0.9`; argparse reads '-0.1,0.9' as a flag."""
-    flag = {"index": "--center", "omega": "--start"}.get(argv[0] if argv else None)
+def _attach_values(argv):
+    """Write `--a -1/2` as `--a=-1/2`; argparse reads a value that starts with '-' as a flag.
+
+    A value-taking flag of the named command is joined to a following argument
+    that starts with '-' and is not one of that command's flags (`--b=1` is one).
+    """
+    arguments = COMMANDS[argv[0]][2:] if argv and argv[0] in COMMANDS else ()
+    flags = {"-h", "--help"} | {flag for names, _ in arguments for flag in names.split()}
+    takes_value = {flag for names, keywords in arguments if "action" not in keywords for flag in names.split()}
     for k in range(len(argv) - 1, 1, -1):
-        if argv[k - 1] == flag and argv[k].startswith("-"):
-            try:
-                _point(argv[k])
-            except argparse.ArgumentTypeError:
-                continue
-            argv[k - 1 : k + 1] = [f"{flag}={argv[k]}"]
+        if argv[k - 1] in takes_value and argv[k].startswith("-") and argv[k].split("=")[0] not in flags:
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     return argv
 
 
 def main(argv=None) -> int:
-    argv = _attach_points(sys.argv[1:] if argv is None else list(argv))
+    argv = _attach_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:

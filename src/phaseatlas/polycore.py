@@ -258,14 +258,20 @@ class BiPoly:
         """Evaluate at a point; exact for Fraction/int coordinates.
 
         Float coordinates sum `float_terms()` term by term as c·x^i·y^j, the
-        same arithmetic as the integrator's `PolyField.compiled`.  At p/q, r/s
-        the value is sum(n_ij·p^i·q^(dx-i)·r^j·s^(dy-j)) / (D·q^dx·s^dy) in ints.
+        same arithmetic as the integrator's `PolyField.compiled`; a value that overflows
+        is a PreconditionError naming the point.  At p/q, r/s the value is
+        sum(n_ij·p^i·q^(dx-i)·r^j·s^(dy-j)) / (D·q^dx·s^dy) in ints.
         """
         if isinstance(x, float) or isinstance(y, float):
             x, y = float(x), float(y)
             total = 0.0
-            for c, i, j in self.float_terms():
-                total += c * x**i * y**j
+            try:
+                for c, i, j in self.float_terms():
+                    total += c * x**i * y**j
+            except OverflowError:
+                total = math.inf
+            if not math.isfinite(total):
+                raise PreconditionError(f"polynomial value at ({x!r}, {y!r}) overflows a float")
             return total
         x, y = as_rational(x), as_rational(y)
         (p, q), (r, s) = (x.numerator, x.denominator), (y.numerator, y.denominator)

@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from phaseatlas import dynamics
+from phaseatlas import compact, dynamics
 from phaseatlas.desing import PolyField
 from phaseatlas.dynamics import IntegratorOptions
-from phaseatlas.equilibria import sqrt_exact_or_float
+from phaseatlas.equilibria import classify_linear, jacobian_at, sqrt_exact_or_float
 from phaseatlas.errors import DomainError, PreconditionError, SingularEvaluationError
-from phaseatlas.polycore import as_rational
+from phaseatlas.polycore import BiPoly, as_rational, axis_restriction, divisor_power, real_roots
 
 
 def slope_limit_check(fixture, y0: float, x_eval: float) -> float:
@@ -193,3 +194,65 @@ def sector_probe(
     return ProbeMap(
         radius=radius, count=n, evidence=tuple(evidence), arcs=tuple(arcs), gaps=tuple(gaps)
     )
+
+
+# -- the Poincaré compactification with all four charts built ----------------------
+
+CHART_IDS = ("U1", "U2", "V1", "V2")
+
+
+def four_chart_field(f: PolyField, chart: str) -> PolyField:
+    """Chart field of any of U1, U2, V1, V2, each built by the docstring formula."""
+    if chart not in CHART_IDS:
+        raise DomainError(f"unknown chart {chart!r}")
+    if chart in ("U2", "V2"):  # U2/V2 are U1/V1 of the field with x and y exchanged
+        f = PolyField(f.Q.swapped(), f.P.swapped())
+    d = f.max_degree()
+    if d < 0:
+        raise PreconditionError("cannot compactify the zero field")
+    sign = 1 if chart in ("U1", "U2") else (-1) ** (d - 1)
+    q_part = BiPoly({(j, d - i - j): c for (i, j), c in f.Q})
+    up_part = BiPoly({(j + 1, d - i - j): c for (i, j), c in f.P})
+    pu = (q_part - up_part) * sign
+    pz = BiPoly({(j, d + 1 - i - j): -c for (i, j), c in f.P}) * sign
+    s = divisor_power(pz, pu, "y")
+    pu, pz = pu.div_monomial("y", s), pz.div_monomial("y", s)
+    return PolyField(pu, pz, provenance=("compactified", chart))
+
+
+def four_chart_points_at_infinity(f: PolyField):
+    """Points at infinity with every chart built, isolated and linearized on its own."""
+    charts = {chart: four_chart_field(f, chart) for chart in CHART_IDS}
+    if not any(axis_restriction(charts["U1"].P, "y")):
+        samples = []
+        for u in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)):
+            J = jacobian_at(charts["U1"], (u, Fraction(0)))
+            samples.append((u, J[1][1]))
+        return compact.InfinityContinuum(
+            tangential_eigenvalue=Fraction(0), sample_transverse=tuple(samples)
+        )
+    antipode = {"U1": "V1", "V1": "U1", "U2": "V2", "V2": "U2"}
+    axis = {"U1": "+x", "V1": "-x", "U2": "+y", "V2": "-y"}
+    points = []
+    for chart in CHART_IDS:
+        cf = charts[chart]
+        exact, floats, _ = real_roots(axis_restriction(cf.P, "y"))
+        for u in exact + floats:
+            au = abs(float(u))
+            in_x_chart = chart in ("U1", "V1")
+            if u != 0 and ((in_x_chart and au > 1) or (not in_x_chart and au >= 1)):
+                continue
+            J = jacobian_at(cf, (u, 0))
+            points.append(
+                compact.InfinitePoint(
+                    chart=chart,
+                    u=u,
+                    exact=isinstance(u, Fraction),
+                    direction_label=axis[chart] if u == 0 else "slope",
+                    jacobian=J,
+                    kind=classify_linear(J),
+                    transverse_eigenvalue=J[1][1],
+                    antipode_chart=antipode[chart],
+                )
+            )
+    return points

@@ -30,7 +30,7 @@ def test_analyze_region_3h(capsys):
 
 
 @pytest.mark.parametrize(
-    "a, b, calls", [("7/10", "1/2", (1, 1, 4, 1)), ("1", "1", (0, 1, 1, 1))]
+    "a, b, calls", [("7/10", "1/2", (1, 1, 2, 1)), ("1", "1", (0, 1, 1, 1))]
 )
 def test_analyze_computes_each_exact_analysis_once(count_calls, capsys, a, b, calls):
     from phaseatlas import blowup, compact, desing
@@ -55,7 +55,7 @@ def test_blowup_builds_each_chart_once(count_calls, capsys):
     assert counts == {"newton_weights": 1, "divisor_stationary_points": 4}
 
 
-@pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 4), ("1", "1", 2)])
+@pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 2), ("1", "1", 2)])
 def test_infinity_builds_each_chart_once(count_calls, capsys, a, b, charts):
     from phaseatlas import compact
 
@@ -568,6 +568,44 @@ def test_negative_point_after_a_space(capsys, command, flag, point, rest):
     joined = run(capsys, command, f"{flag}={point}", *rest)
     assert joined[0] == 0
     assert run(capsys, command, flag, point, *rest) == joined
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "--a", "-1/2", "--b", "1"), "CDK parameters must be positive"),
+        (("region", "--a", "-1/2", "--b", "1"), "CDK parameters must be positive"),
+        (("scan", "--a-range", "-1:2"), "ranges must be ascending and nonnegative"),
+        (("index", "--a", "1/2", "--b", "1/2", "--radius", "-1e3"), "radius must be finite and positive"),
+    ],
+)
+def test_negative_value_after_a_space_reaches_the_domain_check(capsys, argv, message):
+    # argparse read "-1/2", "-1:2" and "-1e3" as flags: "expected one argument", exit 2
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "--a", "--b", "1"), "argument --a: expected one argument"),
+        (("analyze", "--b", "--a", "-1/2"), "argument --b: expected one argument"),
+        (("analyze", "--a", "--b=1"), "argument --a: expected one argument"),
+        (("analyze", "--b", "1", "--a", "-h"), "argument --a: expected one argument"),
+    ],
+)
+def test_a_flag_after_a_value_taking_flag_is_not_its_value(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"phaseatlas analyze: error: {message}\n")
+
+
+@pytest.mark.parametrize("a", ["1e-308", "1e-310"])
+@pytest.mark.parametrize("command", ["analyze", "stationary", "portrait"])
+def test_overflowing_float_jacobian_exits_3(capsys, tmp_path, command, a):
+    # s3/s4 sit near x = 1e154: 1e-308 printed "-inf" and "nan", 1e-310 raised OverflowError
+    code, out, err = run(capsys, command, "--a", a, "--b", "3", "-o", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert err.startswith("error: polynomial value at (") and err.endswith(") overflows a float\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseatlas.compact import (
     InfinityContinuum,
@@ -12,9 +14,10 @@ from phaseatlas.compact import (
     infinite_stationary_points,
 )
 from phaseatlas.desing import PolyField, cdk_poly_field
+from phaseatlas.errors import DomainError
 from phaseatlas.polycore import BiPoly, X, Y
 
-from oracles import InfinityMarker, disc_coords_inverse
+from oracles import InfinityMarker, disc_coords_inverse, four_chart_points_at_infinity
 
 F = Fraction
 
@@ -94,6 +97,64 @@ def test_antipodal_identification_recorded():
     pts = infinite_stationary_points(cdk_poly_field(F(5, 2), F(1, 2)))
     charts = {p.chart: p.antipode_chart for p in pts}
     assert charts == {"U1": "V1", "V1": "U1", "U2": "V2", "V2": "U2"}
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_nonzero = _coeff.filter(bool)
+# equator roots at and near |u| = 1, rational and irrational: ±(1 + 10⁻²⁰)
+# and a root of u² − (1 + 10⁻²⁰) round to ±1.0
+_NEAR_ONE = [F(1), F(-1), F(99, 100), F(-101, 100), 1 + F(1, 10**20), -1 - F(1, 10**20)]
+_ROOTS = _NEAR_ONE + [F(0), F(1, 3), F(-5, 2), F(3)]
+_SQUARES = [1 + F(1, 10**20), 1 - F(1, 10**20), F(2), F(3), F(1, 2), F(5, 4), F(-1)]
+_linear = st.sampled_from(_ROOTS).map(lambda r: [-r, F(1)])
+_quadratic = st.sampled_from(_SQUARES).map(lambda k: [-k, F(0), F(1)])
+_near_one = st.one_of(
+    st.sampled_from(_NEAR_ONE).map(lambda r: [-r, F(1)]),
+    st.sampled_from(_SQUARES[:2]).map(lambda k: [-k, F(0), F(1)]),
+)
+
+
+def _umul(g, h):
+    out = [F(0)] * (len(g) + len(h) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(h):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _equator_fields(draw, d):
+    """A degree-d field whose U1 divisor polynomial is a drawn product of factors, one near |u| = 1."""
+    g = _umul([draw(_nonzero)], draw(_near_one))
+    for factor in draw(st.lists(st.one_of(_linear, _quadratic), max_size=3)):
+        if len(g) + len(factor) - 2 <= d + 1:
+            g = _umul(g, factor)
+    g += [F(0)] * (d + 2 - len(g))
+    # Q_d(1, u) − u·P_d(1, u) = g(u), so P's y^d coefficient cancels g's u^(d+1) one
+    p_top = [draw(_coeff) for _ in range(d)] + [-g[d + 1]]  # x^(d-k) y^k by k
+    q_top = [g[k] + (p_top[k - 1] if k else 0) for k in range(d + 1)]
+    lower = st.dictionaries(
+        st.tuples(st.integers(0, d), st.integers(0, d)).filter(lambda e: sum(e) < d), _coeff,
+        max_size=4,
+    )
+    P = {(d - k, k): c for k, c in enumerate(p_top)} | draw(lower)
+    Q = {(d - k, k): c for k, c in enumerate(q_top)} | draw(lower)
+    return PolyField(BiPoly(P), BiPoly(Q))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_v_points_are_the_antipodes_of_the_four_chart_reference(d, data):
+    # 4 × 60 fields; repr tells a float −0.0 from +0.0
+    f = data.draw(_equator_fields(d))
+    assert f.max_degree() == d
+    assert repr(infinite_stationary_points(f)) == repr(four_chart_points_at_infinity(f))
+
+
+def test_v_chart_is_not_built():
+    with pytest.raises(DomainError):
+        compactify_chart(cdk_poly_field(F(7, 10), F(1, 2)), "V1")
 
 
 def test_chart_overlap_transition():

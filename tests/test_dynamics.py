@@ -113,13 +113,21 @@ def _sum0(terms):
     return total
 
 
+def _term_sum(p, x, y):
+    """c·x^i·y^j summed from 0.0 in `float_terms` order: BiPoly.eval's sum, left non-finite."""
+    total = 0.0
+    for c, i, j in p.float_terms():
+        total += c * x**i * y**j
+    return total
+
+
 def _reference_integrate(f, z0, opts=None, direction="forward"):
-    """DOPRI5 as a loop over the tableau, with the field summed term by term by BiPoly.eval."""
+    """DOPRI5 as a loop over the tableau, with the field summed term by term as BiPoly.eval sums it."""
     if opts is None:
         opts = IntegratorOptions()
     if isinstance(f, PolyField):
         P, Q = f.P, f.Q
-        base = lambda x, y: (P.eval(x, y), Q.eval(x, y))  # noqa: E731
+        base = lambda x, y: (_term_sum(P, x, y), _term_sum(Q, x, y))  # noqa: E731
     else:
         base = f
     sign = 1.0 if direction == "forward" else -1.0
@@ -275,11 +283,11 @@ def test_integrate_matches_the_tableau_loop_bit_for_bit(f, z0, opts, direction, 
 
 
 def _overflow_as_precondition(f):
-    """f summed term by term by BiPoly.eval, with an overflow reported as PolyField.compiled does."""
+    """f summed term by term as BiPoly.eval sums it, with an overflow reported as PolyField.compiled does."""
 
     def base(x, y):
         try:
-            return f.P.eval(x, y), f.Q.eval(x, y)
+            return _term_sum(f.P, x, y), _term_sum(f.Q, x, y)
         except OverflowError:
             raise PreconditionError(f"field value at ({x!r}, {y!r}) overflows a float") from None
 

@@ -1,6 +1,7 @@
 """Package hygiene: every definition in `phaseatlas` is used by the package itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import phaseatlas
@@ -12,6 +13,7 @@ UNREFERENCED_ALLOWED = {
     "SprottField.jacobian_original": "acceptance criterion 9 linearizes the original system with it",
     "PolyField.shifted": "tests move stationary points to the origin with it",
     "BlowupChart.substitution": "the chart-identity tests check each chart against it",
+    "BlowupChart.substitution_jacobian": "the chart-identity tests check each chart against it",
     "SectorDecomposition.counts": "acceptance criterion 4 and test_blowup.py read it",
     "SingularEvaluationError": "tests/oracles.py raises it",
 }
@@ -23,36 +25,35 @@ def _modules():
 
 
 def _definitions(tree):
-    """Qualified names of the module-level functions and classes, and of the non-dunder methods."""
+    """Qualified name, name and node of the module-level functions and classes, and of the non-dunder methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (member.name.startswith("__") and member.name.endswith("__"))):
-                    yield f"{node.name}.{member.name}", member.name
+                    yield f"{node.name}.{member.name}", member.name, member
 
 
-def _referenced(trees):
-    """Every name that package code reads as a name, an attribute or an import."""
-    names = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name for alias in node.names)
-    return names
+def _references(node):
+    """Every name that code under node reads as a name, an attribute or an import, once per reading."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in sub.names)
 
 
 def test_every_definition_is_used_by_the_package():
     modules = _modules()
-    referenced = _referenced(modules.values())
+    referenced = Counter(name for tree in modules.values() for name in _references(tree))
+    # a definition that only its own body reads (a recursion, a self-call) is unreferenced
     unreferenced = {qualname: module for module, tree in modules.items()
-                    for qualname, name in _definitions(tree) if name not in referenced}
+                    for qualname, name, node in _definitions(tree)
+                    if referenced[name] == sum(ref == name for ref in _references(node))}
     stray = sorted(f"{module}.{qualname}" for qualname, module in unreferenced.items()
                    if qualname not in UNREFERENCED_ALLOWED)
     assert not stray, f"only tests reach these; move them to tests/oracles.py or delete them: {stray}"

@@ -6,7 +6,7 @@ vector-field indices, a sixteen-region parameter atlas, and phase-portrait
 rendering on the Poincaré disc.
 """
 
-from .atlas import REGION_IDS, RegionSummary, classify_region, region_summary, scan_grid
+from .atlas import REGION_IDS, FieldAnalysis, RegionSummary, classify_region, region_summary, scan_grid
 from .blowup import (
     BlowupChart,
     SectorDecomposition,

@@ -5,13 +5,13 @@ decision tree uses exact rational comparisons so the boundary lines a = 1,
 b = 1, a = b, {a = 1/2, b = 1} and the curve |8a(a-1)| = b are first-class
 regions of their own.  Regions are labeled 1, 2a-2c, 3a-3l.
 
-`region_summary` is the self-checking core: the region's expected
-qualitative content (stationary points and their kinds, the sector
-structure at the origin, the behaviour at infinity, the almost-attractor
-list) is cross-validated at runtime against the closed-form solver, the
-blow-up machinery, and the compactification, and the computed objects are
-returned with it; any mismatch raises InternalInconsistencyError, which
-signals a bug, never a user error.
+`FieldAnalysis` is one polynomial field's analysis in the order the paper
+sorts each region: the finite stationary points, the origin's blow-up
+sectors, the points at infinity, each computed once, on first use.
+`analyze`, `stationary`, `omega` and `portrait` read it, and
+`cdk_field_summary` checks a cdk field's record against the region's
+expected content in `REGION_TABLE`; any mismatch raises
+InternalInconsistencyError, which signals a bug, never a user error.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import blowup, compact, equilibria
 from .desing import cdk_poly_field
 from .errors import DomainError, InternalInconsistencyError
-from .polycore import as_rational
+from .polycore import as_rational, is_nilpotent_origin
 
 REGION_IDS = (
     "1",
@@ -149,9 +150,39 @@ _SECTOR_PATTERNS: dict[str, tuple] = {
 _CASE_INDEX = {"1": 2, "2": 0, "3a": 2, "3b": 2, "3c": 2, "3d": 0}
 
 
+class FieldAnalysis:
+    """A polynomial field's analysis; each part is computed on first use and kept, an exception is not."""
+
+    def __init__(self, field, tol=1e-10):
+        self.field, self.tol = field, tol
+
+    @cached_property
+    def finite(self):
+        """(points, circle), or a Continuum: a cdk field's closed form, else `find_stationary` on (-8, 8)²."""
+        f = self.field
+        if f.provenance[0] == "cdk":
+            found = equilibria.cdk_closed_form(f)
+            return ([], found) if isinstance(found, equilibria.StationaryCircle) else (found, None)
+        found = equilibria.find_stationary(f, (-8, 8, -8, 8), tol=self.tol)
+        return found if isinstance(found, equilibria.Continuum) else (found, None)
+
+    @cached_property
+    def sectors(self):
+        """The origin's SectorDecomposition when it is nilpotent and every finite point is isolated, else None."""
+        f = self.field
+        if isinstance(self.finite, tuple) and self.finite[1] is None and is_nilpotent_origin(f.P, f.Q):
+            return blowup.classify_nilpotent_origin(f)
+        return None
+
+    @cached_property
+    def infinity(self):
+        """The points at infinity: a list of InfinitePoint, or an InfinityContinuum."""
+        return compact.infinite_stationary_points(self.field)
+
+
 @dataclass(frozen=True)
 class RegionSummary:
-    """The region's expected content, with the computed objects it was checked against."""
+    """The region's expected content, with the record it was checked against."""
 
     region: str
     finite_points: dict
@@ -159,9 +190,7 @@ class RegionSummary:
     infinity: object
     homoclinic: bool
     almost_attractors: tuple
-    stationary: object  # list of StationaryPoint, or the StationaryCircle in region 1
-    sectors: object  # SectorDecomposition of the origin; None in region 1
-    at_infinity: object  # list of InfinitePoint, or an InfinityContinuum
+    analysis: FieldAnalysis
 
 
 def _kind_string(kind) -> str:
@@ -198,25 +227,23 @@ def _validate_sectors(dec, case: str):
 
 def region_summary(a, b) -> RegionSummary:
     """Full qualitative record of the region of (a, b); see `cdk_field_summary`."""
-    return cdk_field_summary(cdk_poly_field(a, b))
+    return cdk_field_summary(FieldAnalysis(cdk_poly_field(a, b)))
 
 
-def cdk_field_summary(f) -> RegionSummary:
-    """Full qualitative record of the region of a field built by `cdk_poly_field`.
+def cdk_field_summary(analysis: FieldAnalysis) -> RegionSummary:
+    """The region of a `cdk_poly_field` field, its `REGION_TABLE` entry checked against the field's record.
 
-    Every claim in the record is recomputed from the constituent modules
-    and compared; a mismatch raises InternalInconsistencyError.  The
-    computed objects are returned with the record.
+    The record is read in its order (closed form, blow-up, infinity), so its first error is raised first.
     """
+    f = analysis.field
     region = classify_region(*f.provenance[1:3])
     expected = REGION_TABLE[region]
-    stationary = equilibria.cdk_closed_form(f)
-    sectors = None
+    points, circle = analysis.finite
 
     finite: dict = {}
     if region == "1":
         finite["circle"] = "stationary_circle"
-        if not isinstance(stationary, equilibria.StationaryCircle):
+        if circle is None:
             raise InternalInconsistencyError("expected a stationary circle at a=b=1")
         for t in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             x = t / (1 + t * t)
@@ -224,7 +251,7 @@ def cdk_field_summary(f) -> RegionSummary:
             if f.P.eval(x, y) != 0 or f.Q.eval(x, y) != 0:
                 raise InternalInconsistencyError("field does not vanish on the circle")
     else:
-        by_label = {p.label: p for p in stationary}
+        by_label = {p.label: p for p in points}
         finite["s1"] = f"nilpotent (case {expected.s1_case})"
         finite["s2"] = expected.s2_kind
         got = _kind_string(by_label["s2"].kind)
@@ -243,10 +270,9 @@ def cdk_field_summary(f) -> RegionSummary:
                 )
         elif "s3" in by_label:
             raise InternalInconsistencyError(f"unexpected s3/s4 in region {region}")
-        sectors = blowup.classify_nilpotent_origin(f)
-        _validate_sectors(sectors, expected.s1_case)
+        _validate_sectors(analysis.sectors, expected.s1_case)
 
-    inf = compact.infinite_stationary_points(f)
+    inf = analysis.infinity
     if expected.infinity == "continuum":
         if not isinstance(inf, compact.InfinityContinuum):
             raise InternalInconsistencyError(f"expected infinity continuum in {region}")
@@ -270,9 +296,7 @@ def cdk_field_summary(f) -> RegionSummary:
         infinity=expected.infinity,
         homoclinic=expected.homoclinic,
         almost_attractors=expected.almost_attractors,
-        stationary=stationary,
-        sectors=sectors,
-        at_infinity=inf,
+        analysis=analysis,
     )
 
 

@@ -39,7 +39,7 @@ from .errors import (
     PhaseAtlasError,
     PreconditionError,
 )
-from .polycore import BiPoly, format_poly, is_nilpotent_origin
+from .polycore import BiPoly, format_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -116,50 +116,41 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _stationary_pieces(f):
-    """(points, circle) of a polynomial field; a continuum is a precondition error."""
-    found = equilibria.finite_stationary(f, tol=1e-10)
-    if isinstance(found, equilibria.Continuum):
-        raise PreconditionError(
-            "continuum of stationary points detected; no point list to report"
-        )
-    return found
+def _stationary_pieces(analysis):
+    """(points, circle) of a field's analysis; a continuum is a precondition error."""
+    if isinstance(analysis.finite, equilibria.Continuum):
+        raise PreconditionError("continuum of stationary points detected; no point list to report")
+    return analysis.finite
 
 
 def cmd_analyze(args):
     system = _System(args)
-    f = system.require_polynomial()
+    analysis = atlas.FieldAnalysis(system.require_polynomial())
     diagnostics = ["integration time is the reparametrised polynomial time"]
     if args.stamp:
         import datetime
 
         diagnostics.append(f"generated {datetime.datetime.now().isoformat()}")
+    region = None
     if system.kind == "cdk":
-        # cdk_field_summary computes and checks the whole analysis; print what it checked
-        summary = atlas.cdk_field_summary(f)
-        region, sectors, inf = summary.region, summary.sectors, summary.at_infinity
-        if isinstance(summary.stationary, equilibria.StationaryCircle):
-            points, circle = [], summary.stationary
-        else:
-            points, circle = summary.stationary, None
+        # checks the whole record against the region table, raising its first error
+        summary = atlas.cdk_field_summary(analysis)
+        region = summary.region
         diagnostics.append(f"almost attractors: {', '.join(summary.almost_attractors)}")
-    else:
-        points, circle = _stationary_pieces(f)
-        region = sectors = None
-        if is_nilpotent_origin(f.P, f.Q):
-            try:
-                sectors = blowup.classify_nilpotent_origin(f)
-            except PhaseAtlasError as exc:
-                diagnostics.append(f"origin sectors unresolved: {exc}")
-        inf = compact.infinite_stationary_points(f)
+    points, circle = _stationary_pieces(analysis)
+    try:
+        sectors = analysis.sectors
+    except PhaseAtlasError as exc:  # a cdk error has already left cdk_field_summary
+        sectors = None
+        diagnostics.append(f"origin sectors unresolved: {exc}")
+    inf = analysis.infinity
     continuum = inf if isinstance(inf, compact.InfinityContinuum) else None
-    inf_points = None if continuum else inf
     doc = sysio.build_report(
         system.text,
         parameters=system.params,
         equilibria=points or None,
         circle=circle,
-        infinity=inf_points,
+        infinity=None if continuum else inf,
         infinity_continuum=continuum,
         region=region,
         sectors=sectors,
@@ -171,7 +162,7 @@ def cmd_analyze(args):
 
 def cmd_stationary(args):
     system = _System(args)
-    points, circle = _stationary_pieces(system.require_polynomial())
+    points, circle = _stationary_pieces(atlas.FieldAnalysis(system.require_polynomial()))
     doc = sysio.build_report(
         system.text, parameters=system.params, equilibria=points or None, circle=circle
     )
@@ -245,7 +236,7 @@ def cmd_omega(args):
     if system.kind == "sprott":
         eqs = (f.fixed_point(),)
     else:
-        points, _ = _stationary_pieces(f)
+        points, _ = _stationary_pieces(atlas.FieldAnalysis(f))
         eqs = tuple(p.location_floats() for p in points)
     opts = dynamics.IntegratorOptions(
         max_time=args.max_time,

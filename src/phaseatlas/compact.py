@@ -2,15 +2,17 @@
 
 The plane embeds into the unit sphere; the equator carries the directions
 at infinity.  Four affine charts cover it: U1/V1 the front and back (±x)
-hemispheres via (x, y) = (±1/z, ±u/z), U2/V2 the right and left (±y) ones
-via (x, y) = (±u/z, ±1/z).  For a field of maximal degree d the chart
-field, after the standard z^(d-1) time rescaling, is
+hemispheres via (x, y) = (1/z, u/z), U2/V2 the right and left (±y) ones
+via (x, y) = (u/z, 1/z), with z > 0 on U1/U2 and z < 0 on V1/V2.  For a
+field of maximal degree d the chart field, after the time rescaling
+|z|^(d-1), is
 
     U1:  u̇ = z^d (Q − u·P)(1/z, u/z),    ż = −z^(d+1) P(1/z, u/z)
     U2:  u̇ = z^d (P − u·Q)(u/z, 1/z),    ż = −z^(d+1) Q(u/z, 1/z)
 
-with V1/V2 equal to U1/U2 times s = (−1)^(d−1).  The divisor {z = 0} is
-the equator; its stationary points are the roots of u̇(u, 0).
+with V1/V2 equal to U1/U2 times s = (−1)^(d−1); in the charts −(1/z, u/z)
+and −(u/z, 1/z) with z > 0 their Jacobians' off-diagonals change sign.  The
+divisor {z = 0} is the equator; its stationary points are the roots of u̇(u, 0).
 
 Only U1 and U2 are built.  Exchanging x and y turns U2 into U1: the U2
 chart of (P, Q) is the U1 chart of the swapped field (Q(y, x), P(y, x)),

@@ -2,9 +2,9 @@
 
 The CDK system gets a closed-form solver (two axis points s1, s2 always;
 a symmetric pair s3, s4 exactly when the parameters straddle 1; the full
-circle x² + (y-1/2)² = 1/4 at a = b = 1).  A numeric finder based on
-interval subdivision plus Newton polishing cross-checks the closed form
-and serves arbitrary polynomial fields.
+circle x² + (y-1/2)² = 1/4 at a = b = 1).  Every other polynomial field
+gets a numeric finder based on interval subdivision plus Newton polishing;
+`atlas.FieldAnalysis` chooses between the two.
 
 Classification: hyperbolic kinds drop out of the 2x2 eigenvalue structure;
 points with exactly one zero eigenvalue get an exact polynomial center
@@ -390,23 +390,6 @@ def cdk_closed_form(f: PolyField):
                 _make_point(f, loc, label, kind=kind, exact=exact, error_bound=err)
             )
     return points
-
-
-def finite_stationary(f: PolyField, tol: float):
-    """Finite stationary points of f as (points, circle), or a Continuum.
-
-    CDK fields use the closed form; any other field is searched
-    numerically on the box (-8, 8)² to residual < tol.
-    """
-    if f.provenance[0] == "cdk":
-        result = cdk_closed_form(f)
-        if isinstance(result, StationaryCircle):
-            return [], result
-        return result, None
-    found = find_stationary(f, (-8, 8, -8, 8), tol=tol)
-    if isinstance(found, Continuum):
-        return found
-    return found, None
 
 
 # -- numeric finder -----------------------------------------------------------------

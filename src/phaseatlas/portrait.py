@@ -31,7 +31,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from . import blowup, compact, dynamics, equilibria
+from . import atlas, compact, dynamics, equilibria
 from .desing import PolyField
 from .errors import PhaseAtlasError
 
@@ -327,11 +327,11 @@ def render_portrait(f: PolyField) -> VectorDocument:
 
     # stationary continua, drawn from their analytic descriptions
     finite_points, circle, sectors = [], None, None
-    found = equilibria.finite_stationary(f, tol=1e-9)
-    if isinstance(found, equilibria.Continuum):
+    analysis = atlas.FieldAnalysis(f, tol=1e-9)
+    if isinstance(analysis.finite, equilibria.Continuum):
         doc.add_warning("continuum of finite stationary points detected")
     else:
-        finite_points, circle = found
+        finite_points, circle = analysis.finite
 
     # background trajectories from the fixed seed ring; the worker starts on them here
     eqs = tuple(p.location_floats() for p in finite_points)
@@ -354,12 +354,12 @@ def render_portrait(f: PolyField) -> VectorDocument:
     worker = _Worker(f, background)
     try:
         # only cdk origins get sector separatrices; spec-file portraits keep their drawing
-        if f.provenance[0] == "cdk" and circle is None:
+        if f.provenance[0] == "cdk":
             try:
-                sectors = blowup.classify_nilpotent_origin(f)
+                sectors = analysis.sectors
             except PhaseAtlasError as exc:
                 doc.add_warning(f"origin sectors unresolved: {exc}")
-        infinity = compact.infinite_stationary_points(f)
+        infinity = analysis.infinity
         sep_opts, separatrices = _separatrix_jobs(f, finite_points, sectors)
         jobs = background + [(seed, sep_opts, d) for seed, d, _, _ in separatrices]
         results = worker.gather(jobs)

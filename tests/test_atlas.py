@@ -137,16 +137,16 @@ def test_region_summary_examples():
     assert s.finite_points["s2"] == "saddle"
     assert s.infinity == ("repelling_node", "saddle")
     assert s.homoclinic
-    assert s.sectors.index == 2
+    assert s.analysis.sectors.index == 2
     x_kind, y_kind = s.infinity
-    assert sorted((p.direction_label, p.kind.name) for p in s.at_infinity) == [
+    assert sorted((p.direction_label, p.kind.name) for p in s.analysis.infinity) == [
         ("+x", x_kind), ("+y", y_kind), ("-x", x_kind), ("-y", y_kind)
     ]
 
     s = region_summary(F(1), F(1))
     assert s.region == "1"
-    assert s.sectors is None
-    assert isinstance(s.stationary, StationaryCircle)
+    assert s.analysis.sectors is None
+    assert s.analysis.finite[0] == [] and isinstance(s.analysis.finite[1], StationaryCircle)
 
     s = region_summary(F(19, 10), F(19, 10))
     assert s.region == "3c"

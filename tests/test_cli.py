@@ -30,18 +30,30 @@ def test_analyze_region_3h(capsys):
 
 
 @pytest.mark.parametrize(
-    "a, b, calls", [("7/10", "1/2", (1, 1, 2, 1)), ("1", "1", (0, 1, 1, 1))]
+    "argv, calls",
+    [
+        pytest.param(("analyze", "--a", "7/10", "--b", "1/2"), (0, 1, 1, 2, 1), id="analyze-7/10-1/2"),
+        pytest.param(("analyze", "--a", "1", "--b", "1"), (0, 0, 1, 1, 1), id="analyze-1-1"),
+        pytest.param(("analyze", "--system", "CUSP"), (1, 1, 1, 2, 0), id="analyze-cusp"),
+        pytest.param(("portrait", "--a", "7/10", "--b", "1/2"), (0, 1, 1, 2, 1), id="portrait-7/10-1/2"),
+        # a spec-file portrait draws no origin separatrices, so it never blows up the origin
+        pytest.param(("portrait", "--system", "CUSP"), (1, 0, 1, 2, 0), id="portrait-cusp"),
+    ],
 )
-def test_analyze_computes_each_exact_analysis_once(count_calls, capsys, a, b, calls):
-    from phaseatlas import blowup, compact, desing
+def test_analyze_computes_each_exact_analysis_once(count_calls, tmp_path, capsys, argv, calls):
+    from phaseatlas import blowup, compact, desing, equilibria
 
+    cusp = tmp_path / "cusp.txt"
+    cusp.write_text("y ; x^2\n")
     counts = count_calls((
+        equilibria.find_stationary,
         blowup.classify_nilpotent_origin,
         compact.infinite_stationary_points,
         compact.compactify_chart,
         desing.cdk_poly_field,
     ))
-    code, _, _ = run(capsys, "analyze", "--a", a, "--b", b, "--format", "json")
+    argv = [str(cusp) if arg == "CUSP" else arg for arg in argv]
+    code, _, _ = run(capsys, *argv, "-o", str(tmp_path / "out"))
     assert code == 0
     assert tuple(counts.values()) == calls
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from phaseatlas.atlas import FieldAnalysis
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.equilibria import (
     Continuum,
@@ -17,7 +18,6 @@ from phaseatlas.equilibria import (
     cdk_stationary_points,
     eigenvalues_2x2,
     find_stationary,
-    finite_stationary,
     jacobian_at,
     semihyperbolic_analysis,
     sqrt_exact_or_float,
@@ -76,9 +76,9 @@ def test_two_point_case():
 
 def test_closed_form_follows_a_shifted_field():
     a, b = F(5, 2), F(1, 2)
-    base, _ = finite_stationary(cdk_poly_field(a, b), 1e-10)
+    base, _ = FieldAnalysis(cdk_poly_field(a, b)).finite
     f = cdk_poly_field(a, b).shifted(0, 1)
-    pts, circle = finite_stationary(f, 1e-10)
+    pts, circle = FieldAnalysis(f).finite
     assert circle is None
     assert [p.label for p in pts] == ["s1", "s2", "s3", "s4"]
     assert pts[0].location == (0, -1) and pts[1].location == (0, 0)
@@ -87,7 +87,7 @@ def test_closed_form_follows_a_shifted_field():
     root = math.sqrt(F(3, 80))
     assert pts[2].location == (root, F(-3, 4)) and pts[3].location == (-root, F(-3, 4))
     assert [p.kind for p in pts] == [p.kind for p in base]
-    _, circle = finite_stationary(cdk_poly_field(1, 1).shifted(F(1, 3), 0), 1e-10)
+    _, circle = FieldAnalysis(cdk_poly_field(1, 1).shifted(F(1, 3), 0)).finite
     assert circle.center == (F(-1, 3), F(1, 2)) and circle.radius == F(1, 2)
 
 

@@ -59,3 +59,13 @@ def test_every_definition_is_used_by_the_package():
     assert not stray, f"only tests reach these; move them to tests/oracles.py or delete them: {stray}"
     # an allowlisted name that the package now uses, or that is gone, leaves the list
     assert set(unreferenced) == set(UNREFERENCED_ALLOWED)
+
+
+def test_the_analysis_sequence_has_one_reader():
+    # a second copy of "finite points, origin sectors, points at infinity" would read these again
+    steps = ("find_stationary", "classify_nilpotent_origin", "infinite_stationary_points")
+    readers = {step: sorted(f"{module}.{qualname}" for module, tree in _modules().items()
+                            for qualname, _, node in _definitions(tree)
+                            if "." not in qualname and step in _references(node))
+               for step in steps}
+    assert readers == dict.fromkeys(steps, ["atlas.FieldAnalysis"])

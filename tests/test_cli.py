@@ -58,6 +58,18 @@ def test_analyze_computes_each_exact_analysis_once(count_calls, tmp_path, capsys
     assert tuple(counts.values()) == calls
 
 
+def test_unresolved_spec_origin_is_a_note_computed_once(count_calls, tmp_path, capsys):
+    from phaseatlas import blowup
+
+    path = tmp_path / "s.txt"
+    path.write_text("x^3 + x*y ; x*y - y^2\n")  # zeros (0, 0) and (-1, -1)
+    counts = count_calls((blowup.classify_nilpotent_origin,))
+    code, out, err = run(capsys, "analyze", "--system", str(path))
+    assert code == 0 and err == ""
+    assert "note: origin sectors unresolved: zero radial eigenvalue at divisor point +x\n" in out
+    assert counts == {"classify_nilpotent_origin": 1}
+
+
 def test_blowup_builds_each_chart_once(count_calls, capsys):
     from phaseatlas import blowup, polycore
 

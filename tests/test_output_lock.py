@@ -90,6 +90,8 @@ CUSP = "y ; x^2\n"
 OTHER_DIGESTS = {
     "analyze-lotka-volterra": "48dc9501447d669f94648c309d65902e4097c94b63bd9ed1cc2d780c0a45ff45",
     "blowup-3/10-1": "00db00299d410d5046787f6bb8bd3ed69c7586fb42884c6f556475f1f2322847",
+    # weights (1, 1): both minus charts are antipodes of the plus charts
+    "blowup-7/10-1/2": "8dbb8be24e74efd031c71a713d70437cb5baf198bccee3152a3b513abee7c8dd",
     "infinity-3/10-1": "696cc78c6346a3bc1d8a79ff4adb20d7d0b8b3fba940c0af06335c5781f8c0be",
     "scan-20": "984beb2aef13c3112844f4c6d0d2c1d93d41900022be33a643e62b517ddea946",
     # cells in all 16 regions, with midpoints on a = 1, b = 1, a = b, (1/2, 1)
@@ -139,6 +141,11 @@ def test_spec_file_analyze_digest(capsys, tmp_path):
 def test_b1_text_digest(capsys, command):
     got = _digest(capsys, command, "--system", "cdk", "--a", "3/10", "--b", "1")
     assert got == OTHER_DIGESTS[f"{command}-3/10-1"]
+
+
+def test_odd_weights_blowup_text_digest(capsys):
+    got = _digest(capsys, "blowup", "--system", "cdk", "--a", "7/10", "--b", "1/2")
+    assert got == OTHER_DIGESTS["blowup-7/10-1/2"]
 
 
 @pytest.mark.parametrize(

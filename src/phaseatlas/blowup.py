@@ -9,14 +9,18 @@ directional substitutions with weights (α, β) from the Newton polygon:
 Differentiating the substitution puts the structural factor α·v^(α+β−1)
 (x-directions) resp. β·v^(α+β−1) (y-directions) under the pulled-back
 field, v being the radial chart variable; the chart field then sheds the
-largest common monomial power of v that keeps the exceptional divisor
+largest common monomial power v^k that keeps the exceptional divisor
 {v = 0} invariant.  The shed factor is recorded so the pullback can be
 reconstituted exactly.
 
 Exchanging x and y turns the ±y substitutions into the ±x ones with the
-weights exchanged.  So the ±y chart of (P, Q) with weights (α, β) is the
-±x chart of the swapped field (Q(y, x), P(y, x)) with weights (β, α),
-chart variables swapped back; only the ±x construction is written out.
+weights exchanged, and P and Q; the ±y chart is built by that mirror image.
+A substitution maps monomials to monomials, so it re-keys the terms.
+
+`blowup_origin` builds +x and +y, −x only if α is even, −y only if β is
+even.  Else the minus chart is F₋(z) = s·D·F₊(D·z), a sign on each term,
+with s = (−1)^k and D = diag(−1, (−1)^β) for −x, diag((−1)^α, −1) for −y;
+its divisor points are D·z, with Jacobians s·D·J·D.
 
 Sector assembly walks the divisor stationary points of the four charts in
 counterclockwise order, samples the divisor flow on each open arc (exact
@@ -29,7 +33,7 @@ one.  The Bendixson count 1 + (elliptic − hyperbolic)/2 is the index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .desing import PolyField
@@ -38,7 +42,6 @@ from .errors import DomainError, InternalInconsistencyError, PreconditionError, 
 from .polycore import (
     BiPoly,
     NewtonWeights,
-    Y,
     axis_restriction,
     divisor_power,
     newton_weights,
@@ -91,24 +94,11 @@ class BlowupChart:
         return blow_down(self.direction, self.weights, u, v)
 
     def substitution_jacobian(self, u, v):
-        if self.radial_var == "y":
-            (a, b), (c, d) = self.swapped().substitution_jacobian(v, u)
-            return ((d, c), (b, a))
         alpha, beta = self.weights
-        sx = 1 if self.direction == "+x" else -1
-        return (
-            (sx * alpha * u ** (alpha - 1), 0 * u),
-            (beta * u ** (beta - 1) * v, u**beta),
-        )
-
-    def swapped(self) -> "BlowupChart":
-        """This chart with x and y exchanged: a chart of the swapped field, weights swapped."""
-        w = NewtonWeights(self.weights.beta, self.weights.alpha)
-        return BlowupChart(_SWAPPED[self.direction], w, self.py.swapped(), self.px.swapped(),
-                           self.cancelled_coeff, self.cancelled_power)
-
-
-_SWAPPED = {"+x": "+y", "-x": "-y", "+y": "+x", "-y": "-x"}
+        sv = 1 if self.direction[0] == "+" else -1
+        if self.radial_var == "x":
+            return ((sv * alpha * u ** (alpha - 1), 0 * u), (beta * u ** (beta - 1) * v, u**beta))
+        return ((v**alpha, alpha * v ** (alpha - 1) * u), (0 * v, sv * beta * v ** (beta - 1)))
 
 
 def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> BlowupChart:
@@ -118,25 +108,23 @@ def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> Blowup
     if f.P.eval(0, 0) != 0 or f.Q.eval(0, 0) != 0:
         raise PreconditionError("origin is not a stationary point of the field")
     alpha, beta = w
-    if direction in ("+y", "-y"):  # the ±x chart of the swapped field, swapped back
-        swapped = PolyField(f.Q.swapped(), f.P.swapped())
-        return blowup_directional(swapped, _SWAPPED[direction], NewtonWeights(beta, alpha)).swapped()
-
-    sx = 1 if direction == "+x" else -1
-    phi = (BiPoly.monomial(sx, alpha, 0), BiPoly.monomial(1, beta, 1))
-    Pphi, Qphi = f.P.subst(*phi), f.Q.subst(*phi)
-    # xdot = sx*Pphi/(alpha v^(alpha-1)), ydot over common denom alpha*v^(a+b-1)
-    n1 = Pphi.mul_monomial(sx, beta, 0)
-    n2 = Qphi.mul_monomial(alpha, alpha - 1, 0) - (Y * Pphi).mul_monomial(sx * beta, beta - 1, 0)
-    s = divisor_power(n1, n2, "x")
-    return BlowupChart(
-        direction=direction,
-        weights=w,
-        px=n1.div_monomial("x", s),
-        py=n2.div_monomial("x", s),
-        cancelled_coeff=Fraction(1, alpha),
-        cancelled_power=s - (alpha + beta - 1),
-    )
+    sv, var = (1 if direction[0] == "+" else -1), direction[1]
+    # φ: x^i y^j -> sv^i x^(αi+βj) y^j; xdot = sv*P∘φ/(α x^(α-1)), ydot over α*x^(α+β-1)
+    if var == "x":
+        phi = ((sv, alpha, 0), (1, beta, 1))
+        n1 = f.P.subst_monomials(*phi, (sv, beta, 0))
+        n2 = (f.Q.subst_monomials(*phi, (alpha, alpha - 1, 0))
+              - f.P.subst_monomials(*phi, (sv * beta, beta - 1, 1)))
+    else:  # the same with x and y, P and Q, α and β exchanged
+        phi = ((1, 1, alpha), (sv, 0, beta))
+        n1 = f.Q.subst_monomials(*phi, (sv, 0, alpha))
+        n2 = (f.P.subst_monomials(*phi, (beta, 0, beta - 1))
+              - f.Q.subst_monomials(*phi, (sv * alpha, 1, alpha - 1)))
+    s = divisor_power(n1, n2, var)
+    n1, n2 = n1.div_monomial(var, s), n2.div_monomial(var, s)
+    return BlowupChart(direction, w, *((n1, n2) if var == "x" else (n2, n1)),
+                       cancelled_coeff=Fraction(1, alpha if var == "x" else beta),
+                       cancelled_power=s - (alpha + beta - 1))
 
 
 # -- stationary points on the exceptional divisor ---------------------------------
@@ -195,16 +183,34 @@ def divisor_stationary_points(chart: BlowupChart):
 
     exact, floats, complex_count = real_roots(coeffs)
     f = chart.field()
-    points = []
-    for u in exact + floats:
-        z = _chart_point(chart, u)
-        J = jacobian_at(f, z)
-        kind = classify_point(f, z, J)
-        lam_r, lam_t = (J[0][0], J[1][1]) if chart.radial_var == "x" else (J[1][1], J[0][0])
-        points.append(
-            DivisorPoint(chart.direction, u, isinstance(u, Fraction), J, kind, lam_r, lam_t)
-        )
+    points = [_divisor_point(chart, f, u, jacobian_at(f, _chart_point(chart, u))) for u in exact + floats]
     return points, complex_count
+
+
+def _divisor_point(chart: BlowupChart, f: PolyField, u, J) -> DivisorPoint:
+    kind = classify_point(f, _chart_point(chart, u), J)
+    lam_r, lam_t = (J[0][0], J[1][1]) if chart.radial_var == "x" else (J[1][1], J[0][0])
+    return DivisorPoint(chart.direction, u, isinstance(u, Fraction), J, kind, lam_r, lam_t)
+
+
+def _antipode(plus: BlowupChart, plus_divisor):
+    """The minus chart of a plus chart with odd radial weight, and its divisor points."""
+    D = (-1, (-1) ** plus.weights[1]) if plus.radial_var == "x" else ((-1) ** plus.weights[0], -1)
+    s = -1 if plus.cancelled_power % 2 else 1
+    X, Y = (D[0], 1, 0), (D[1], 0, 1)
+    px, py = (poly.subst_monomials(X, Y, (s * d, 0, 0)) for poly, d in zip((plus.px, plus.py), D))
+    minus = replace(plus, direction="-" + plus.direction[1], px=px, py=py)
+    pts, complex_count = plus_divisor
+    if pts and isinstance(pts[0], DivisorContinuum):
+        return minus, ([replace(pts[0], direction=minus.direction)], complex_count)
+    # s·D·J·D: the diagonal times s, the off-diagonal times s·D₁·D₂; 0 - v, not -v,
+    # so a float +0.0 stays +0.0, as the minus chart's own evaluation gives
+    f, t, o = minus.field(), D[plus.radial_var == "x"], s * D[0] * D[1]
+    signs, points = ((s, o), (o, s)), []
+    for p in pts:
+        J = tuple(tuple(v if g > 0 else 0 - v for g, v in zip(gs, row)) for gs, row in zip(signs, p.jacobian))
+        points.append(_divisor_point(minus, f, t * p.coordinate, J))
+    return minus, (sorted(points, key=lambda p: (not p.exact, p.coordinate)), complex_count)
 
 
 # -- sector assembly ------------------------------------------------------------------
@@ -349,8 +355,14 @@ def blowup_origin(f: PolyField):
     in DIRECTIONS order; and `divisor_stationary_points` of each chart.
     """
     w = newton_weights(f.P, f.Q)  # raises PreconditionError unless the origin is nilpotent
-    charts = {d: blowup_directional(f, d, w) for d in DIRECTIONS}
-    return w, charts, {d: divisor_stationary_points(c) for d, c in charts.items()}
+    charts, divisor = {}, {}
+    for d in DIRECTIONS:  # each minus chart after its plus chart
+        if d[0] == "-" and w[d == "-y"] % 2:
+            charts[d], divisor[d] = _antipode(charts["+" + d[1]], divisor["+" + d[1]])
+        else:
+            charts[d] = blowup_directional(f, d, w)
+            divisor[d] = divisor_stationary_points(charts[d])
+    return w, charts, divisor
 
 
 def classify_nilpotent_origin(f: PolyField) -> SectorDecomposition:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .desing import PolyField
 from .equilibria import ClassificationKind, classify_linear, jacobian_at
 from .errors import DomainError, PreconditionError
-from .polycore import BiPoly, axis_restriction, divisor_power, real_roots
+from .polycore import axis_restriction, divisor_power, real_roots
 
 # chart -> the axis direction of its u = 0 divisor point, and its antipodal chart
 _CHART_AXIS = {"U1": "+x", "V1": "-x", "U2": "+y", "V2": "-y"}
@@ -81,10 +81,9 @@ def compactify_chart(f: PolyField, chart: str) -> PolyField:
         raise PreconditionError("cannot compactify the zero field")
 
     # u̇ = z^d (Q - u P)(1/z, u/z), ż = -z^(d+1) P(1/z, u/z): x^i y^j -> u^j z^(d-i-j)
-    q_part = BiPoly({(j, d - i - j): c for (i, j), c in f.Q})
-    up_part = BiPoly({(j + 1, d - i - j): c for (i, j), c in f.P})
-    pu = q_part - up_part
-    pz = BiPoly({(j, d + 1 - i - j): -c for (i, j), c in f.P})
+    phi = ((1, 0, -1), (1, 1, -1))
+    pu = f.Q.subst_monomials(*phi, (1, 0, d)) - f.P.subst_monomials(*phi, (1, 1, d))
+    pz = f.P.subst_monomials(*phi, (-1, 0, d + 1))
 
     # cancel a shared z power, keeping the divisor {z = 0} invariant
     s = divisor_power(pz, pu, "y")

@@ -304,6 +304,19 @@ class BiPoly:
             out = out + BiPoly._make({(0, 0): n}, self._den) * xpows[i] * ypows[j]
         return out
 
+    def subst_monomials(self, x: tuple, y: tuple, factor: tuple = (1, 0, 0)) -> "BiPoly":
+        """factor·p(x, y) for monomials x, y, factor, each (c, i, j) for c·x^i·y^j with an int c != 0.
+
+        The terms are re-keyed in storage order, not expanded.  A map that
+        merges two terms or leaves a negative exponent raises DomainError.
+        """
+        (cx, xi, xj), (cy, yi, yj), (c, i0, j0) = x, y, factor
+        num = {(i0 + i * xi + j * yi, j0 + i * xj + j * yj): n * c * cx**i * cy**j
+               for (i, j), n in self._num.items()}
+        if not (c and cx and cy) or len(num) < len(self._num) or any(i < 0 or j < 0 for i, j in num):
+            raise DomainError("monomial substitution must map the terms one-to-one onto nonzero monomials")
+        return BiPoly._make(num, self._den)
+
     def swapped(self) -> "BiPoly":
         """p(y, x): x and y exchanged, terms kept in storage order."""
         return BiPoly._make({(j, i): n for (i, j), n in self._num.items()}, self._den)
@@ -321,15 +334,8 @@ class BiPoly:
         return min(e[k] for e in self._num)
 
     def div_monomial(self, var: str, power: int) -> "BiPoly":
-        if power == 0:
-            return self
-        k = 0 if var == "x" else 1
-        out = {}
-        for (i, j), n in self._num.items():
-            if (i, j)[k] < power:
-                raise DomainError(f"{var}^{power} does not divide polynomial")
-            out[(i - power, j) if k == 0 else (i, j - power)] = n
-        return BiPoly._make(out, self._den)
+        """self / var^power; DomainError unless var^power divides self."""
+        return self.subst_monomials((1, 1, 0), (1, 0, 1), (1, -power, 0) if var == "x" else (1, 0, -power))
 
     def primitive(self) -> "BiPoly":
         """Scale to content 1 with positive leading (graded-lex) coefficient."""

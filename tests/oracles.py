@@ -4,12 +4,21 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from phaseatlas import compact, dynamics
+from phaseatlas import blowup, compact, dynamics
 from phaseatlas.desing import PolyField
 from phaseatlas.dynamics import IntegratorOptions
 from phaseatlas.equilibria import classify_linear, jacobian_at, sqrt_exact_or_float
 from phaseatlas.errors import DomainError, PreconditionError, SingularEvaluationError
-from phaseatlas.polycore import BiPoly, as_rational, axis_restriction, divisor_power, real_roots
+from phaseatlas.polycore import (
+    Y,
+    BiPoly,
+    NewtonWeights,
+    as_rational,
+    axis_restriction,
+    divisor_power,
+    newton_weights,
+    real_roots,
+)
 
 
 def slope_limit_check(fixture, y0: float, x_eval: float) -> float:
@@ -256,3 +265,37 @@ def four_chart_points_at_infinity(f: PolyField):
                 )
             )
     return points
+
+
+# -- the blow-up of a nilpotent origin with all four charts built --------------------
+
+
+def four_chart_blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> blowup.BlowupChart:
+    """One directional chart, by composing P and Q with the substitution through `BiPoly.subst`."""
+    alpha, beta = w
+    if direction in ("+y", "-y"):  # the ±x chart of the swapped field, swapped back
+        swapped = PolyField(f.Q.swapped(), f.P.swapped())
+        c = four_chart_blowup_directional(swapped, direction[0] + "x", NewtonWeights(beta, alpha))
+        return blowup.BlowupChart(direction, w, c.py.swapped(), c.px.swapped(),
+                                  c.cancelled_coeff, c.cancelled_power)
+    sx = 1 if direction == "+x" else -1
+    phi = (BiPoly.monomial(sx, alpha, 0), BiPoly.monomial(1, beta, 1))
+    Pphi, Qphi = f.P.subst(*phi), f.Q.subst(*phi)
+    n1 = Pphi.mul_monomial(sx, beta, 0)
+    n2 = Qphi.mul_monomial(alpha, alpha - 1, 0) - (Y * Pphi).mul_monomial(sx * beta, beta - 1, 0)
+    s = divisor_power(n1, n2, "x")
+    return blowup.BlowupChart(
+        direction=direction,
+        weights=w,
+        px=n1.div_monomial("x", s),
+        py=n2.div_monomial("x", s),
+        cancelled_coeff=Fraction(1, alpha),
+        cancelled_power=s - (alpha + beta - 1),
+    )
+
+
+def four_chart_blowup_origin(f: PolyField):
+    """(weights, charts, divisor) as `blowup.blowup_origin` gives them, each chart built and scanned alone."""
+    w = newton_weights(f.P, f.Q)
+    charts = {d: four_chart_blowup_directional(f, d, w) for d in blowup.DIRECTIONS}
+    return w, charts, {d: blowup.divisor_stationary_points(c) for d, c in charts.items()}

@@ -2,18 +2,24 @@
 
 The oracles evaluate the plane field F = (P, Q) directly at the mapped
 point; none of them exchanges x and y, so they check the y-direction charts
-independently of how those charts are built.
+independently of how those charts are built.  The blow-up of a nilpotent
+origin, whose minus charts are mostly antipodes of the plus charts, is also
+checked against the four charts built one by one.
 """
 
 import math
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaseatlas.blowup import DIRECTIONS, blowup_directional
+from phaseatlas.blowup import DIRECTIONS, blowup_directional, blowup_origin
 from phaseatlas.compact import compactify_chart
-from phaseatlas.desing import PolyField
+from phaseatlas.desing import PolyField, cdk_poly_field
+from phaseatlas.errors import PhaseAtlasError
 from phaseatlas.polycore import BiPoly, NewtonWeights
+
+from oracles import four_chart_blowup_origin
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 _exponent = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 0 < sum(e) <= 4)
@@ -29,20 +35,95 @@ _value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 _nonzero = _value.filter(bool)
 
 
-@settings(derandomize=True, database=None, deadline=None)
-@given(_fields, _weights, st.lists(st.tuples(_nonzero, _nonzero), min_size=1, max_size=3))
-def test_blowup_chart_pushes_forward_to_the_plane_field(f, w, points):
+def _assert_pushes_forward(f, chart, points):
     # dφ · (c · v^k · (px, py)) = F ∘ φ, v the radial variable of the chart
+    for u, v in points:
+        radial = u if chart.radial_var == "x" else v
+        scale = chart.cancelled_coeff * radial**chart.cancelled_power
+        cu, cv = scale * chart.px.eval(u, v), scale * chart.py.eval(u, v)
+        J = chart.substitution_jacobian(u, v)
+        push = (J[0][0] * cu + J[0][1] * cv, J[1][0] * cu + J[1][1] * cv)
+        assert push == f.eval(*chart.substitution(u, v)), (chart.direction, u, v)
+
+
+_points = st.lists(st.tuples(_nonzero, _nonzero), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_fields, _weights, _points)
+def test_blowup_chart_pushes_forward_to_the_plane_field(f, w, points):
     for direction in DIRECTIONS:
         chart = blowup_directional(f, direction, w)
         assert (chart.direction, chart.weights) == (direction, w)
-        for u, v in points:
-            radial = u if direction in ("+x", "-x") else v
-            scale = chart.cancelled_coeff * radial**chart.cancelled_power
-            cu, cv = scale * chart.px.eval(u, v), scale * chart.py.eval(u, v)
-            J = chart.substitution_jacobian(u, v)
-            push = (J[0][0] * cu + J[0][1] * cv, J[1][0] * cu + J[1][1] * cv)
-            assert push == f.eval(*chart.substitution(u, v)), (direction, u, v)
+        _assert_pushes_forward(f, chart, points)
+
+
+_NEWTON_WEIGHTS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 4), (4, 3)]
+_small_exponents = [(i, j) for i in range(5) for j in range(5)]
+
+
+@st.composite
+def _nilpotent_fields(draw):
+    """A field with a nilpotent origin, quasi-homogeneous of drawn weights (α, β) plus higher terms.
+
+    A term x^i y^j of P sits at α(i−1) + βj on the Newton polygon, one of Q
+    at αi + β(j−1).  P ∋ y^(mα−1) and Q ∋ x^(mβ−1) end the lowest edge on
+    both axes, so it is the only one; its further terms have random, often
+    irrational, divisor roots.  A radial principal part (α·x·h, β·y·h)
+    instead puts a continuum of stationary points on the divisor.
+    """
+    alpha, beta = draw(st.sampled_from(_NEWTON_WEIGHTS))
+    coeff = _coeff.filter(bool)
+    if draw(st.booleans()):
+        level = alpha * beta  # h ∋ x^β, y^α
+        h = {(i, j): draw(coeff) for i, j in _small_exponents if alpha * i + beta * j == level}
+        P = {(i + 1, j): alpha * c for (i, j), c in h.items()}
+        Q = {(i, j + 1): beta * c for (i, j), c in h.items()}
+    else:
+        m = max(-(-2 // alpha), -(-3 // beta))  # Q's anchor is not linear
+        level = m * alpha * beta - alpha - beta
+        P = {(0, m * alpha - 1): draw(coeff)} | {
+            e: draw(_coeff) for e in _small_exponents if alpha * (e[0] - 1) + beta * e[1] == level}
+        Q = {(m * beta - 1, 0): draw(coeff)} | {
+            e: draw(_coeff) for e in _small_exponents if alpha * e[0] + beta * (e[1] - 1) == level}
+    higher = st.sampled_from(_small_exponents)
+    for part, shift in ((P, (1, 0)), (Q, (0, 1))):
+        above = higher.filter(lambda e, s=shift: alpha * (e[0] - s[0]) + beta * (e[1] - s[1]) > level)
+        part |= draw(st.dictionaries(above, coeff, max_size=2))
+    return PolyField(BiPoly(P), BiPoly(Q))
+
+
+def _blowup_record(build, f):
+    """repr of (weights, charts, divisor), with each chart's term order and float table; or the error."""
+    try:
+        w, charts, divisor = build(f)
+    except PhaseAtlasError as exc:
+        return type(exc).__name__, str(exc)
+    terms = [(list(p.terms), p.float_terms()) for c in charts.values() for p in (c.px, c.py)]
+    return repr((w, charts, divisor)), terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_nilpotent_fields())
+@example(cdk_poly_field(Fraction(7, 10), Fraction(1, 2)))  # weights (1, 1): both minus charts derived
+@example(cdk_poly_field(Fraction(3, 10), 1))  # weights (1, 2): -y built
+@example(PolyField(BiPoly({(0, 1): 1}), BiPoly({(2, 0): 1})))  # weights (2, 3): irrational roots, -x built
+def test_blowup_origin_is_the_four_chart_reference(f):
+    # repr tells a float -0.0 from +0.0 and each exact from each float root
+    assert _blowup_record(blowup_origin, f) == _blowup_record(four_chart_blowup_origin, f)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_nilpotent_fields(), _points)
+def test_blowup_origin_charts_push_forward_to_the_plane_field(f, points):
+    try:
+        w, charts, divisor = blowup_origin(f)
+    except PhaseAtlasError:
+        return  # a dicritical divisor: blowup_directional's charts are checked above
+    assert list(charts) == list(DIRECTIONS)
+    for chart in charts.values():
+        assert chart.weights == w
+        _assert_pushes_forward(f, chart, points)
 
 
 def _poincare_formula(f, chart, u, z):

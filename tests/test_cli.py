@@ -74,9 +74,14 @@ def test_blowup_builds_each_chart_once(count_calls, capsys):
     from phaseatlas import blowup, polycore
 
     counts = count_calls((polycore.newton_weights, blowup.divisor_stationary_points))
-    code, _, _ = run(capsys, "blowup", "--a", "7/10", "--b", "1/2")
-    assert code == 0
-    assert counts == {"newton_weights": 1, "divisor_stationary_points": 4}
+    # a minus chart is scanned only when its radial weight is even: weights (1, 1)
+    # at (7/10, 1/2) derive both, weights (1, 2) on b = 1 build the -y chart
+    for command in ("blowup", "analyze"):
+        for a, b, scans in (("7/10", "1/2", 2), ("3/10", "1", 3)):
+            counts.update(dict.fromkeys(counts, 0))
+            code, _, _ = run(capsys, command, "--a", a, "--b", b)
+            assert code == 0
+            assert counts == {"newton_weights": 1, "divisor_stationary_points": scans}, (command, a, b)
 
 
 @pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 2), ("1", "1", 2)])

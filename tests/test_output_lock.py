@@ -164,9 +164,11 @@ def test_spec_file_chart_digest(capsys, tmp_path, command, name, text):
 
 
 def test_cusp_analyze_reads_the_origin_jacobian_without_diff(monkeypatch, capsys, tmp_path):
-    # the nilpotency test, made twice, reads the linear coefficients, and the
-    # -y point at infinity is the antipode of +y: 20 differentiations, where
-    # 4 per nilpotency test made it 32 and a linearized V2 chart made it 24
+    # the nilpotency test, made twice, reads the linear coefficients, the
+    # -y point at infinity is the antipode of +y, and with weights (2, 3) the
+    # -y blow-up chart is the antipode of +y: 16 differentiations, where 4 per
+    # nilpotency test made it 32, a linearized V2 chart 24 and a linearized
+    # -y blow-up chart 20
     calls = []
     diff = polycore.BiPoly.diff
     monkeypatch.setattr(polycore.BiPoly, "diff", lambda self, var: calls.append(var) or diff(self, var))
@@ -174,7 +176,7 @@ def test_cusp_analyze_reads_the_origin_jacobian_without_diff(monkeypatch, capsys
     spec.write_text(CUSP, encoding="utf-8")
     got = _digest(capsys, "analyze", "--system", str(spec), "--format", "json")
     assert got == OTHER_DIGESTS["analyze-cusp"]
-    assert len(calls) == 20
+    assert len(calls) == 16
 
 
 SCANS = {

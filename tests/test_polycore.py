@@ -508,6 +508,9 @@ def test_arithmetic_matches_the_fraction_loops_in_storage_order(a, b, n, u, v):
         (p.diff("y"), _o_diff(a, 1)),
         (p.swapped(), {(j, i): c for (i, j), c in a.items()}),
         (p.subst(q, p), _o_subst(a, b, a)),
+        # a term map: x -> -x^2 y, y -> 3 x y^2, times 2 x, keeps the terms in storage order
+        (p.subst_monomials((-1, 2, 1), (3, 1, 2), (2, 1, 0)),
+         _o_mul(_o_subst(a, {(2, 1): F(-1)}, {(1, 2): F(3)}), {(1, 0): F(2)})),
         (p.shift(u, v), _o_subst(a, _o_add({(1, 0): F(1)}, {(0, 0): u} if u else {}),
                                  _o_add({(0, 1): F(1)}, {(0, 0): v} if v else {}))),
     ]
@@ -588,3 +591,18 @@ def test_nilpotent_origin_verdict_is_the_jacobian_one(P, Q, nilpotent):
 def test_nilpotent_origin_agrees_with_the_jacobian_on_random_fields(a, b):
     P, Q = BiPoly(a), BiPoly(b)
     assert is_nilpotent_origin(P, Q) == _nilpotent_by_jacobian(P, Q)
+
+
+def test_subst_monomials_refuses_to_merge_or_drop_a_term():
+    p = X + Y + X * Y
+    with pytest.raises(DomainError):
+        p.subst_monomials((1, 1, 0), (1, 1, 0))  # x and y both to x: x + y would merge
+    with pytest.raises(DomainError):
+        p.subst_monomials((1, 1, 0), (1, 0, 1), (1, 0, -1))  # x has no factor y to divide by
+    with pytest.raises(DomainError):
+        p.subst_monomials((0, 1, 0), (1, 0, 1))  # a zero coefficient would drop terms
+    # Laurent monomials are fine while every product term stays a monomial: z^2 p(1/z, u/z)
+    assert p.subst_monomials((1, 0, -1), (1, 1, -1), (1, 0, 2)) == BiPoly({(0, 1): 1, (1, 1): 1, (1, 0): 1})
+    assert (X**2 * Y).div_monomial("x", 2) == Y and (X * Y**3).div_monomial("y", 1) == X * Y**2
+    with pytest.raises(DomainError):
+        (X + Y).div_monomial("x", 1)

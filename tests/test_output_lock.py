@@ -285,8 +285,10 @@ def test_semihyperbolic_analysis_digest(name):
 def test_analyze_evaluates_each_jacobian_once(count_calls, capsys):
     counts = count_calls((equilibria.jacobian_at,))
     assert main(["analyze", "--a", "7/10", "--b", "1/2", "--format", "json"]) == 0
-    # 8 points: s1, s2, four divisor points of the blown-up origin, ±x at infinity
-    assert counts["jacobian_at"] <= 8
+    # 5 points: (0, 0) and (0, 1), the +y divisor point (the -y one is its
+    # antipode, ±x have no real divisor roots) and the U1 and U2 points at
+    # infinity (V1 and V2 are their antipodes); 6 while -y was built
+    assert counts["jacobian_at"] == 5
 
 
 def test_field_is_differentiated_once():

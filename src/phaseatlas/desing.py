@@ -74,6 +74,56 @@ def field_source(tabs, x: str, y: str, out: str) -> str:
             f"f'field value at ({{{x}!r}}, {{{y}!r}}) overflows a float') from None\n")
 
 
+def _monomial(i: int, j: int) -> str:
+    return "".join(f"{v}{e}" for v, e in (("x", i), ("y", j)) if e)
+
+
+def _range_lines(i: int, j: int, have: set) -> str:
+    """Lines that set the range {m}l, {m}h of the monomial m = x**i * y**j and of its powers, once each."""
+    lines = ""
+    for v, e in ((v, e) for v, e in (("x", i), ("y", j)) if e and (v, e) not in have):
+        have.add((v, e))
+        a, b = (f"{v}lo", f"{v}hi") if e == 1 else ("a", "b")
+        lines += "" if e == 1 else f"    a, b = {v}lo**{e}, {v}hi**{e}\n"
+        lo = f"0.0 if {v}lo < 0 < {v}hi else " if e % 2 == 0 else ""  # min and max as the builtins: ties keep a
+        lines += f"    {v}{e}l, {v}{e}h = {lo}({b} if {b} < {a} else {a}), ({b} if {b} > {a} else {a})\n"
+    if i and j and (i, j) not in have:
+        have.add((i, j))
+        m = _monomial(i, j)
+        lines += (f"    c = x{i}l * y{j}l, x{i}l * y{j}h, x{i}h * y{j}l, x{i}h * y{j}h\n"
+                  f"    {m}l, {m}h = min(c), max(c)\n")
+    return lines
+
+
+def _bound_lines(tab, s: str, have: set) -> str:
+    """Lines that set {s}lo, {s}hi to the padded interval bounds of a term table; an error table raises."""
+    if isinstance(tab, Exception):
+        return f"    raise PreconditionError({str(tab)!r})\n"
+    lines = "".join(_range_lines(i, j, have) for _, i, j in tab)
+    for end in ("lo", "hi"):  # a negative c takes the other end of its term's range
+        lines += f"    {s}{end} = 0.0" + "".join(
+            f" + {c!r}" + (f" * {_monomial(i, j)}{'lh'[(c >= 0) != (end == 'lo')]}" if i or j else "")
+            for c, i, j in tab) + "\n"
+    return lines + (f"    pad = 1e-14 * max(abs({s}lo), abs({s}hi), 1.0)\n"
+                    f"    {s}lo, {s}hi = {s}lo - pad, {s}hi + pad\n")
+
+
+def box_source(tabs) -> str:
+    """Source of box(xlo, xhi, ylo, yhi) -> (excluded, plo, phi[, qlo, qhi]) for the tables (P, Q).
+
+    Moore's natural interval extension: each component sums c * [lo, hi] from 0.0 in table
+    order and is padded by 1e-14 * max(|lo|, |hi|, 1.0); Q is bounded only when P's bounds
+    hold 0.  A power is v**e at v's two ends, [0, max] for an even one across 0, and a term's
+    range is the min and max of its four corner products (a pure power's corners are its own
+    ends twice); each is computed once per box, for every term of P and Q.  A table that is an
+    error (a coefficient of Q overflows a float) is raised where it would be read.
+    """
+    have = set()
+    return ("def box(xlo, xhi, ylo, yhi):\n" + _bound_lines(tabs[0], "p", have)
+            + "    if plo > 0 or phi < 0:\n        return True, plo, phi\n" + _bound_lines(tabs[1], "q", have)
+            + "    return qlo > 0 or qhi < 0, plo, phi, qlo, qhi\n")
+
+
 def compile_named(source: str, kind: str):
     """Code of `source` filed as <phaseatlas KIND CRC>: a profile keeps each distinct source apart."""
     return compile(source, f"<phaseatlas {kind} {zlib.crc32(source.encode()):08x}>", "exec")
@@ -108,6 +158,20 @@ class PolyField:
         rhs = namespace.pop("rhs")  # no cycle through its globals: freed with the field
         rhs.float_terms = tabs
         return rhs
+
+    def box_test(self):
+        """Interval box test (xlo, xhi, ylo, yhi) -> (excluded, plo, phi[, qlo, qhi]), built once; see `box_source`."""
+        return self._box
+
+    @cached_property
+    def _box(self):
+        try:
+            qtab = self.Q.float_terms()
+        except PreconditionError as err:  # P may exclude every box before Q is read
+            qtab = err
+        namespace = {"PreconditionError": PreconditionError}
+        exec(compile_named(box_source((self.P.float_terms(), qtab)), "box"), namespace)
+        return namespace.pop("box")  # no cycle through its globals
 
     def jacobian_polys(self):
         """(∂P/∂x, ∂P/∂y, ∂Q/∂x, ∂Q/∂y), differentiated once per field."""

@@ -4,7 +4,10 @@ The CDK system gets a closed-form solver (two axis points s1, s2 always;
 a symmetric pair s3, s4 exactly when the parameters straddle 1; the full
 circle x² + (y-1/2)² = 1/4 at a = b = 1).  Every other polynomial field
 gets a numeric finder based on interval subdivision plus Newton polishing;
-`atlas.FieldAnalysis` chooses between the two.
+`atlas.FieldAnalysis` chooses between the two.  The subdivision's box test
+is each field's natural interval extension, generated once per field as
+code (`PolyField.box_test`); a factor shared by both components is a curve
+of zeros once it changes sign, decided in exact arithmetic.
 
 Classification: hyperbolic kinds drop out of the 2x2 eigenvalue structure;
 points with exactly one zero eigenvalue get an exact polynomial center
@@ -32,7 +35,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .polycore import X, BiPoly, as_rational
+from .polycore import X, BiPoly, as_rational, poly_divexact, poly_gcd
 
 KIND_NAMES = (
     "saddle",
@@ -395,31 +398,23 @@ def cdk_closed_form(f: PolyField):
 # -- numeric finder -----------------------------------------------------------------
 
 
-def _interval_eval(p: BiPoly, xlo, xhi, ylo, yhi):
-    """Crude interval range of p over the box (monomial-wise products)."""
-    lo = hi = 0.0
-    for cf, i, j in p.float_terms():
-        xs = _interval_pow(xlo, xhi, i)
-        ys = _interval_pow(ylo, yhi, j)
-        cands = [xs[0] * ys[0], xs[0] * ys[1], xs[1] * ys[0], xs[1] * ys[1]]
-        tlo, thi = min(cands), max(cands)
-        if cf >= 0:
-            lo += cf * tlo
-            hi += cf * thi
-        else:
-            lo += cf * thi
-            hi += cf * tlo
-    pad = 1e-14 * max(abs(lo), abs(hi), 1.0)
-    return lo - pad, hi + pad
+def _shared_curve(f: PolyField, cells) -> bool:
+    """True when the square-free part of gcd(P, Q) takes both signs at corners of the cells.
 
-
-def _interval_pow(lo, hi, n):
-    if n == 0:
-        return (1.0, 1.0)
-    pl, ph = lo**n, hi**n
-    if n % 2 == 0 and lo < 0 < hi:
-        return (0.0, max(pl, ph))
-    return (min(pl, ph), max(pl, ph))
+    Its zeros, all common zeros of P and Q, then separate two points of the box, so they hold
+    a curve: an exact verdict.  The cells cover every zero the box test could not exclude.
+    """
+    g = poly_gcd(f.P, f.Q)
+    if g.total_degree() < 1:
+        return False
+    g = poly_divexact(g, poly_gcd(poly_gcd(g, g.diff_x()), g.diff_y()))
+    signs = set()
+    for xlo, xhi, ylo, yhi in cells:
+        values = (g.eval(Fraction(x), Fraction(y)) for x in (xlo, xhi) for y in (ylo, yhi))
+        signs.update(v > 0 for v in values if v)
+        if len(signs) == 2:
+            return True
+    return False
 
 
 def _newton_polish(f: PolyField, x, y, tol, max_iter=60):
@@ -451,10 +446,12 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
     """All isolated common zeros of (P, Q) in the box, to residual < tol.
 
     Recursive interval subdivision discards boxes where either component is
-    sign-definite; surviving cells are polished by Newton.  Points closer
-    than 10*tol are merged.  Returns a Continuum marker when the zero set
-    is a curve (with no samples for the zero field, which is not searched);
-    raises AmbiguityError if resolution runs out first.
+    sign-definite, by the field's generated `box_test`; surviving cells are
+    polished by Newton.  Points closer than 10*tol are merged.  Returns a
+    Continuum marker, with the merged points as samples, when the zero set
+    is a curve: more than 16 merged points, or a factor shared by P and Q
+    that changes sign over the cells (no samples for the zero field, which
+    is not searched); raises AmbiguityError if resolution runs out first.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in box)
     if not (xmin < xmax and ymin < ymax and all(map(math.isfinite, (xmin, xmax, ymin, ymax)))):
@@ -464,20 +461,17 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
     if f.P.is_zero() and f.Q.is_zero():
         return Continuum(samples=())
 
+    excludes = f.box_test()
     min_diam = max((xmax - xmin), (ymax - ymin)) / 2**9
     max_depth = 40
     stack = [(xmin, xmax, ymin, ymax, 0)]
-    candidates = []
-    failed = []
+    candidates, failed, leaves = [], [], []
     while stack:
         xlo, xhi, ylo, yhi, depth = stack.pop()
-        plo, phi = _interval_eval(f.P, xlo, xhi, ylo, yhi)
-        if plo > 0 or phi < 0:
-            continue
-        qlo, qhi = _interval_eval(f.Q, xlo, xhi, ylo, yhi)
-        if qlo > 0 or qhi < 0:
+        if excludes(xlo, xhi, ylo, yhi)[0]:
             continue
         if max(xhi - xlo, yhi - ylo) <= min_diam or depth >= max_depth:
+            leaves.append((xlo, xhi, ylo, yhi))
             cx, cy = (xlo + xhi) / 2, (ylo + yhi) / 2
             x, y, res = _newton_polish(f, cx, cy, tol)
             if res < tol:
@@ -499,13 +493,14 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
         )
 
     merged: list[tuple[float, float]] = []
+    radius = 10 * max(tol, 1e-12)
     for x, y in sorted(candidates):
-        if not any(math.hypot(x - mx, y - my) <= 10 * max(tol, 1e-12) for mx, my in merged):
+        if not any(math.hypot(x - mx, y - my) <= radius for mx, my in merged):
             merged.append((x, y))
 
-    # a curve of zeros floods the subdivision with distinct converged points;
-    # report it before worrying about the handful of stalled cells on it
-    if len(merged) > 16:
+    # a curve of zeros floods the subdivision with distinct converged points, or is a
+    # shared factor: report it before the handful of stalled cells on it
+    if len(merged) > 16 or _shared_curve(f, leaves):
         return Continuum(samples=tuple(sorted(merged)))
 
     if failed:

@@ -299,3 +299,42 @@ def four_chart_blowup_origin(f: PolyField):
     w = newton_weights(f.P, f.Q)
     charts = {d: four_chart_blowup_directional(f, d, w) for d in blowup.DIRECTIONS}
     return w, charts, {d: blowup.divisor_stationary_points(c) for d, c in charts.items()}
+
+
+# -- the numeric finder's box test, interpreted term by term ------------------------
+
+
+def interval_box_test(f: PolyField, xlo, xhi, ylo, yhi):
+    """(excluded, plo, phi[, qlo, qhi]) as `PolyField.box_test` gives it: Q is bounded only when P holds 0."""
+    plo, phi = interval_eval(f.P, xlo, xhi, ylo, yhi)
+    if plo > 0 or phi < 0:
+        return True, plo, phi
+    qlo, qhi = interval_eval(f.Q, xlo, xhi, ylo, yhi)
+    return qlo > 0 or qhi < 0, plo, phi, qlo, qhi
+
+
+def interval_eval(p: BiPoly, xlo, xhi, ylo, yhi):
+    """Crude interval range of p over the box (monomial-wise products)."""
+    lo = hi = 0.0
+    for cf, i, j in p.float_terms():
+        xs = interval_pow(xlo, xhi, i)
+        ys = interval_pow(ylo, yhi, j)
+        cands = [xs[0] * ys[0], xs[0] * ys[1], xs[1] * ys[0], xs[1] * ys[1]]
+        tlo, thi = min(cands), max(cands)
+        if cf >= 0:
+            lo += cf * tlo
+            hi += cf * thi
+        else:
+            lo += cf * thi
+            hi += cf * tlo
+    pad = 1e-14 * max(abs(lo), abs(hi), 1.0)
+    return lo - pad, hi + pad
+
+
+def interval_pow(lo, hi, n):
+    if n == 0:
+        return (1.0, 1.0)
+    pl, ph = lo**n, hi**n
+    if n % 2 == 0 and lo < 0 < hi:
+        return (0.0, max(pl, ph))
+    return (min(pl, ph), max(pl, ph))

@@ -475,6 +475,16 @@ def test_zero_field_is_a_continuum(tmp_path, capsys, command):
     assert "continuum of stationary points" in err
 
 
+@pytest.mark.parametrize("text", ["x^2 ; x*y\n", "x^2*y ; x^3 + x*y^2\n"])
+def test_shared_factor_is_a_continuum(tmp_path, capsys, text):
+    # both vanish on the line x = 0, and used to list one semi_hyperbolic [boundary] point
+    path = tmp_path / "shared.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", "--system", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: continuum of stationary points detected; no point list to report\n"
+
+
 def test_infinity_of_the_zero_field_exits_3(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("0 ; 0\n")

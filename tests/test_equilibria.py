@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from phaseatlas.atlas import FieldAnalysis
 from phaseatlas.desing import PolyField, cdk_poly_field
@@ -25,7 +25,7 @@ from phaseatlas.equilibria import (
 from phaseatlas.errors import DomainError, InconclusiveError, PreconditionError
 from phaseatlas.polycore import BiPoly, X, Y
 
-from oracles import s34_eigenvalues, shift_to_origin
+from oracles import interval_box_test, s34_eigenvalues, shift_to_origin
 
 F = Fraction
 
@@ -435,3 +435,63 @@ def test_find_stationary_ambiguity_on_near_tangent_curves():
     with pytest.raises(AmbiguityError) as err:
         find_stationary(f, (-1, 1, -1, 1), tol=1e-10)
     assert err.value.clusters
+
+
+@pytest.mark.parametrize("P, Q", [(X**2, X * Y), (X**2 * Y, X**3 + X * Y**2), (X**2 * Y, X**2 * (Y - 1))])
+def test_a_shared_factor_that_changes_sign_is_a_continuum(P, Q):
+    # each pair vanishes on the line x = 0 (the last shares x^2); fewer than 16 points merge
+    result = find_stationary(PolyField(P, Q), (-8, 8, -8, 8), tol=1e-10)
+    assert isinstance(result, Continuum)
+    assert result.samples and all(abs(x) < 1e-8 for x, _ in result.samples)
+
+
+def test_a_shared_factor_without_real_zeros_leaves_the_points():
+    # x^2 + y^2 + 1 is shared but never vanishes: the one zero is the origin
+    g = X**2 + Y**2 + 1
+    found = find_stationary(PolyField(X * g, Y * g), (-8, 8, -8, 8), tol=1e-10)
+    assert [(p.location_floats(), str(p.kind)) for p in found] == [((0.0, 0.0), "repelling_node")]
+
+
+def test_q_is_read_only_where_p_holds_a_zero():
+    # P = 1 excludes every box, so Q's coefficient, beyond the float range, is never read
+    f = PolyField(BiPoly.const(1), BiPoly.monomial(10**400, 1, 0))
+    assert find_stationary(f, (-8, 8, -8, 8)) == []
+    assert f.box_test()(-8.0, 8.0, -8.0, 8.0) == (True, 1.0 - 1e-14, 1.0 + 1e-14)
+    with pytest.raises(PreconditionError, match="coefficient of x overflows a float"):
+        PolyField(X, BiPoly.monomial(10**400, 1, 0)).box_test()(-8.0, 8.0, -8.0, 8.0)
+
+
+_coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool).map(F),
+    # 6-10 significant digits with the point anywhere
+    st.builds(lambda n, sign, k: F(sign * n, 10**k), st.integers(10**5, 10**10 - 1),
+              st.sampled_from((1, -1)), st.integers(0, 10)),
+)
+_components = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda ij: sum(ij) <= 4), _coefficients, max_size=8
+).map(BiPoly)
+
+
+@st.composite
+def _boxes(draw):
+    """The full (-8, 8)^2, or a cell from 16 wide down to depth-40 size, each side across 0 or anywhere."""
+    if draw(st.integers(0, 7)) == 0:
+        return (-8.0, 8.0, -8.0, 8.0)
+    box = ()
+    for _ in "xy":
+        width = 16.0 / 2 ** draw(st.integers(0, 40))
+        lo = draw(st.one_of(st.floats(-1, 0, exclude_max=True).map(lambda u: u * width), st.floats(-8, 8)))
+        box += (lo, lo + width)
+    return box
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.builds(PolyField, _components, _components), st.lists(_boxes(), min_size=1, max_size=12))
+@example(PolyField(X * (3 - X - 2 * Y), Y * (2 - X - Y)), [(-8.0, 8.0, -8.0, 8.0), (0.0, 0.5, -0.5, 0.0)])
+@example(PolyField(3 - X**4 + F(1234567, 10**7) * Y**3, X**2 * Y**2 - 5), [(-1e-12, 2.0, -3.0, 1e-12)])
+def test_box_test_is_the_interval_reference_bit_for_bit(f, boxes):
+    box_test = f.box_test()
+    for box in boxes:
+        got, want = box_test(*box), interval_box_test(f, *box)
+        assert got[0] is want[0], box
+        assert [v.hex() for v in got[1:]] == [v.hex() for v in want[1:]], box

@@ -69,3 +69,22 @@ def test_the_analysis_sequence_has_one_reader():
                             if "." not in qualname and step in _references(node))
                for step in steps}
     assert readers == dict.fromkeys(steps, ["atlas.FieldAnalysis"])
+
+
+def test_generated_code_is_compiled_by_compile_named():
+    # every generated source (rhs, dopri5, box) is filed under its own name, so a profile keeps them apart
+    modules = _modules()
+    (named,) = [node for _, name, node in _definitions(modules["desing"]) if name == "compile_named"]
+    inside = {id(sub) for sub in ast.walk(named)}
+    stray = []
+    for module, tree in modules.items():
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                continue
+            if call.func.id == "compile" and id(call) not in inside:
+                stray.append(f"{module}:{call.lineno} compile")
+            elif call.func.id == "exec" and not (
+                    call.args and isinstance(call.args[0], ast.Call)
+                    and getattr(call.args[0].func, "id", None) == "compile_named"):
+                stray.append(f"{module}:{call.lineno} exec")
+    assert not stray, f"compile generated source through desing.compile_named: {stray}"

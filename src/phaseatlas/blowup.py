@@ -155,11 +155,17 @@ class DivisorContinuum:
 
 
 def _divisor_restriction(chart: BlowupChart):
-    """Tangential component on the divisor, as coefficient list; None if dicritical."""
+    """Tangential component on the divisor, as coefficient list ([] where it vanishes).
+
+    The radial component vanishes on the divisor, which is therefore invariant: `divisor_power`
+    always leaves it a factor of the radial variable.  A dicritical origin thus restricts to []
+    and comes back from `divisor_stationary_points` as a DivisorContinuum.
+    """
     radial, tang = (chart.px, chart.py) if chart.radial_var == "x" else (chart.py, chart.px)
-    # invariance: the radial component must vanish identically on the divisor
     if axis_restriction(radial, chart.radial_var):
-        return None
+        raise InternalInconsistencyError(
+            f"radial component of the {chart.direction} chart does not vanish on the divisor, "
+            "but divisor_power leaves it a factor of the radial variable")
     return axis_restriction(tang, chart.radial_var)
 
 
@@ -174,10 +180,6 @@ def divisor_stationary_points(chart: BlowupChart):
     entirely of stationary points comes back as a DivisorContinuum.
     """
     coeffs = _divisor_restriction(chart)
-    if coeffs is None:
-        raise PreconditionError(
-            f"divisor of the {chart.direction} chart is not invariant (dicritical blow-up)"
-        )
     if coeffs == []:
         return [DivisorContinuum(chart.direction, ClassificationKind("degenerate_curve"))], 0
 

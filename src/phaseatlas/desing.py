@@ -17,15 +17,23 @@ Also provides the two built-in fixtures: the CDK system
 
 and the logarithmic Sprott system, which is not rational and therefore
 lives outside the symbolic pipeline as an evaluable field object.
+
+The float kernels of a `PolyField` (its evaluator, the step loop, the interval
+box test and the Newton Jacobian) are generated Python source that names each
+coefficient instead of writing its value, so the source depends only on the
+field's term shape.  `bind` compiles each distinct source once per process and
+gives each field a function over the shared code that reads its own
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
 import textwrap
+import types
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, PreconditionError, UndefinedPointError
 from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_lcm, reduce_fraction
@@ -60,18 +68,29 @@ def _factors(i: int, j: int, x: str, y: str) -> str:
     return "".join(f" * {v}" + (f"{e}" if e > 1 else "") for v, e in ((x, i), (y, j)) if e)
 
 
-def field_source(tabs, x: str, y: str, out: str) -> str:
-    """Lines that set `out` to the float term tables (P, Q) summed at the point named (x, y).
+def field_source(tabs, x: str, y: str, outs, what: str = "field value", check: bool = False) -> str:
+    """Lines that set the names `outs` to the float term tables summed at the point named (x, y).
 
-    Sums c * x**i * y**j from 0.0 in table order, each power taken once by `**`; a value that
-    overflows a float is a PreconditionError naming the point.
+    Each table sums c * x**i * y**j from 0.0 in table order, its coefficients named as `bind`
+    reads them, and each power is taken once, by `**`, before the first sum that reads it.  A
+    power that overflows, or with `check` a sum that is not finite, is a PreconditionError
+    "WHAT at (x, y) overflows a float"; a table that is an error is raised where it is summed.
     """
-    powers = sorted({(v, e) for tab in tabs for _, i, j in tab for v, e in ((x, i), (y, j)) if e > 1})
-    sums = ["0.0" + "".join(f" + {c!r}{_factors(i, j, x, y)}" for c, i, j in tab) for tab in tabs]
-    # source from float reprs and integer exponents only, as dataclasses builds __init__
-    return ("try:\n" + "".join(f"    {v}{e} = {v}**{e}\n" for v, e in powers)
-            + f"    {out} {sums[0]}, {sums[1]}\nexcept OverflowError:\n    raise PreconditionError("
-            f"f'field value at ({{{x}!r}}, {{{y}!r}}) overflows a float') from None\n")
+    lines, have, k = "", set(), 0
+    for tab, out in zip(tabs, outs):
+        if isinstance(tab, Exception):
+            lines += f"    raise PreconditionError({str(tab)!r})\n"
+            continue
+        for v, e in ((v, e) for _, i, j in tab for v, e in ((x, i), (y, j)) if e > 1):
+            if (v, e) not in have:
+                have.add((v, e))
+                lines += f"    {v}{e} = {v}**{e}\n"
+        lines += f"    {out} = 0.0" + "".join(f" + c{k + n}{_factors(i, j, x, y)}" for n, (_, i, j) in enumerate(tab))
+        lines += f"\n    if not isfinite({out}):\n        raise OverflowError\n" if check else "\n"
+        k += len(tab)
+    # source from coefficient names and integer exponents only, as dataclasses builds __init__
+    return (f"try:\n{lines}except OverflowError:\n    raise PreconditionError("
+            f"f'{what} at ({{{x}!r}}, {{{y}!r}}) overflows a float') from None\n")
 
 
 def _monomial(i: int, j: int) -> str:
@@ -95,15 +114,16 @@ def _range_lines(i: int, j: int, have: set) -> str:
     return lines
 
 
-def _bound_lines(tab, s: str, have: set) -> str:
-    """Lines that set {s}lo, {s}hi to the padded interval bounds of a term table; an error table raises."""
+def _bound_lines(tab, s: str, have: set, k: int) -> str:
+    """Lines that set {s}lo, {s}hi to the padded interval bounds of a term table whose first
+    coefficient is c{k}; an error table raises."""
     if isinstance(tab, Exception):
         return f"    raise PreconditionError({str(tab)!r})\n"
     lines = "".join(_range_lines(i, j, have) for _, i, j in tab)
     for end in ("lo", "hi"):  # a negative c takes the other end of its term's range
         lines += f"    {s}{end} = 0.0" + "".join(
-            f" + {c!r}" + (f" * {_monomial(i, j)}{'lh'[(c >= 0) != (end == 'lo')]}" if i or j else "")
-            for c, i, j in tab) + "\n"
+            f" + c{k + n}" + (f" * {_monomial(i, j)}{'lh'[(c >= 0) != (end == 'lo')]}" if i or j else "")
+            for n, (c, i, j) in enumerate(tab)) + "\n"
     return lines + (f"    pad = 1e-14 * max(abs({s}lo), abs({s}hi), 1.0)\n"
                     f"    {s}lo, {s}hi = {s}lo - pad, {s}hi + pad\n")
 
@@ -115,18 +135,52 @@ def box_source(tabs) -> str:
     order and is padded by 1e-14 * max(|lo|, |hi|, 1.0); Q is bounded only when P's bounds
     hold 0.  A power is v**e at v's two ends, [0, max] for an even one across 0, and a term's
     range is the min and max of its four corner products (a pure power's corners are its own
-    ends twice); each is computed once per box, for every term of P and Q.  A table that is an
-    error (a coefficient of Q overflows a float) is raised where it would be read.
+    ends twice); each is computed once per box, for every term of P and Q.  The coefficients
+    are named as `bind` reads them, and each one's sign picks the ends of its term's range.  A
+    table that is an error (a coefficient overflows a float) is raised where it would be read.
     """
-    have = set()
-    return ("def box(xlo, xhi, ylo, yhi):\n" + _bound_lines(tabs[0], "p", have)
-            + "    if plo > 0 or phi < 0:\n        return True, plo, phi\n" + _bound_lines(tabs[1], "q", have)
+    have, k = set(), 0 if isinstance(tabs[0], Exception) else len(tabs[0])
+    return ("def box(xlo, xhi, ylo, yhi):\n" + _bound_lines(tabs[0], "p", have, 0)
+            + "    if plo > 0 or phi < 0:\n        return True, plo, phi\n" + _bound_lines(tabs[1], "q", have, k)
             + "    return qlo > 0 or qhi < 0, plo, phi, qlo, qhi\n")
 
 
+# distinct generated sources whose code is kept per process; a portrait-render pass writes 18
+_KERNEL_CACHE = 64
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
 def compile_named(source: str, kind: str):
-    """Code of `source` filed as <phaseatlas KIND CRC>: a profile keeps each distinct source apart."""
-    return compile(source, f"<phaseatlas {kind} {zlib.crc32(source.encode()):08x}>", "exec")
+    """Code of the one function `source` defines, filed as <phaseatlas KIND CRC>.
+
+    A profile keeps each distinct source apart, and each is compiled once per process while it
+    is among the last `_KERNEL_CACHE` used: fields of one term shape write one source.
+    """
+    module = compile(source, f"<phaseatlas {kind} {zlib.crc32(source.encode()):08x}>", "exec")
+    (code,) = [c for c in module.co_consts if isinstance(c, types.CodeType)]
+    return code
+
+
+def bind(source: str, kind: str, tabs, namespace):
+    """The function `source` defines, over the code every equal source shares (`compile_named`).
+
+    Generated sources name the coefficients of the tables `tabs` c0, c1, ... in table order (an
+    error table has none).  The function's globals are `namespace` and the tuple C of those
+    coefficients, which it unpacks into the locals c0, c1, ... once per call.
+    """
+    coeffs = tuple(c for tab in tabs if not isinstance(tab, Exception) for c, _, _ in tab)
+    if coeffs:
+        head, body = source.split("\n", 1)
+        source = f"{head}\n    {''.join(f'c{k}, ' for k in range(len(coeffs)))}= C\n{body}"
+    return types.FunctionType(compile_named(source, kind), dict(namespace, C=coeffs))
+
+
+def _table(p: BiPoly):
+    """Float term table of p, or the PreconditionError of its coefficient beyond the float range."""
+    try:
+        return p.float_terms()
+    except PreconditionError as err:
+        return err
 
 
 @dataclass(frozen=True)
@@ -152,10 +206,9 @@ class PolyField:
     @cached_property
     def _rhs(self):
         tabs = (self.P.float_terms(), self.Q.float_terms())
-        namespace = {"PreconditionError": PreconditionError}
-        source = "def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", "return"), "    ")
-        exec(compile_named(source, "rhs"), namespace)
-        rhs = namespace.pop("rhs")  # no cycle through its globals: freed with the field
+        source = "def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", ("u", "v")), "    ")
+        source += "    return u, v\n"
+        rhs = bind(source, "rhs", tabs, {"PreconditionError": PreconditionError})
         rhs.float_terms = tabs
         return rhs
 
@@ -165,13 +218,24 @@ class PolyField:
 
     @cached_property
     def _box(self):
-        try:
-            qtab = self.Q.float_terms()
-        except PreconditionError as err:  # P may exclude every box before Q is read
-            qtab = err
-        namespace = {"PreconditionError": PreconditionError}
-        exec(compile_named(box_source((self.P.float_terms(), qtab)), "box"), namespace)
-        return namespace.pop("box")  # no cycle through its globals
+        tabs = (_table(self.P), _table(self.Q))  # P may exclude every box before Q is read
+        return bind(box_source(tabs), "box", tabs, {"PreconditionError": PreconditionError})
+
+    def float_jacobian(self):
+        """Float Jacobian (x, y) -> ((Px, Py), (Qx, Qy)) for the finder's Newton step, built once.
+
+        Each entry sums its `jacobian_polys()` table term by term, in the order `jacobian_at`
+        evaluates them, with the floats and the errors of `BiPoly.eval` at a float point: a
+        coefficient beyond the float range, or a value that overflows, is its PreconditionError.
+        """
+        return self._jac
+
+    @cached_property
+    def _jac(self):
+        tabs = [_table(p) for p in self.jacobian_polys()]
+        field = field_source(tabs, "x", "y", ("a11", "a12", "a21", "a22"), "polynomial value", check=True)
+        source = "def jac(x, y):\n" + textwrap.indent(field, "    ") + "    return (a11, a12), (a21, a22)\n"
+        return bind(source, "jac", tabs, {"PreconditionError": PreconditionError, "isfinite": math.isfinite})
 
     def jacobian_polys(self):
         """(∂P/∂x, ∂P/∂y, ∂Q/∂x, ∂Q/∂y), differentiated once per field."""

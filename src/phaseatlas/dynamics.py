@@ -13,12 +13,14 @@ not finite is rejected before the loop.  For fixed options the result is
 bit-deterministic.
 
 The step loop is one source template, `_LOOP`: for the evaluator that
-`PolyField.compiled()` returns it is built once by `step_loop`, on the field's
+`PolyField.compiled()` returns it is bound once by `step_loop`, on the field's
 first `integrate` or before `portrait` forks the worker that shares its
 trajectories, with the field's powers and term sums written into each stage,
 and kept on the evaluator; any other callable gets one loop that calls it at
-each stage.  Both do a tableau loop's float operations in its order, so
-trajectories agree bit for bit.  First same as last: k6 is the next k0, since
+each stage.  The sums name the coefficients, so fields of one term shape
+share one compiled loop (`desing.bind`), each reading its own coefficients.
+Both do a tableau loop's float operations in its order, so trajectories
+agree bit for bit.  First same as last: k6 is the next k0, since
 the stage-6 point is (x5, y5) bit for bit while both are finite (its weights
 are x5's first six, and b6 * k6 = ±0.0 changes no bit of a sum started at
 +0.0); a non-finite step ends the trajectory, and a rejected step keeps its
@@ -33,7 +35,7 @@ import re
 import textwrap
 from dataclasses import dataclass
 
-from .desing import PolyField, compile_named, field_source
+from .desing import PolyField, bind, field_source
 from .errors import PreconditionError
 
 # Dormand-Prince 5(4) coefficients (the classic DOPRI5 tableau)
@@ -114,17 +116,18 @@ def step_loop(f):
     base = _as_rhs(f)
     tabs = getattr(base, "float_terms", None)  # set by PolyField.compiled: inline the field
     if tabs is not None and not hasattr(base, "dopri5"):
-        base.dopri5 = _build_loop(field_source(tabs, "px", "py", "u, v ="))
+        base.dopri5 = _build_loop(field_source(tabs, "px", "py", ("u", "v")), tabs)
     return (_calling_loop() if tabs is None else base.dopri5), base
 
 
 @functools.cache
 def _calling_loop():
-    return _build_loop("u, v = base(px, py)\n")
+    return _build_loop("u, v = base(px, py)\n", ())
 
 
-def _build_loop(field):
-    """Compile _LOOP with the tableau's sums in {stages} ... {b4v} and `field` at each FIELD line.
+def _build_loop(field, tabs):
+    """Bind _LOOP with the tableau's sums in {stages} ... {b4v}, `field` at each FIELD line and the
+    coefficients of the tables `tabs` that `field` sums.
 
     Each sum keeps a loop's order, start (0.0 for a stage, 0 for a solution) and zero weights,
     so zero signs, NaN and inf come out as from that loop.
@@ -137,11 +140,11 @@ def _build_loop(field):
                        for i in range(1, 7)),
         **{f"{name}{k}": weighted("0", w, k) for name, w in (("b5", _B5), ("b4", _B4)) for k in "uv"})
     source = re.sub(r"^( *)FIELD\n", lambda m: textwrap.indent(field, m[1]), source, flags=re.M)
-    namespace = dict(vars(math), Trajectory=Trajectory, Termination=Termination,
-                     PreconditionError=PreconditionError, _MAX_STEPS=_MAX_STEPS)
-    exec(compile_named(source, "dopri5"), namespace)
-    return namespace.pop("dopri5")  # no cycle through its globals
+    return bind(source, "dopri5", tabs, _LOOP_GLOBALS)
 
+
+_LOOP_GLOBALS = dict(vars(math), Trajectory=Trajectory, Termination=Termination,
+                     PreconditionError=PreconditionError, _MAX_STEPS=_MAX_STEPS)
 
 # The integrator; each FIELD line sets u, v to the unsigned field at (px, py), see _build_loop
 _LOOP = """\

@@ -5,9 +5,11 @@ a symmetric pair s3, s4 exactly when the parameters straddle 1; the full
 circle x² + (y-1/2)² = 1/4 at a = b = 1).  Every other polynomial field
 gets a numeric finder based on interval subdivision plus Newton polishing;
 `atlas.FieldAnalysis` chooses between the two.  The subdivision's box test
-is each field's natural interval extension, generated once per field as
-code (`PolyField.box_test`); a factor shared by both components is a curve
-of zeros once it changes sign, decided in exact arithmetic.
+is each field's natural interval extension, and Newton's step reads the
+field's float Jacobian, both generated code compiled once per term shape
+(`PolyField.box_test`, `PolyField.float_jacobian`); a factor shared by both
+components is a curve of zeros once it changes sign, decided in exact
+arithmetic.
 
 Classification: hyperbolic kinds drop out of the 2x2 eigenvalue structure;
 points with exactly one zero eigenvalue get an exact polynomial center
@@ -418,11 +420,11 @@ def _shared_curve(f: PolyField, cells) -> bool:
 
 
 def _newton_polish(f: PolyField, x, y, tol, max_iter=60):
-    rhs = f.compiled()
+    rhs, jac = f.compiled(), f.float_jacobian()
     for _ in range(max_iter):
         fx, fy = rhs(x, y)
         res = math.hypot(fx, fy)
-        (a11, a12), (a21, a22) = jacobian_at(f, (x, y))
+        (a11, a12), (a21, a22) = jac(x, y)
         det = a11 * a22 - a12 * a21
         if abs(det) > 1e-14 * max(1.0, a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22):
             dx = (-fx * a22 + fy * a12) / det

@@ -252,7 +252,7 @@ class _Worker:
         self.f, self.background, self.pid = f, background, None
         if not _use_worker():
             return
-        dynamics.step_loop(f)  # built before the fork, so the child does not build it again
+        dynamics.step_loop(f)  # bound before the fork, so the child binds and compiles nothing
         self.queue, wfd = os.pipe()
         os.write(wfd, bytes(range(len(background))))
         os.close(wfd)

@@ -1,6 +1,8 @@
 """Reference code that only the tests use: independent checks of the package's answers."""
 
 import math
+import re
+import textwrap
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -338,3 +340,112 @@ def interval_pow(lo, hi, n):
     if n % 2 == 0 and lo < 0 < hi:
         return (0.0, max(pl, ph))
     return (min(pl, ph), max(pl, ph))
+
+
+# -- the kernels with each coefficient written into the source as a literal ---------------
+#
+# The package's generators before they named their coefficients: one compile per field.  The
+# bound kernels of `desing` and `dynamics` must do their float operations bit for bit.
+
+
+def _factors(i: int, j: int, x: str, y: str) -> str:
+    """Source of the factors x**i, y**j of a term; x**0 is 1.0 and x**1 is x, exactly."""
+    return "".join(f" * {v}" + (f"{e}" if e > 1 else "") for v, e in ((x, i), (y, j)) if e)
+
+
+def literal_field_source(tabs, x: str, y: str, out: str) -> str:
+    """Lines that set `out` to the float term tables (P, Q) summed at the point named (x, y).
+
+    Sums c * x**i * y**j from 0.0 in table order, each power taken once by `**`; a value that
+    overflows a float is a PreconditionError naming the point.
+    """
+    powers = sorted({(v, e) for tab in tabs for _, i, j in tab for v, e in ((x, i), (y, j)) if e > 1})
+    sums = ["0.0" + "".join(f" + {c!r}{_factors(i, j, x, y)}" for c, i, j in tab) for tab in tabs]
+    return ("try:\n" + "".join(f"    {v}{e} = {v}**{e}\n" for v, e in powers)
+            + f"    {out} {sums[0]}, {sums[1]}\nexcept OverflowError:\n    raise PreconditionError("
+            f"f'field value at ({{{x}!r}}, {{{y}!r}}) overflows a float') from None\n")
+
+
+def _monomial(i: int, j: int) -> str:
+    return "".join(f"{v}{e}" for v, e in (("x", i), ("y", j)) if e)
+
+
+def _range_lines(i: int, j: int, have: set) -> str:
+    """Lines that set the range {m}l, {m}h of the monomial m = x**i * y**j and of its powers, once each."""
+    lines = ""
+    for v, e in ((v, e) for v, e in (("x", i), ("y", j)) if e and (v, e) not in have):
+        have.add((v, e))
+        a, b = (f"{v}lo", f"{v}hi") if e == 1 else ("a", "b")
+        lines += "" if e == 1 else f"    a, b = {v}lo**{e}, {v}hi**{e}\n"
+        lo = f"0.0 if {v}lo < 0 < {v}hi else " if e % 2 == 0 else ""  # min and max as the builtins: ties keep a
+        lines += f"    {v}{e}l, {v}{e}h = {lo}({b} if {b} < {a} else {a}), ({b} if {b} > {a} else {a})\n"
+    if i and j and (i, j) not in have:
+        have.add((i, j))
+        m = _monomial(i, j)
+        lines += (f"    c = x{i}l * y{j}l, x{i}l * y{j}h, x{i}h * y{j}l, x{i}h * y{j}h\n"
+                  f"    {m}l, {m}h = min(c), max(c)\n")
+    return lines
+
+
+def _bound_lines(tab, s: str, have: set) -> str:
+    """Lines that set {s}lo, {s}hi to the padded interval bounds of a term table; an error table raises."""
+    if isinstance(tab, Exception):
+        return f"    raise PreconditionError({str(tab)!r})\n"
+    lines = "".join(_range_lines(i, j, have) for _, i, j in tab)
+    for end in ("lo", "hi"):  # a negative c takes the other end of its term's range
+        lines += f"    {s}{end} = 0.0" + "".join(
+            f" + {c!r}" + (f" * {_monomial(i, j)}{'lh'[(c >= 0) != (end == 'lo')]}" if i or j else "")
+            for c, i, j in tab) + "\n"
+    return lines + (f"    pad = 1e-14 * max(abs({s}lo), abs({s}hi), 1.0)\n"
+                    f"    {s}lo, {s}hi = {s}lo - pad, {s}hi + pad\n")
+
+
+def literal_box_source(tabs) -> str:
+    """Source of box(xlo, xhi, ylo, yhi) -> (excluded, plo, phi[, qlo, qhi]) for the tables (P, Q)."""
+    have = set()
+    return ("def box(xlo, xhi, ylo, yhi):\n" + _bound_lines(tabs[0], "p", have)
+            + "    if plo > 0 or phi < 0:\n        return True, plo, phi\n" + _bound_lines(tabs[1], "q", have)
+            + "    return qlo > 0 or qhi < 0, plo, phi, qlo, qhi\n")
+
+
+def _defined(source: str, name: str, **names):
+    namespace = dict(names, PreconditionError=PreconditionError)
+    exec(compile(source, f"<literal {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def literal_rhs(f: PolyField):
+    """`PolyField.compiled()` with the coefficients as literals."""
+    tabs = (f.P.float_terms(), f.Q.float_terms())
+    rhs = _defined("def rhs(x, y):\n" + textwrap.indent(literal_field_source(tabs, "x", "y", "return"), "    "),
+                   "rhs")
+    rhs.float_terms = tabs
+    return rhs
+
+
+def literal_box_test(f: PolyField):
+    """`PolyField.box_test()` with the coefficients as literals."""
+    try:
+        qtab = f.Q.float_terms()
+    except PreconditionError as err:
+        qtab = err
+    return _defined(literal_box_source((f.P.float_terms(), qtab)), "box")
+
+
+def literal_integrate(f: PolyField, z0, opts=None, direction="forward"):
+    """`dynamics.integrate` of f on the step loop with the field's coefficients as literals."""
+    base = literal_rhs(f)
+    field = literal_field_source(base.float_terms, "px", "py", "u, v =")
+
+    def weighted(start, weights, k):
+        return start + "".join(f" + {w!r} * k{j}{k}" for j, w in enumerate(weights))
+    stage = "        px, py = x + h * ({}), y + h * ({})\n        FIELD\n        k{}u, k{}v = sign * u, sign * v\n"
+    source = dynamics._LOOP.format(
+        stages="".join(stage.format(weighted("0.0", dynamics._A[i], "u"), weighted("0.0", dynamics._A[i], "v"), i, i)
+                       for i in range(1, 7)),
+        **{f"{name}{k}": weighted("0", w, k) for name, w in (("b5", dynamics._B5), ("b4", dynamics._B4))
+           for k in "uv"})
+    source = re.sub(r"^( *)FIELD\n", lambda m: textwrap.indent(field, m[1]), source, flags=re.M)
+    loop = _defined(source, "dopri5", **vars(math), Trajectory=dynamics.Trajectory,
+                    Termination=dynamics.Termination, _MAX_STEPS=dynamics._MAX_STEPS)
+    return loop(base, z0, IntegratorOptions() if opts is None else opts, direction)

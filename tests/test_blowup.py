@@ -1,18 +1,21 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from phaseatlas.blowup import (
+    DIRECTIONS,
     BlowupChart,
     DivisorContinuum,
     blowup_directional,
+    blowup_origin,
     classify_nilpotent_origin,
     divisor_stationary_points,
 )
 from phaseatlas.desing import PolyField, cdk_poly_field
-from phaseatlas.errors import PreconditionError, UnresolvedError
+from phaseatlas.errors import InternalInconsistencyError, PreconditionError, UnresolvedError
 from phaseatlas.polycore import BiPoly, NewtonWeights, X, Y
 
 from oracles import sector_probe
@@ -207,6 +210,27 @@ def test_divisor_continuum_for_star_node():
     pts, _ = divisor_stationary_points(blowup_directional(PolyField(X, Y), "+x", W11))
     assert isinstance(pts[0], DivisorContinuum)
     assert pts[0].kind.name == "degenerate_curve"
+
+
+def test_a_dicritical_origin_is_a_divisor_continuum():
+    # the radial nilpotent field: every direction out of the origin is a trajectory
+    g = X**2 + Y**2
+    f = PolyField(X * g, Y * g)
+    w, charts, divisor = blowup_origin(f)
+    assert w == W11
+    for d in DIRECTIONS:
+        (point,), _ = divisor[d]
+        assert isinstance(point, DivisorContinuum) and point.direction == d
+    with pytest.raises(UnresolvedError, match="^continuum of stationary points on the divisor$"):
+        classify_nilpotent_origin(f)
+
+
+def test_a_divisor_that_is_not_invariant_is_an_internal_error():
+    # divisor_power never builds such a chart: its radial component 1 + x*y is 1 on x = 0
+    g = X**2 + Y**2
+    chart = replace(blowup_directional(PolyField(X * g, Y * g), "+x", W11), px=1 + X * Y)
+    with pytest.raises(InternalInconsistencyError, match="radial component of the \\+x chart does not vanish"):
+        divisor_stationary_points(chart)
 
 
 def test_b1_saddle_node_divisor_point():

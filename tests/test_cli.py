@@ -485,6 +485,42 @@ def test_shared_factor_is_a_continuum(tmp_path, capsys, text):
     assert err == "error: continuum of stationary points detected; no point list to report\n"
 
 
+def test_a_dicritical_origin_is_reported_unresolved(tmp_path, capsys):
+    # x*(x^2+y^2) ; y*(x^2+y^2): every divisor point of every chart is stationary
+    path = tmp_path / "radial.txt"
+    path.write_text("x*(x^2+y^2) ; y*(x^2+y^2)\n")
+    code, out, err = run(capsys, "blowup", "--system", str(path))
+    assert (code, err) == (0, "")
+    assert out.count("  divisor: continuum of stationary points\n") == 4
+    assert out.endswith("sector assembly unresolved: continuum of stationary points on the divisor\n")
+    code, out, err = run(capsys, "analyze", "--system", str(path))
+    assert (code, err) == (0, "")
+    assert "note: origin sectors unresolved: continuum of stationary points on the divisor\n" in out
+
+
+def test_each_kernel_source_is_compiled_once_per_process(tmp_path, capsys, monkeypatch):
+    from phaseatlas import desing
+
+    kinds = []
+
+    def counted(source, filename, mode):
+        kinds.append(filename.split()[1])  # <phaseatlas KIND CRC>
+        return compile(source, filename, mode)
+
+    desing.compile_named.cache_clear()
+    monkeypatch.setattr(desing, "compile", counted, raising=False)
+    # two cdk fields of one term shape: one rhs and one step loop for both
+    for a in ("7/10", "1/5"):
+        assert run(capsys, "portrait", "--a", a, "--b", "1/2", "-o", str(tmp_path / "p.svg"))[0] == 0
+    assert sorted(kinds) == ["dopri5", "rhs"]
+    # one spec file analysed twice: its box test, rhs and Newton Jacobian compiled once
+    spec = tmp_path / "competition.txt"
+    spec.write_text("x*(3-x-2*y) ; y*(2-x-y)\n")
+    for _ in range(2):
+        assert run(capsys, "analyze", "--system", str(spec))[0] == 0
+    assert sorted(kinds) == ["box", "dopri5", "jac", "rhs", "rhs"]
+
+
 def test_infinity_of_the_zero_field_exits_3(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text("0 ; 0\n")

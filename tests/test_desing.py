@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phaseatlas.desing import (
     PolyField,
@@ -11,8 +14,12 @@ from phaseatlas.desing import (
     desingularize,
     sprott_field,
 )
-from phaseatlas.errors import DomainError, UndefinedPointError
+from phaseatlas.dynamics import IntegratorOptions, integrate
+from phaseatlas.equilibria import jacobian_at
+from phaseatlas.errors import DomainError, PreconditionError, UndefinedPointError
 from phaseatlas.polycore import BiPoly, X, Y, poly_gcd
+
+from oracles import literal_box_test, literal_integrate, literal_rhs
 
 
 def test_cdk_rational_field_a1_b1():
@@ -158,3 +165,81 @@ def test_shifted_field_composes():
     g = f.shifted(Fraction(1, 3), Fraction(-2, 5))
     x, y = Fraction(1, 7), Fraction(2, 9)
     assert g.P.eval(x, y) == f.P.eval(x + Fraction(1, 3), y - Fraction(2, 5))
+
+
+# -- generated kernels: named coefficients bound to code shared by one term shape ------------
+
+
+def _outcome(kernel, *args):
+    """float.hex of every float a kernel returns (flattened), or its error's class and text."""
+    try:
+        value = kernel(*args)
+    except PreconditionError as err:
+        return type(err).__name__, str(err)
+    flat = []
+    for v in value:
+        flat.extend(v) if isinstance(v, tuple) else flat.append(v)
+    return [v.hex() if isinstance(v, float) else v for v in flat]
+
+
+def _trajectory(integrator, f, z0, opts, direction):
+    try:
+        traj = integrator(f, z0, opts, direction)
+    except PreconditionError as err:
+        return type(err).__name__, str(err)
+    return repr(traj.termination), [(t.hex(), x.hex(), y.hex()) for t, (x, y) in traj.samples]
+
+
+_coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool).map(Fraction),
+    # 6-10 significant digits, below 10 in size so that a trajectory takes few steps
+    st.builds(lambda n, sign, k: Fraction(sign * n, 10 ** (len(str(n)) - 1 + k)), st.integers(10**5, 10**10 - 1),
+              st.sampled_from((1, -1)), st.integers(0, 6)),
+)
+_exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda ij: sum(ij) <= 4)
+
+
+@st.composite
+def _fields(draw):
+    """Degree <= 4, sometimes with a coefficient that is ±0.0 as a float, or one of Q beyond the float range."""
+    P, Q = (draw(st.dictionaries(_exponents, _coefficients, max_size=7)) for _ in "PQ")
+    if draw(st.integers(0, 3)) == 0:
+        P[draw(_exponents)] = Fraction(draw(st.sampled_from((1, -1))), 10**400)
+    if draw(st.integers(0, 5)) == 0:
+        Q[draw(_exponents)] = Fraction(-(10**400) if draw(st.booleans()) else 10**400)
+    return PolyField(BiPoly(P), BiPoly(Q))
+
+
+_points = st.one_of(st.tuples(st.floats(-8, 8), st.floats(-8, 8)),
+                    # a power that overflows, a sum that overflows with no power that does, signed zeros
+                    st.sampled_from(((1e80, -3.0), (2.0, -1e160), (1e300, 1e300), (1.5e308, -1.0),
+                                     (-0.5, 1.5e308), (-0.0, 0.0))))
+_boxes = st.builds(lambda x, y, wx, wy: (x, x + wx, y, y + wy), st.floats(-8, 8), st.floats(-8, 8),
+                   st.sampled_from((16.0, 1.0, 2.0**-20, 16.0 / 2**40)), st.sampled_from((16.0, 0.5, 2.0**-30)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_fields(), st.lists(_points, min_size=1, max_size=6), st.lists(_boxes, min_size=1, max_size=4),
+       st.tuples(st.floats(-2, 2), st.floats(-2, 2)), st.sampled_from(("forward", "backward")))
+@example(cdk_poly_field(Fraction(7, 10), Fraction(1, 2)), [(0.3, 0.4)], [(-8.0, 8.0, -8.0, 8.0)], (0.3, 0.4),
+         "forward")
+@example(PolyField(3 - X**4 + Fraction(1234567, 10**7) * Y**3, X**2 * Y**2 - 5), [(1.5, -2.0)],
+         [(-1e-12, 2.0, -3.0, 1e-12)], (0.5, 0.5), "backward")
+def test_bound_kernels_are_the_literal_coefficient_kernels_bit_for_bit(f, points, boxes, z0, direction):
+    try:
+        rhs = f.compiled()
+    except PreconditionError as err:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(str(err))}$"):
+            literal_rhs(f)
+    else:
+        literal = literal_rhs(f)
+        for point in points:
+            assert _outcome(rhs, *point) == _outcome(literal, *point), point
+    jac = f.float_jacobian()
+    for point in points:
+        assert _outcome(jac, *point) == _outcome(jacobian_at, f, point), point
+    box, literal_box = f.box_test(), literal_box_test(f)
+    for b in boxes:
+        assert _outcome(box, *b) == _outcome(literal_box, *b), b
+    opts = IntegratorOptions(max_time=1.0, box=(-4.0, 4.0, -4.0, 4.0), equilibria=((0.0, 0.0),))
+    assert _trajectory(integrate, f, z0, opts, direction) == _trajectory(literal_integrate, f, z0, opts, direction)

@@ -376,18 +376,25 @@ def test_call_per_stage_path_evaluates_the_field_six_times_per_attempted_step(f,
 
 
 def test_generated_functions_are_filed_apart_for_profilers():
-    f, g = cdk_poly_field(F(7, 10), F(1, 2)), cdk_poly_field(F(1, 5), F(1, 2))
-    opts = _cdk_opts(F(7, 10), F(1, 2))
-    for field in (f, g):
-        integrate(field, (0.3, 0.4), opts)
-    names = [code.co_filename for field in (f, g)
-             for code in (field.compiled().__code__, field.compiled().dopri5.__code__)]
-    names.append(_calling_loop().__code__.co_filename)
-    assert all(name.startswith("<phaseatlas ") for name in names)
-    assert len(set(names)) == 5
-    # an equal field writes the same source, under the same name
-    same = cdk_poly_field(F(7, 10), F(1, 2)).compiled().__code__.co_filename
-    assert same == names[0]
+    # (7/10, 1/2) and (1/5, 1/2) have one term shape; on b = 1 the x^2 term of Q drops out
+    f, g, h = (cdk_poly_field(F(a), F(b)) for a, b in (("7/10", "1/2"), ("1/5", "1/2"), ("7/10", "1")))
+    for field in (f, g, h):
+        integrate(field, (0.3, 0.4), _cdk_opts(*field.provenance[1:3]))
+
+    def codes(field):
+        return {"rhs": field.compiled().__code__, "dopri5": field.compiled().dopri5.__code__,
+                "box": field.box_test().__code__, "jac": field.float_jacobian().__code__}
+
+    same, other = codes(f), codes(h)
+    for kind, code in same.items():
+        assert code.co_filename.startswith(f"<phaseatlas {kind} ")
+        # one code object per kernel kind for one shape, each field binding its own coefficients
+        assert codes(g)[kind] is code
+        assert other[kind].co_filename != code.co_filename
+    assert f.compiled() is not g.compiled() and f.compiled()(0.3, 0.4) != g.compiled()(0.3, 0.4)
+    calling = _calling_loop().__code__.co_filename
+    assert calling.startswith("<phaseatlas dopri5 ")
+    assert len({calling} | {code.co_filename for code in (*same.values(), *other.values())}) == 9
 
 
 # -- float overflow ------------------------------------------------------------------

@@ -72,19 +72,20 @@ def test_the_analysis_sequence_has_one_reader():
 
 
 def test_generated_code_is_compiled_by_compile_named():
-    # every generated source (rhs, dopri5, box) is filed under its own name, so a profile keeps them apart
+    # every generated source (rhs, dopri5, box, jac) is compiled once per process and filed
+    # under its own name, so a profile keeps them apart; desing.bind alone makes functions of
+    # it, so no kernel compiles again for each field of a known term shape
     modules = _modules()
-    (named,) = [node for _, name, node in _definitions(modules["desing"]) if name == "compile_named"]
-    inside = {id(sub) for sub in ast.walk(named)}
+    helpers = {name: {id(sub) for sub in ast.walk(node)}
+               for _, name, node in _definitions(modules["desing"]) if name in ("compile_named", "bind")}
+    allowed = {"compile": helpers["compile_named"], "compile_named": helpers["bind"],
+               "exec": set(), "FunctionType": helpers["bind"]}
     stray = []
     for module, tree in modules.items():
         for call in ast.walk(tree):
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
-                continue
-            if call.func.id == "compile" and id(call) not in inside:
-                stray.append(f"{module}:{call.lineno} compile")
-            elif call.func.id == "exec" and not (
-                    call.args and isinstance(call.args[0], ast.Call)
-                    and getattr(call.args[0].func, "id", None) == "compile_named"):
-                stray.append(f"{module}:{call.lineno} exec")
-    assert not stray, f"compile generated source through desing.compile_named: {stray}"
+            if not isinstance(call, ast.Call) or getattr(getattr(call.func, "value", None), "id", None) == "re":
+                continue  # re.compile compiles a pattern
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in allowed and not (module == "desing" and id(call) in allowed[name]):
+                stray.append(f"{module}:{call.lineno} {name}")
+    assert not stray, f"bind generated source through desing.bind: {stray}"

@@ -175,6 +175,18 @@ def bind(source: str, kind: str, tabs, namespace):
     return types.FunctionType(compile_named(source, kind), dict(namespace, C=coeffs))
 
 
+def float_field(tabs):
+    """Float evaluator (x, y) -> (u, v) that sums the term tables (P, Q) as `field_source` writes them.
+
+    It carries the tables as its `float_terms`, from which `dynamics` inlines the field into its
+    loop.  `PolyField.compiled` and the portrait worker, which is sent only the tables, build theirs here.
+    """
+    source = "def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", ("u", "v")), "    ")
+    rhs = bind(source + "    return u, v\n", "rhs", tabs, {"PreconditionError": PreconditionError})
+    rhs.float_terms = tabs
+    return rhs
+
+
 def _table(p: BiPoly):
     """Float term table of p, or the PreconditionError of its coefficient beyond the float range."""
     try:
@@ -196,21 +208,13 @@ class PolyField:
         return (self.P.eval(x, y), self.Q.eval(x, y))
 
     def compiled(self):
-        """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline, built once.
-
-        It sums `BiPoly.float_terms()` as `field_source` writes them, and carries the two
-        tables as its `float_terms`, from which `dynamics` inlines the field into its loop.
-        """
+        """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline, built once by
+        `float_field` from the two `BiPoly.float_terms()` tables."""
         return self._rhs
 
     @cached_property
     def _rhs(self):
-        tabs = (self.P.float_terms(), self.Q.float_terms())
-        source = "def rhs(x, y):\n" + textwrap.indent(field_source(tabs, "x", "y", ("u", "v")), "    ")
-        source += "    return u, v\n"
-        rhs = bind(source, "rhs", tabs, {"PreconditionError": PreconditionError})
-        rhs.float_terms = tabs
-        return rhs
+        return float_field((self.P.float_terms(), self.Q.float_terms()))
 
     def box_test(self):
         """Interval box test (xlo, xhi, ylo, yhi) -> (excluded, plo, phi[, qlo, qhi]), built once; see `box_source`."""

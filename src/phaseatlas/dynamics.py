@@ -12,19 +12,18 @@ exhaustion, or step underflow — never a silent stop.  A start point that is
 not finite is rejected before the loop.  For fixed options the result is
 bit-deterministic.
 
-The step loop is one source template, `_LOOP`: for the evaluator that
-`PolyField.compiled()` returns it is bound once by `step_loop`, on the field's
-first `integrate` or before `portrait` forks the worker that shares its
-trajectories, with the field's powers and term sums written into each stage,
-and kept on the evaluator; any other callable gets one loop that calls it at
-each stage.  The sums name the coefficients, so fields of one term shape
-share one compiled loop (`desing.bind`), each reading its own coefficients.
-Both do a tableau loop's float operations in its order, so trajectories
-agree bit for bit.  First same as last: k6 is the next k0, since
-the stage-6 point is (x5, y5) bit for bit while both are finite (its weights
-are x5's first six, and b6 * k6 = ±0.0 changes no bit of a sum started at
-+0.0); a non-finite step ends the trajectory, and a rejected step keeps its
-k0.
+The step loop is one source template, `_LOOP`: for an evaluator built by
+`desing.float_field` (`PolyField.compiled()`, and the portrait worker's) it is
+bound once, on the evaluator's first `integrate`, with the field's powers and
+term sums written into each stage, and kept on the evaluator; any other
+callable gets one loop that calls it at each stage.
+The sums name the coefficients, so fields of one term shape share one
+compiled loop (`desing.bind`), each reading its own coefficients.  Both do a
+tableau loop's float operations in its order, so trajectories agree bit for
+bit.  First same as last: k6 is the next k0, since the stage-6 point is
+(x5, y5) bit for bit while both are finite (its weights are x5's first six,
+and b6 * k6 = ±0.0 changes no bit of a sum started at +0.0); a non-finite
+step ends the trajectory, and a rejected step keeps its k0.
 """
 
 from __future__ import annotations
@@ -107,17 +106,11 @@ def integrate(f, z0, opts: IntegratorOptions | None = None, direction: str = "fo
         raise PreconditionError("direction must be 'forward' or 'backward'")
     if not (math.isfinite(z0[0]) and math.isfinite(z0[1])):
         raise PreconditionError(f"start point ({z0[0]}, {z0[1]}) is not finite")
-    loop, base = step_loop(f)
-    return loop(base, z0, opts, direction)
-
-
-def step_loop(f):
-    """(loop, evaluator) that `integrate` runs for f; a PolyField's loop is built here once."""
     base = _as_rhs(f)
-    tabs = getattr(base, "float_terms", None)  # set by PolyField.compiled: inline the field
+    tabs = getattr(base, "float_terms", None)  # set by desing.float_field: inline the field
     if tabs is not None and not hasattr(base, "dopri5"):
         base.dopri5 = _build_loop(field_source(tabs, "px", "py", ("u", "v")), tabs)
-    return (_calling_loop() if tabs is None else base.dopri5), base
+    return (_calling_loop() if tabs is None else base.dopri5)(base, z0, opts, direction)
 
 
 @functools.cache

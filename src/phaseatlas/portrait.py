@@ -12,15 +12,20 @@ Rendering is deterministic: fixed background seeds, fixed layer order
 (continua, trajectories, separatrices, glyphs), fixed float formatting.
 Identical inputs give byte-identical SVG.  Each trajectory is written as SVG
 path data by the process that integrated it.  Where `os.fork` exists, two
-CPUs are usable and no other thread runs, the field's step loop is built and
-one worker is forked as soon as the background seeds are known: it claims
-background trajectories from a queue while this process runs the blow-up,
-the analysis at infinity and the separatrices, then claims from the same
-queue.  The SVG bytes are the same with or without the worker.
+CPUs are usable and no other thread runs, the first portrait forks one
+worker, and this process keeps it for every later portrait until an `atexit`
+hook reaps it.  As soon as a portrait's background seeds are known, they go
+to the worker through a pipe: it claims background trajectories from a queue
+while this process runs the blow-up, the analysis at infinity and the
+separatrices, then claims from the same queue.  A portrait that raises while
+the worker may hold its jobs, and a worker that ends, cost the worker: the
+next portrait forks a fresh one, and a process forked by other code drops
+the one it inherits.  The SVG bytes are the same with or without the worker.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import marshal
 import math
@@ -31,7 +36,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from . import atlas, compact, dynamics, equilibria
+from . import atlas, compact, desing, dynamics, equilibria
 from .desing import PolyField
 from .errors import PhaseAtlasError
 
@@ -233,75 +238,156 @@ def _run_jobs(f, jobs, indices, results):
 
 
 def _claimed(queue):
-    """Job indices claimed from the queue pipe, one byte each, until it is empty."""
-    while index := os.read(queue, 1):
-        yield index[0]
+    """Job indices claimed from the non-blocking queue pipe, one byte each, until it is empty."""
+    with contextlib.suppress(BlockingIOError):
+        while index := os.read(queue, 1):
+            yield index[0]
+
+
+def _send(pipe, value):
+    """Write value to a pipe file as one marshal string after its length, 4 bytes little-endian."""
+    data = marshal.dumps(value)
+    pipe.write(len(data).to_bytes(4, "little") + data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The value `_send` wrote next, or None where the pipe ends before it is whole."""
+    head = pipe.read(4)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return marshal.loads(data) if len(head) == 4 and len(data) == size else None
+
+
+def _serve(tasks, queue, answers):
+    """The worker's loop: for each posted portrait, run the background jobs it claims and send
+    {index: result} of those it finished; it stops claiming at its first exception, and returns at EOF."""
+    while (task := _receive(tasks)) is not None:
+        tabs, options, pairs = task
+        results = {}
+        with contextlib.suppress(Exception):
+            opts = dynamics.IntegratorOptions(**options)
+            jobs = [(seed, opts, direction) for seed, direction in pairs]
+            _run_jobs(desing.float_field(tabs), jobs, _claimed(queue), results)
+        _send(answers, results)
 
 
 class _Worker:
-    """One forked child that runs the background jobs it claims from a queue pipe.
+    """This process's one forked child, which shares the background jobs of every later portrait.
 
-    The background job indices are written to the queue before the fork, so the write
-    cannot block.  The child claims indices until the queue is empty or a job raises, and
-    sends {index: result} of the jobs it finished as one marshal string; it writes nothing
-    else, calls no numpy and always ends in os._exit.  Where `_use_worker()` is false or
-    the fork fails there is no child, and `gather` returns {}.
+    It is forked on the first portrait where `_use_worker()` holds and serves each portrait
+    `post`ed to it: the background job indices go to a non-blocking queue pipe, one byte each,
+    and the field's float term tables, the background options and the (seed, direction) pairs
+    follow as one message.  The worker rebuilds the field's evaluator from the tables
+    (`desing.float_field`, as `PolyField.compiled` does), claims indices until the queue is
+    empty or a job raises, and answers {index: result} of the jobs it finished.  It writes
+    nothing else, calls no numpy, and ends in os._exit at EOF or at a broken pipe.
     """
 
-    def __init__(self, f, background):
-        self.f, self.background, self.pid = f, background, None
-        if not _use_worker():
-            return
-        dynamics.step_loop(f)  # bound before the fork, so the child binds and compiles nothing
-        self.queue, wfd = os.pipe()
-        os.write(wfd, bytes(range(len(background))))
-        os.close(wfd)
-        rfd, wfd = os.pipe()
+    def __init__(self):
+        """Fork the worker; where os.fork fails, close every pipe and raise its OSError."""
+        queue, fill = os.pipe()
+        tasks, post = os.pipe()
+        answers, answer = os.pipe()
+        os.set_blocking(queue, False)
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (self.queue, rfd, wfd):
+            for fd in (queue, fill, tasks, post, answers, answer):
                 os.close(fd)
-            return
+            raise
         if self.pid == 0:
             try:
-                os.close(rfd)
-                results = {}
-                with contextlib.suppress(Exception):
-                    _run_jobs(f, background, _claimed(self.queue), results)
-                with open(wfd, "wb") as pipe:
-                    pipe.write(marshal.dumps(results))
+                for fd in (fill, post, answers):
+                    os.close(fd)
+                with open(tasks, "rb") as inbox, open(answer, "wb") as outbox:
+                    _serve(inbox, queue, outbox)
             finally:
                 os._exit(0)
-        os.close(wfd)
-        self.results = open(rfd, "rb")
+        os.close(tasks)
+        os.close(answer)
+        self.queue, self.fill, self.tasks, self.answers = queue, fill, open(post, "wb"), open(answers, "rb")
 
-    def gather(self, jobs):
-        """{index: result} of the jobs either process finished; jobs begins with the background jobs.
+    def post(self, f, background):
+        """Send the background jobs of a portrait of f: the indices first, so the worker finds them."""
+        opts = background[0][1]
+        message = (f.compiled().float_terms, vars(opts), [(seed, d) for seed, _, d in background])
+        os.write(self.fill, bytes(range(len(background))))
+        _send(self.tasks, message)
+
+    def gather(self, f, jobs, n):
+        """{index: result} of the jobs either process finished; jobs begins with the n posted ones.
 
         This process runs the jobs after the background ones in order, then claims background
-        jobs until the queue is empty; each process stops at its first exception.
+        jobs until the queue is empty; each process stops at its first exception.  A worker that
+        ends before it answers is reaped, and the next portrait forks afresh.
         """
-        if self.pid is None:
-            return {}
-        claims = chain(range(len(self.background), len(jobs)), _claimed(self.queue))
+        claims = chain(range(n, len(jobs)), _claimed(self.queue))
         results = {}
         with contextlib.suppress(Exception):
-            _run_jobs(self.f, jobs, claims, results)
-        data = self.results.read()
-        if self.close() == 0 and data:
-            results.update(marshal.loads(data))
-        return results
+            _run_jobs(f, jobs, claims, results)
+        self.drain()
+        answer = _receive(self.answers)
+        if answer is None:
+            _shutdown()
+        return results | (answer or {})
 
-    def close(self):
-        """Reap the child and return its wait status; None where there is no child."""
-        if self.pid is None:
-            return None
-        os.read(self.queue, len(self.background))  # claim what is left: the child stops after its job
+    def drain(self):
+        """Claim what is left in the queue: the worker stops after the job it runs."""
+        with contextlib.suppress(BlockingIOError):
+            os.read(self.queue, 256)  # an index is one byte, so no more can wait
+
+    def release(self):
+        """Close this process's ends of the pipes: the worker exits at EOF, or at EPIPE while it answers."""
         os.close(self.queue)
-        self.results.close()  # before the wait: a child still writing gets EPIPE, not a full pipe
-        pid, self.pid = self.pid, None
-        return os.waitpid(pid, 0)[1]
+        os.close(self.fill)
+        self.answers.close()
+        with contextlib.suppress(OSError):  # a message cut by a dead worker is dropped
+            self.tasks.close()
+
+
+_worker = None  # this process's _Worker, or None before the first portrait that can use one
+
+
+def _share(f, background):
+    """This process's worker with the background jobs posted to it, or None where it has none.
+
+    The worker is forked on the first portrait where `_use_worker()` holds; one that cannot be
+    forked or reached is dropped, and the next portrait forks afresh.
+    """
+    global _worker
+    if not _use_worker():
+        return None
+    try:
+        _worker = _worker or _Worker()
+        _worker.post(f, background)
+    except OSError:
+        _shutdown()
+    return _worker
+
+
+def _shutdown():
+    """Stop this process's worker and reap it; at exit, and wherever it may hold a portrait's jobs."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.drain()
+        worker.release()
+        with contextlib.suppress(ChildProcessError):  # reaped already, by a waitpid(-1) elsewhere
+            os.waitpid(worker.pid, 0)
+
+
+def _forget():
+    """In a process forked from this one, drop the inherited worker unreaped, its pipe ends closed."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.release()
+
+
+atexit.register(_shutdown)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget)
 
 
 def _circle_points(center, radius, n=256):
@@ -351,8 +437,8 @@ def render_portrait(f: PolyField) -> VectorDocument:
         th = 2 * math.pi * k / INNER_SEED_COUNT
         seeds.append((INNER_PLANE_RADIUS * math.cos(th), INNER_PLANE_RADIUS * math.sin(th)))
     background = [(seed, opts, direction) for seed in seeds for direction in ("forward", "backward")]
-    worker = _Worker(f, background)
     try:
+        worker = _share(f, background)
         # only cdk origins get sector separatrices; spec-file portraits keep their drawing
         if f.provenance[0] == "cdk":
             try:
@@ -362,9 +448,10 @@ def render_portrait(f: PolyField) -> VectorDocument:
         infinity = analysis.infinity
         sep_opts, separatrices = _separatrix_jobs(f, finite_points, sectors)
         jobs = background + [(seed, sep_opts, d) for seed, d, _, _ in separatrices]
-        results = worker.gather(jobs)
-    finally:
-        worker.close()
+        results = worker.gather(f, jobs, len(background)) if worker else {}
+    except BaseException:
+        _shutdown()  # the worker may hold this portrait's jobs: reap it, and the next portrait forks afresh
+        raise
     # what neither process finished runs here in job order, so an error is a serial run's
     _run_jobs(f, jobs, [i for i in range(len(jobs)) if i not in results], results)
     paths = iter([results[i] for i in range(len(jobs))])

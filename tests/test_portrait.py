@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -30,8 +33,10 @@ F = Fraction
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every render in this file reaps the worker it forked."""
+    """Each test in this file starts without a worker, and no child outlives the shutdown hook."""
+    portrait._shutdown()
     yield
+    portrait._shutdown()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -304,6 +309,7 @@ def _failing_at(monkeypatch, jobs, indices):
 @pytest.mark.parametrize("failing", [(6,), (11,), (6, 11), (3, 10), (-1,)])
 def test_worker_raises_the_first_failure_of_a_serial_run(monkeypatch, capsys, failing):
     f = _WORKER_FIELDS["s3-s4-saddles"]
+    serial, real = _render(monkeypatch, f, False), dynamics.integrate
     first = _failing_at(monkeypatch, _integrate_calls(monkeypatch, f, False), failing)
     message = f"forced failure at job {first}"
     for worker in (False, True):
@@ -312,6 +318,9 @@ def test_worker_raises_the_first_failure_of_a_serial_run(monkeypatch, capsys, fa
         assert type(exc.value) is PreconditionError and str(exc.value) == message
         assert cli.main(["portrait", "--a", "5/2", "--b", "1/2"]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the error came after both processes stopped, so the worker is idle and serves the next portrait
+    monkeypatch.setattr(dynamics, "integrate", real)
+    assert _render(monkeypatch, f, True) == serial
 
 
 def test_worker_that_dies_without_output_changes_nothing(monkeypatch):
@@ -326,9 +335,16 @@ def test_worker_that_dies_without_output_changes_nothing(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
     assert _render(monkeypatch, f, True) == serial
+    assert portrait._worker is None  # reaped: the next portrait forks afresh
+    monkeypatch.setattr(dynamics, "integrate", real)
+    assert _render(monkeypatch, f, True) == serial
+    assert portrait._worker is not None
 
 
 def test_error_after_the_fork_is_the_serial_error(monkeypatch, capsys):
+    f, real = _WORKER_FIELDS["s3-s4-saddles"], compact.infinite_stationary_points
+    serial = _render(monkeypatch, f, False)
+
     def infinite_stationary_points(f):
         raise PreconditionError("forced failure at infinity")
 
@@ -337,3 +353,58 @@ def test_error_after_the_fork_is_the_serial_error(monkeypatch, capsys):
         monkeypatch.setattr(portrait, "_use_worker", lambda: worker)
         assert cli.main(["portrait", "--a", "5/2", "--b", "1/2"]) == 3
         assert capsys.readouterr() == ("", "error: forced failure at infinity\n")
+    assert portrait._worker is None  # its jobs were in flight, so it was reaped
+    monkeypatch.setattr(compact, "infinite_stationary_points", real)
+    assert _render(monkeypatch, f, True) == serial
+    assert portrait._worker is not None
+
+
+def test_a_process_forked_after_a_portrait_keeps_off_the_worker(monkeypatch):
+    f = _WORKER_FIELDS["s3-s4-saddles"]
+    serial = _render(monkeypatch, f, False)
+    assert _render(monkeypatch, f, True) == serial
+    worker, (rfd, wfd) = portrait._worker, os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the inherited worker is dropped; this process forks and reaps its own
+        verdict = b"dropped" if portrait._worker is None else b"inherited"
+        try:
+            if verdict == b"dropped":
+                same = _render(monkeypatch, f, True) == serial
+                verdict = b"same" if same and portrait._worker not in (None, worker) else b"different"
+                portrait._shutdown()
+        finally:
+            os.write(wfd, verdict)
+            os._exit(0)
+    os.close(wfd)
+    with open(rfd, "rb") as pipe:
+        verdict = pipe.read()
+    os.waitpid(pid, 0)
+    assert verdict == b"same"
+    assert _render(monkeypatch, f, True) == serial and portrait._worker is worker
+
+
+def test_no_worker_outlives_the_interpreter(tmp_path):
+    script = f"""
+import atexit, os
+
+def no_child():  # registered first, so it runs after the worker's shutdown hook
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child")
+
+atexit.register(no_child)
+from phaseatlas import cli, portrait
+portrait._use_worker = lambda: True
+for a in ("7/10", "1/5"):
+    assert cli.main(["portrait", "--a", a, "--b", "1/2", "-o", {str(tmp_path / "p.svg")!r}]) == 0
+print(portrait._worker.pid)
+"""
+    src = str(Path(portrait.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pid, last = proc.stdout.splitlines()
+    assert last == "no child"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)

@@ -340,9 +340,11 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     (a against 1/2, 1 and b, and |8a(a-1)| > b) is monotone in a on each
     of a < 1/2, 1/2 <= a < 1 and a >= 1, so bisection over the sorted
     midpoints finds, exactly, every index where one of them can change; a
-    midpoint on a line gets a run of its own.  The first cell of each run
-    is labeled and the label fills the run.  Exact comparisons thus grow
-    as rows * log(columns), while the output stays n^2 cells.
+    midpoint on a line gets a run of its own.  The curve key |8A(A-D)| is
+    computed once per column, so the bisections compare ints with no call.
+    The first cell of each run is labeled and the label fills the run.
+    Exact comparisons thus grow as rows * log(columns), while the output
+    stays n^2 cells.
 
     The resolution n runs from 1 to `MAX_RESOLUTION` (1000); any other
     value is a DomainError, raised before a cell is made.
@@ -362,9 +364,9 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
     b_vals = [2 * n * b_lo + (b_hi - b_lo) * (2 * k + 1) for k in range(n)]
     a_lo, a_hi, b_lo, b_hi = (2 * n * v for v in (a_lo, a_hi, b_lo, b_hi))  # over D
 
-    def curve(A):
-        return abs(8 * A * (A - D))
-
+    # the curve key |8A(A-D)| of each column, and its negation for the falling piece
+    rising = [abs(8 * A * (A - D)) for A in a_vals]
+    falling = [-c for c in rising]
     half = bisect_left(a_vals, D // 2)
     one = bisect_left(a_vals, D)
     fixed = {0, n, half, one, bisect_right(a_vals, D // 2), bisect_right(a_vals, D)}
@@ -375,9 +377,9 @@ def scan_grid(a_range, b_range, resolution: int) -> ScanResult:
             bisect_left(a_vals, B),
             bisect_right(a_vals, B),
             # |8a(a-1)| > b: it rises below a = 1/2, falls up to a = 1, rises after
-            bisect_right(a_vals, K, 0, half, key=curve),
-            bisect_left(a_vals, -K, half, one, key=lambda A: -curve(A)),
-            bisect_right(a_vals, K, one, n, key=curve),
+            bisect_right(rising, K, 0, half),
+            bisect_left(falling, -K, half, one),
+            bisect_right(rising, K, one, n),
         })
         row = []
         for lo, hi in zip(cuts, cuts[1:]):

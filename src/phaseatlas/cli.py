@@ -304,7 +304,9 @@ def _indented_json(value, pad="") -> str:
     """json.dumps(value, sort_keys=True, indent=2) by the C encoder, which indent would turn off.
 
     Each list of scalars is one call with indent=2's item separator, so a list
-    must hold only containers or only scalars.
+    must hold only containers or only scalars.  A list of strings that json.dumps
+    writes as they are (printable ASCII with no `"` or `\\`, which is every
+    scan label and coordinate) is one join instead, with no encoder call.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -312,12 +314,23 @@ def _indented_json(value, pad="") -> str:
         body = sep.join(f"{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in sorted(value.items()))
     elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
         body = sep.join(_indented_json(v, inner) for v in value)
+    elif isinstance(value, list) and value and _plain_strings(value):
+        body = '"' + f'"{sep}"'.join(value) + '"'
     elif isinstance(value, list) and value:
         body = json.dumps(value, separators=(sep, ": "))[1:-1]
     else:
         return json.dumps(value)
     opening, closing = "{}" if isinstance(value, dict) else "[]"
     return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
+def _plain_strings(items) -> bool:
+    """True if items are all strings that json.dumps writes unescaped: ' ' to '~' less '"' and '\\'."""
+    try:
+        text = "".join(items)
+    except TypeError:
+        return False
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _read_scan_map(path) -> atlas.ScanResult:
@@ -341,7 +354,7 @@ def _read_scan_map(path) -> atlas.ScanResult:
     except (ParseError, TypeError, AttributeError) as exc:
         raise ParseError(f"scan map {path}: {exc}")
     if unknown:
-        raise ParseError(f"scan map {path} has unknown region labels {sorted(unknown)}")
+        raise ParseError(f"scan map {path} has unknown region labels {sorted(unknown, key=repr)}")
     n_a, n_b = len(res.a_values), len(res.b_values)
     if len(res.cells) != n_b or any(len(row) != n_a for row in res.cells):
         raise ParseError(f"scan map {path}: cells are not {n_b} by {n_a}")

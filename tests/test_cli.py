@@ -2,11 +2,16 @@ import json
 import time
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
+from test_output_lock import SCANS
 
 from phaseatlas import cli
+from phaseatlas.atlas import scan_grid
 from phaseatlas.cli import main
 from phaseatlas.desing import sprott_field
+from phaseatlas.portrait import render_region_map
 
 
 def run(capsys, *argv):
@@ -333,8 +338,11 @@ _SCAN_DOC = {
         (json.dumps({**_SCAN_DOC, "a_values": ["1/2", "x"]}), "'x'"),
         (json.dumps({k: v for k, v in _SCAN_DOC.items() if k != "a_values"}), "'a_values'"),
         (json.dumps({**_SCAN_DOC, "cells": [["3f"], ["2b", "3c"]]}), "2 by 2"),
+        # unknown labels of mixed types are listed, not compared
+        (json.dumps({**_SCAN_DOC, "cells": [["3f", 7], ["2b", "9z"]]}), "labels ['9z', 7]"),
+        (json.dumps({**_SCAN_DOC, "boundary_loci": {"a=1": [1, "zz"]}}), "labels ['zz', 1]"),
     ],
-    ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row"],
+    ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row", "mixed-cells", "mixed-locus"],
 )
 def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "map.json"
@@ -353,6 +361,48 @@ def test_scan_json_is_the_indent_2_encoding(capsys):
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
     doc = {"b": [], "a": {"z": ["1"], "y": {}}, "c": [[], ["x", "y"]], "d": [{"k": [1, 2.5, None]}], "e": "s"}
     assert _indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+# strings json.dumps writes as they are, which _indented_json joins, and the
+# same with one character it escapes: a quote, a backslash, controls,
+# non-ASCII or a lone surrogate
+_plain_strings = st.text(st.sampled_from(" a7/-#~"), max_size=3)
+_strings = _plain_strings | st.builds(str.__add__, _plain_strings, st.sampled_from('"\\\n\x00\x7fé\ud800'))
+_scalars = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), _strings)
+# _indented_json takes lists of containers only or of scalars only
+_json_docs = st.recursive(
+    st.lists(_strings) | st.lists(_scalars) | st.dictionaries(_strings, _scalars, max_size=3),
+    lambda docs: st.lists(docs, max_size=3) | st.dictionaries(_strings, docs | _scalars, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_json_docs)
+@example({"e": ['"', "\\", "\n", "\x00", "\x7f", "é", " ", "\ud800", ""], "p": ["3f", "1/2", "", " ~"], "s": [1, -2.5, True, None]})
+def test_indented_json_is_json_dumps(doc):
+    assert cli._indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+# rectangles with cell midpoints on the loci: (1/2, 2) is on a = 1/2 and the
+# curve b = |8a(a-1)|; (1/4, 3/2) and (3/4, 3/2) on the curve; 1 on a = 1, b = 1
+# and a = b
+_LOCUS_SCANS = {
+    "a=1/2": ("--a-range", "0:1", "--b-range", "0:4", "--resolution", "1"),
+    "curve": ("--a-range", "0:3/2", "--b-range", "1:2", "--resolution", "3"),
+    "a=b=1": ("--a-range", "0:2", "--b-range", "0:2", "--resolution", "3"),
+}
+
+
+@pytest.mark.parametrize("argv", [*SCANS.values(), *_LOCUS_SCANS.values()], ids=[*SCANS, *_LOCUS_SCANS])
+def test_scan_map_reads_back_the_scan(tmp_path, argv):
+    args = cli.build_parser().parse_args(["scan", *argv])
+    path = tmp_path / "scan.json"
+    assert main(["scan", *argv, "-o", str(path)]) == 0
+    scan = scan_grid(args.a_range, args.b_range, args.resolution)
+    read = cli._read_scan_map(path)
+    assert read == scan
+    assert render_region_map(read) == render_region_map(scan)
 
 
 def test_product_above_degree_24_exits_2_at_once(tmp_path, capsys):

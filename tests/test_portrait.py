@@ -210,6 +210,8 @@ def _region_maps(draw):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_region_maps())
 @example(ScanResult(tuple(range(1, 17)), (1,), (REGION_IDS,), {}))
+# labels equal to the region ids but not the same objects, as JSON decodes them
+@example(ScanResult(tuple(range(1, 17)), (1,), (tuple("".join(list(label)) for label in REGION_IDS),), {}))
 def test_region_map_matches_the_per_cell_writer(scan):
     assert render_region_map(scan) == _per_cell_region_map(scan)
 

@@ -18,14 +18,17 @@ space (--a -1/2, --start -0.1,0.9).  Exit codes: 0 success, 2 usage or
 parse error, 3 precondition or domain violation, 4 internal inconsistency.
 Output is deterministic.
 
-main() builds a parser holding only the command that argv names (COMMANDS
+main() parses with a parser holding only the command that argv names (COMMANDS
 lists each one's arguments), with the same usage and error text as the full
-parser, which it builds when argv names no known command.
+parser, which it uses when argv names no known command.  Each of these parsers
+is built once per process: parse_args and error leave a parser as it was, and
+help is wrapped to COLUMNS when it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -358,6 +361,10 @@ def _read_scan_map(path) -> atlas.ScanResult:
     n_a, n_b = len(res.a_values), len(res.b_values)
     if len(res.cells) != n_b or any(len(row) != n_a for row in res.cells):
         raise ParseError(f"scan map {path}: cells are not {n_b} by {n_a}")
+    for key in ("a_values", "b_values"):  # the map's cell widths are the first step of each axis
+        values = getattr(res, key)
+        if any(u >= v for u, v in zip(values, values[1:])):
+            raise ParseError(f"scan map {path}: {key} are not strictly ascending")
     return res
 
 
@@ -457,6 +464,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(name) -> argparse.ArgumentParser:
+    """build_parser for the command `name`, or for every command when name is None; one per process."""
+    return build_parser(None if name is None else [name])
+
+
 def _attach_values(argv):
     """Write `--a -1/2` as `--a=-1/2`; argparse reads a value that starts with '-' as a flag.
 
@@ -475,7 +488,7 @@ def _attach_values(argv):
 def main(argv=None) -> int:
     argv = _attach_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -287,10 +287,20 @@ def desingularize(f: RationalField) -> PolyField:
 
 
 def cdk_poly_field(a, b) -> PolyField:
-    """Desingularized CDK field ẋ = xy − a(x³+xy²), ẏ = y² − (by−b+1)(x²+y²)."""
+    """Desingularized CDK field ẋ = xy − a(x³+xy²), ẏ = y² − (by−b+1)(x²+y²), in closed form.
+
+    This is `desingularize(cdk_rational_field(a, b))`, built without a gcd.  x²+y² is
+    irreducible over Q and divides neither p = x(y − a(x²+y²)) nor r ≡ y² (mod x²+y²),
+    so both fractions are already reduced, ℓ = x²+y² and q̄ = s̄ = 1.  The terms are
+    stored in the order that route stores them, since `float_terms()` order is the
+    integrator's summation order.
+    """
     a, b = as_rational(a), as_rational(b)
-    f = desingularize(cdk_rational_field(a, b))
-    return PolyField(f.P, f.Q, f.time_factor, provenance=("cdk", a, b))
+    if a <= 0 or b <= 0:
+        raise DomainError("CDK parameters must be positive")
+    P = BiPoly({(1, 1): 1, (3, 0): -a, (1, 2): -a})
+    Q = BiPoly({(0, 2): b, (2, 1): -b, (0, 3): -b, (2, 0): b - 1})
+    return PolyField(P, Q, BiPoly({(2, 0): 1, (0, 2): 1}), provenance=("cdk", a, b))
 
 
 # -- Sprott logarithmic fixture -------------------------------------------------

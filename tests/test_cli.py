@@ -341,8 +341,13 @@ _SCAN_DOC = {
         # unknown labels of mixed types are listed, not compared
         (json.dumps({**_SCAN_DOC, "cells": [["3f", 7], ["2b", "9z"]]}), "labels ['9z', 7]"),
         (json.dumps({**_SCAN_DOC, "boundary_loci": {"a=1": [1, "zz"]}}), "labels ['zz', 1]"),
+        # a descending or repeated axis gave a negative or zero cell width
+        (json.dumps({**_SCAN_DOC, "a_values": ["5/4", "3/4"]}), "a_values are not strictly ascending"),
+        (json.dumps({**_SCAN_DOC, "a_values": ["5/4", "5/4"]}), "a_values are not strictly ascending"),
+        (json.dumps({**_SCAN_DOC, "b_values": ["3/2", "1/2"]}), "b_values are not strictly ascending"),
     ],
-    ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row", "mixed-cells", "mixed-locus"],
+    ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row", "mixed-cells", "mixed-locus",
+         "descending-a", "repeated-a", "descending-b"],
 )
 def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "map.json"
@@ -799,11 +804,28 @@ EQUIVALENCE_CORPUS = [
 def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, columns):
     monkeypatch.setenv("COLUMNS", columns)
     one = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    # a fresh full parser for each call, not one main() has kept
+    monkeypatch.setattr(cli, "_parser", lambda name: cli.build_parser())
     full = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
     for argv, got, expected in zip(EQUIVALENCE_CORPUS, one, full):
         assert got == expected, argv
         assert got[0] in (0, 2), argv
     assert sum(code == 0 for code, _, _ in one) == 1 + len(cli.COMMANDS)
     assert one[0][2].endswith("error: the following arguments are required: command\n")
+
+
+def test_equivalence_corpus_prints_the_same_twice_in_one_process(capsys):
+    cli._parser.cache_clear()
+    first = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]  # builds each parser
+    second = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]  # reuses them
+    assert first == second
+
+
+def test_main_builds_each_command_parser_once(count_calls, capsys):
+    cli._parser.cache_clear()
+    counts = count_calls((cli.build_parser,))
+    for argv in (("analyze", "--a", "7/10", "--b", "1/2"), ("analyze", "--a", "1", "--b", "1")):
+        assert run(capsys, *argv)[0] == 0
+    assert counts == {"build_parser": 1}
+    assert run(capsys, "region", "--a", "1", "--b", "1")[0] == 0
+    assert counts == {"build_parser": 2}

@@ -131,6 +131,35 @@ def test_cdk_provenance_recorded():
     assert f.provenance[1:] == (Fraction(1, 2), Fraction(19, 10))
 
 
+_cdk_parameter = st.one_of(
+    st.just(Fraction(1)),
+    st.fractions(min_value=Fraction(1, 20), max_value=5, max_denominator=20),
+    # decimals of 6-14 digits
+    st.builds(lambda n, k: Fraction(n, 10**k), st.integers(10**5, 10**14 - 1), st.integers(0, 14)),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.tuples(_cdk_parameter, _cdk_parameter) | _cdk_parameter.map(lambda a: (a, a)))
+@example((Fraction(1), Fraction(1)))
+@example((Fraction(7, 10), Fraction(1)))
+@example((Fraction(12345678901234, 10**13), Fraction(98765432109876, 10**14)))
+def test_cdk_poly_field_is_the_desingularized_rational_field(params):
+    a, b = params
+    got, want = cdk_poly_field(a, b), desingularize(cdk_rational_field(a, b))
+    assert got.provenance == ("cdk", a, b)
+    for mine, theirs in ((got.P, want.P), (got.Q, want.Q), (got.time_factor, want.time_factor)):
+        assert mine == theirs
+        # storage order is the integrator's summation order
+        assert mine.float_terms() == theirs.float_terms()
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, Fraction(-1, 2)), (Fraction(-7, 10), 0)])
+def test_cdk_poly_field_rejects_nonpositive_parameters(a, b):
+    with pytest.raises(DomainError, match="^CDK parameters must be positive$"):
+        cdk_poly_field(a, b)
+
+
 # -- Sprott fixture -------------------------------------------------------------
 
 

@@ -285,6 +285,13 @@ class _CycleEntry:
             partial=self.point,
         )
 
+    @property
+    def side(self) -> int:
+        """Sign of y along the entry's direction, from its exact coordinate: 1, -1, or 0 on the x-axis."""
+        if self.point.direction in ("+y", "-y"):
+            return 1 if self.point.direction == "+y" else -1
+        return (self.point.coordinate > 0) - (self.point.coordinate < 0)
+
 
 def _arc_samples(entries, i, charts):
     """Sampling positions for the open arc between cycle entries i and i+1.
@@ -418,10 +425,13 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
         else:
             kind, stab = "parabolic", "attracting"
         span = (b.angle - a.angle) % (2 * math.pi)
-        if span == 0.0:
-            span = 2 * math.pi
-        mid = (a.angle + span / 2) % (2 * math.pi)
-        halfplane = "upper" if math.sin(mid) > 0 else "lower"
+        if span == 0.0 and n > 1:
+            # distinct entries at one float angle bound a sector too thin for a float midpoint:
+            # a +x point at u ≥ 1e16 beside +y (π/2), or -x points at u = 0 and |u| < 1e-16 (π)
+            upper = a.side + b.side > 0
+        else:
+            upper = math.sin((a.angle + (span or 2 * math.pi) / 2) % (2 * math.pi)) > 0
+        halfplane = "upper" if upper else "lower"
         sectors.append(
             Sector(
                 kind=kind,

@@ -18,11 +18,9 @@ space (--a -1/2, --start -0.1,0.9).  Exit codes: 0 success, 2 usage or
 parse error, 3 precondition or domain violation, 4 internal inconsistency.
 Output is deterministic.
 
-main() parses with a parser holding only the command that argv names (COMMANDS
-lists each one's arguments), with the same usage and error text as the full
-parser, which it uses when argv names no known command.  Each of these parsers
-is built once per process: parse_args and error leave a parser as it was, and
-help is wrapped to COLUMNS when it is printed.
+main() parses with one parser of every command (COMMANDS lists each one's
+arguments), built once per process: parse_args and error leave a parser as it
+was, and help is wrapped to COLUMNS when it is printed.
 """
 
 from __future__ import annotations
@@ -441,22 +439,14 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv: only its command when argv[0] names one, else every command."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="phaseatlas",
         description="Qualitative analysis of planar rational ODE systems",
     )
-    names = list(COMMANDS)
-    if argv and argv[0] in COMMANDS:
-        # keeps the usage line's command list; with every command registered
-        # a metavar would rename "command" in the "required" error
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(names) + "}")
-        names = [argv[0]]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        handler, help_text, *arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, *arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, keywords in arguments:
             p.add_argument(*flags.split(), **keywords)
@@ -465,9 +455,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(name) -> argparse.ArgumentParser:
-    """build_parser for the command `name`, or for every command when name is None; one per process."""
-    return build_parser(None if name is None else [name])
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process."""
+    return build_parser()
 
 
 def _attach_values(argv):
@@ -488,7 +478,7 @@ def _attach_values(argv):
 def main(argv=None) -> int:
     argv = _attach_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -20,7 +20,9 @@ divisor or at infinity, is linearized on one path: `jacobian_at` evaluates
 its Jacobian once, from derivatives each `PolyField` takes once;
 `classify_linear`, one body for exact and float matrices, gives its linear
 kind; and `classify_point` adds the center-manifold subkind at an exact
-semi-hyperbolic point.
+semi-hyperbolic point.  The CDK closed form gives coordinates only: s1 and
+s2 are classified on their exact Jacobians, and s3/s4 on a rational matrix
+similar to theirs, so no kind is decided beside `classify_linear`.
 """
 
 from __future__ import annotations
@@ -325,26 +327,7 @@ def sqrt_exact_or_float(v: Fraction):
     raise PreconditionError(f"square root of ~1e{round(math.log10(n) - math.log10(d))} is not a double")
 
 
-def _s34_kind(a: Fraction, b: Fraction) -> ClassificationKind:
-    """Kind shared by s3 and s4, decided by exact sign tests on the closed form."""
-    radicand = b * (b + 8 * a * (a - 1))
-    denom = 2 * a * (b - a)
-    if radicand < 0:
-        # complex pair, common real part b(1-b)/denom
-        re = b * (1 - b) / denom
-        if re < 0:
-            return ClassificationKind("attracting_focus")
-        if re > 0:
-            return ClassificationKind("repelling_focus")
-        return ClassificationKind("center_linear")
-    # real eigenvalues: det carries the sign of b² - radicand = -8ab(a-1)
-    if b * b - radicand < 0:
-        return ClassificationKind("saddle")
-    tr = b * (1 - b) / (a * (b - a))
-    return ClassificationKind("attracting_node" if tr < 0 else "repelling_node")
-
-
-def _make_point(f: PolyField, loc, label, kind=None, exact=True, error_bound=None):
+def _make_point(f: PolyField, loc, label, kind=None, error_bound=None):
     J = jacobian_at(f, loc)
     return StationaryPoint(
         location=tuple(loc),
@@ -352,7 +335,7 @@ def _make_point(f: PolyField, loc, label, kind=None, exact=True, error_bound=Non
         eigenvalues=eigenvalues_2x2(J),
         kind=classify_point(f, loc, J) if kind is None else kind,
         label=label,
-        exact=exact,
+        exact=all(isinstance(v, Fraction) for v in loc),
         error_bound=error_bound,
     )
 
@@ -376,24 +359,24 @@ def cdk_closed_form(f: PolyField):
     if a == 1 and b == 1:
         return StationaryCircle(center=(dx, Fraction(1, 2) + dy), radius=Fraction(1, 2))
 
-    points = [
-        _make_point(f, (dx, dy), "s1", kind=ClassificationKind("nilpotent")),
-        _make_point(f, (dx, 1 + dy), "s2"),
-    ]
+    points = [_make_point(f, (dx, dy), "s1"), _make_point(f, (dx, 1 + dy), "s2")]
     if b > 1 > a or b < 1 < a:
         y2 = -(b - 1) / (a - b)
         x_sq = y2 / a - y2 * y2
         if x_sq < 0:
             raise DomainError("inconsistent closed form: negative x^2")
         root = sqrt_exact_or_float(x_sq)
-        kind = _s34_kind(a, b)
-        exact = isinstance(root, Fraction)
-        err = None if exact else 5e-16 * (float(root) + abs(float(dx)))
+        err = None if isinstance(root, Fraction) else 5e-16 * (float(root) + abs(float(dx)))
+        # P is odd in x and Q even, so an entry of the unshifted Jacobian summed over
+        # (x²)^(i//2) is Px or Qy at x = ±√x², or Py or Qx divided by x: the rational
+        # matrix diag(x, 1)·J·diag(1/x, 1), which has J's kind at s3 and at s4
+        px, py, qx, qy = (
+            sum(c * x_sq ** (i // 2) * y2**j for (i, j), c in g.terms.items())
+            for g in (f if len(f.provenance) == 3 else cdk_poly_field(a, b)).jacobian_polys()
+        )
+        kind = classify_linear(((px, x_sq * py), (qx, qy)))
         for label, sign in (("s3", 1), ("s4", -1)):
-            loc = (sign * root + dx, y2 + dy)
-            points.append(
-                _make_point(f, loc, label, kind=kind, exact=exact, error_bound=err)
-            )
+            points.append(_make_point(f, (sign * root + dx, y2 + dy), label, kind=kind, error_bound=err))
     return points
 
 
@@ -513,5 +496,5 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
 
     points = []
     for x, y in sorted(merged):
-        points.append(_make_point(f, (x, y), None, exact=False, error_bound=tol))
+        points.append(_make_point(f, (x, y), None, error_bound=tol))
     return points

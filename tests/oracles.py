@@ -9,7 +9,7 @@ from fractions import Fraction
 from phaseatlas import blowup, compact, dynamics
 from phaseatlas.desing import PolyField
 from phaseatlas.dynamics import IntegratorOptions
-from phaseatlas.equilibria import classify_linear, jacobian_at, sqrt_exact_or_float
+from phaseatlas.equilibria import ClassificationKind, classify_linear, jacobian_at, sqrt_exact_or_float
 from phaseatlas.errors import DomainError, PreconditionError, SingularEvaluationError
 from phaseatlas.polycore import (
     Y,
@@ -86,6 +86,25 @@ def s34_eigenvalues(a, b) -> tuple[complex, complex]:
     re = float(base) / float(denom)
     im = float(b - 1) * root / float(denom)
     return (complex(re, abs(im)), complex(re, -abs(im)))
+
+
+def _s34_kind(a: Fraction, b: Fraction) -> ClassificationKind:
+    """Kind shared by s3 and s4, decided by exact sign tests on the closed form."""
+    radicand = b * (b + 8 * a * (a - 1))
+    denom = 2 * a * (b - a)
+    if radicand < 0:
+        # complex pair, common real part b(1-b)/denom
+        re = b * (1 - b) / denom
+        if re < 0:
+            return ClassificationKind("attracting_focus")
+        if re > 0:
+            return ClassificationKind("repelling_focus")
+        return ClassificationKind("center_linear")
+    # real eigenvalues: det carries the sign of b² - radicand = -8ab(a-1)
+    if b * b - radicand < 0:
+        return ClassificationKind("saddle")
+    tr = b * (1 - b) / (a * (b - a))
+    return ClassificationKind("attracting_node" if tr < 0 else "repelling_node")
 
 
 # criterion 4's float probe of the sectors round the origin

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from phaseatlas.atlas import FieldAnalysis
+from phaseatlas.atlas import FieldAnalysis, classify_region
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.equilibria import (
     Continuum,
     SemiHyperbolicAnalysis,
     StationaryCircle,
+    cdk_closed_form,
     classify_linear,
+    classify_point,
     classify_semihyperbolic,
     cdk_stationary_points,
     eigenvalues_2x2,
@@ -25,7 +27,7 @@ from phaseatlas.equilibria import (
 from phaseatlas.errors import DomainError, InconclusiveError, PreconditionError
 from phaseatlas.polycore import BiPoly, X, Y
 
-from oracles import interval_box_test, s34_eigenvalues, shift_to_origin
+from oracles import _s34_kind, interval_box_test, s34_eigenvalues, shift_to_origin
 
 F = Fraction
 
@@ -123,6 +125,67 @@ def test_s34_kinds_follow_focus_node_saddle_split():
     # |8*0.7*(-0.3)| = 1.68 <= 1.9: attracting node
     assert kinds(F(7, 10), F(19, 10)) == {"attracting_node"}
     assert kinds(F(5, 2), F(1, 2)) == {"saddle"}
+
+
+# s3/s4 exist exactly when a and b straddle 1
+_below_one = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda v: 0 < v < 1)
+_above_one = st.fractions(min_value=1, max_value=50, max_denominator=10**6).filter(lambda v: v > 1)
+# 14-digit decimals on either side of 1
+_decimal_below = st.builds(lambda n: F(n, 10**14), st.integers(1, 10**14 - 1))
+_decimal_above = st.builds(lambda n: F(n, 10**13), st.integers(10**13 + 1, 10**14 - 1))
+
+
+@st.composite
+def _straddling(draw, below, above):
+    pair = (draw(below), draw(above))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def _near_the_curve(draw):
+    # on |8a(a-1)| = b, where s3/s4 turn from focus to node (a < 1 < b), and 1e-12 either side
+    a = draw(st.one_of(st.fractions(F(15, 100), F(85, 100), max_denominator=10**6),
+                       st.fractions(1, F(111, 100), max_denominator=10**6)))
+    b = abs(8 * a * (a - 1)) + draw(st.sampled_from([0, F(1, 10**12), -F(1, 10**12)]))
+    assume(b > 1 > a or b < 1 < a)
+    return a, b
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_straddling(_below_one, _above_one), _near_the_curve(),
+                 _straddling(_decimal_below, _decimal_above)))
+@example((F(3, 4), F(3, 2)))
+@example((F(1, 2), F(19, 10)))
+@example((F(5, 2), F(1, 2)))
+def test_s34_kinds_are_the_closed_form_oracle(ab):
+    a, b = ab
+    f = cdk_poly_field(a, b)
+    for g in (f, f.shifted(F(1, 3), F(-1, 2))):
+        kinds = [p.kind for p in cdk_closed_form(g) if p.label in ("s3", "s4")]
+        assert kinds == [_s34_kind(a, b)] * 2
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.fractions(min_value=0, max_value=20, max_denominator=1000).filter(bool),
+       st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda v: 0 < v < 1))
+@example(F(2, 3), F(2, 3))  # (a, b) = (3/4, 3/2), on |8a(a-1)| = b
+def test_rational_s34_kinds_are_classify_point_on_their_jacobian(x, y2):
+    # s3/s4 = (±x, y2) for a = y2/(x² + y2²) and b = (1 - a·y2)/(1 - y2); y2 in (0, 1) straddles 1
+    a = y2 / (x * x + y2 * y2)
+    assume(a != 1)
+    f = cdk_poly_field(a, (1 - a * y2) / (1 - y2))
+    points = {p.label: p for p in cdk_closed_form(f)}
+    for label, z in (("s3", (x, y2)), ("s4", (-x, y2))):
+        assert points[label].location == z and points[label].exact
+        assert points[label].kind == classify_point(f, z, jacobian_at(f, z))
+
+
+def test_closed_form_classifies_s1_s2_and_the_s34_pair_once_each(count_calls):
+    f = cdk_poly_field(F(1, 2), F(19, 10))
+    assert classify_region(F(1, 2), F(19, 10)) == "2b"
+    counts = count_calls((classify_linear,))
+    assert [p.label for p in cdk_closed_form(f)] == ["s1", "s2", "s3", "s4"]
+    assert counts == {"classify_linear": 3}
 
 
 # -- Jacobians and shifting --------------------------------------------------------

@@ -89,3 +89,19 @@ def test_generated_code_is_compiled_by_compile_named():
             if name in allowed and not (module == "desing" and id(call) in allowed[name]):
                 stray.append(f"{module}:{call.lineno} {name}")
     assert not stray, f"bind generated source through desing.bind: {stray}"
+
+
+def test_classification_kinds_are_built_by_the_classifier_alone():
+    # the linear classifier, the semi-hyperbolic refinement and a divisor of stationary points
+    # build every kind; a private classifier beside them would build its own
+    builders = {("equilibria", "classify_linear"), ("equilibria", "classify_point"),
+                ("blowup", "divisor_stationary_points")}
+    stray = []
+    for module, tree in _modules().items():
+        inside = {id(sub) for qualname, _, node in _definitions(tree)
+                  if (module, qualname) in builders for sub in ast.walk(node)}
+        for call in ast.walk(tree):
+            name = isinstance(call, ast.Call) and (getattr(call.func, "id", None) or getattr(call.func, "attr", None))
+            if name == "ClassificationKind" and id(call) not in inside:
+                stray.append(f"{module}:{call.lineno}")
+    assert not stray, f"take kinds from classify_linear or classify_point: {stray}"

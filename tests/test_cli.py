@@ -806,12 +806,20 @@ EQUIVALENCE_CORPUS = [
 ]
 
 
-def test_usage_corpus_exits_0_or_2(capsys):
-    results = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
-    for argv, (code, _, _) in zip(EQUIVALENCE_CORPUS, results):
-        assert code in (0, 2), argv
-    assert sum(code == 0 for code, _, _ in results) == 1 + len(cli.COMMANDS)
-    assert results[0][2].endswith("error: the following arguments are required: command\n")
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, columns):
+    # the one parser main() keeps for the process prints, at each terminal width, what a
+    # freshly built full parser prints
+    monkeypatch.setenv("COLUMNS", columns)
+    one = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
+    # a fresh full parser for each call, not one main() has kept
+    monkeypatch.setattr(cli, "_parser", lambda: cli.build_parser())
+    full = [run(capsys, *argv) for argv in EQUIVALENCE_CORPUS]
+    for argv, got, expected in zip(EQUIVALENCE_CORPUS, one, full):
+        assert got == expected, argv
+        assert got[0] in (0, 2), argv
+    assert sum(code == 0 for code, _, _ in one) == 1 + len(cli.COMMANDS)
+    assert one[0][2].endswith("error: the following arguments are required: command\n")
 
 
 def test_equivalence_corpus_prints_the_same_twice_in_one_process(capsys):

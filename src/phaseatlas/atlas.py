@@ -110,41 +110,18 @@ REGION_TABLE: dict[str, RegionContent] = {
     "3l": RegionContent("attracting_node", None, "3d", _X_NODE, False, ("s1", "s2")),
 }
 
-# origin case -> expected multiset of (kind, halfplane, stability) sector tags;
-# None entries are wildcards
+# origin case -> the multiset of (kind, halfplane, stability) sector tags, each written out
+_E_UP, _E_LO = ("elliptic", "upper", None), ("elliptic", "lower", None)
+_H_UP, _H_LO = ("hyperbolic", "upper", None), ("hyperbolic", "lower", None)
+_P_UP_IN, _P_UP_OUT = ("parabolic", "upper", "attracting"), ("parabolic", "upper", "repelling")
+_P_LO_IN = ("parabolic", "lower", "attracting")
 _SECTOR_PATTERNS: dict[str, tuple] = {
-    "1": (("elliptic", None, None), ("elliptic", None, None)),
-    "2": (("hyperbolic", None, None), ("hyperbolic", None, None)),
-    "3a": (
-        ("elliptic", "upper", None),
-        ("elliptic", "upper", None),
-        ("parabolic", "lower", None),
-        ("parabolic", "lower", None),
-        ("parabolic", "lower", None),
-        ("parabolic", "lower", None),
-    ),
-    "3b": (
-        ("elliptic", "upper", None),
-        ("elliptic", "upper", None),
-        ("parabolic", "lower", None),
-        ("parabolic", "lower", None),
-    ),
-    "3c": (
-        ("elliptic", "upper", None),
-        ("elliptic", "upper", None),
-        ("parabolic", "upper", None),
-        ("parabolic", "upper", None),
-        ("parabolic", "lower", None),
-        ("parabolic", "lower", None),
-    ),
-    "3d": (
-        ("hyperbolic", "upper", None),
-        ("hyperbolic", "upper", None),
-        ("parabolic", "upper", "repelling"),
-        ("parabolic", "upper", "repelling"),
-        ("parabolic", "lower", "attracting"),
-        ("parabolic", "lower", "attracting"),
-    ),
+    "1": (_E_UP, _E_LO),
+    "2": (_H_UP, _H_LO),
+    "3a": (_E_UP, _E_UP, _P_LO_IN, _P_LO_IN, _P_LO_IN, _P_LO_IN),
+    "3b": (_E_UP, _E_UP, _P_LO_IN, _P_LO_IN),
+    "3c": (_E_UP, _E_UP, _P_UP_IN, _P_UP_IN, _P_LO_IN, _P_LO_IN),
+    "3d": (_H_UP, _H_UP, _P_UP_OUT, _P_UP_OUT, _P_LO_IN, _P_LO_IN),
 }
 
 _CASE_INDEX = {"1": 2, "2": 0, "3a": 2, "3b": 2, "3c": 2, "3d": 0}
@@ -198,30 +175,14 @@ def _kind_string(kind) -> str:
 
 
 def _validate_sectors(dec, case: str):
-    pattern = _SECTOR_PATTERNS[case]
-    got = [(s.kind, s.halfplane, s.stability) for s in dec.sectors]
-    # match the multiset against the wildcard pattern, most specific first
-    remaining = list(got)
-    for entry in sorted(pattern, key=lambda e: -sum(v is not None for v in e)):
-        for tag in remaining:
-            if all(ev is None or ev == tv for ev, tv in zip(entry, tag)):
-                remaining.remove(tag)
-                break
-        else:
-            raise InternalInconsistencyError(
-                f"sector structure {sorted(got)} does not match case {case} "
-                f"expectation {sorted(pattern)}: no sector fits {entry}"
-            )
-    if remaining:
-        raise InternalInconsistencyError(
-            f"sector structure {sorted(got)} has {len(remaining)} sectors beyond "
-            f"case {case} expectation"
-        )
+    got = sorted(((s.kind, s.halfplane, s.stability) for s in dec.sectors), key=str)
+    if got != sorted(_SECTOR_PATTERNS[case], key=str):
+        raise InternalInconsistencyError(f"sector structure {got} does not match case {case}")
     if dec.index != _CASE_INDEX[case]:
         raise InternalInconsistencyError(
             f"origin index {dec.index} does not match case {case}"
         )
-    if dec.homoclinic != any(k[0] == "elliptic" for k in pattern):
+    if dec.homoclinic != any(k[0] == "elliptic" for k in _SECTOR_PATTERNS[case]):
         raise InternalInconsistencyError("homoclinic flag inconsistent with sectors")
 
 

@@ -20,9 +20,13 @@ A substitution maps monomials to monomials, so it re-keys the terms.
 `blowup_origin` builds +x and +y, −x only if α is even, −y only if β is
 even.  Else the minus chart is F₋(z) = s·D·F₊(D·z), a sign on each term,
 with s = (−1)^k and D = diag(−1, (−1)^β) for −x, diag((−1)^α, −1) for −y;
-its divisor points are D·z, with Jacobians s·D·J·D.
+its divisor points are D·z, with Jacobians s·D·J·D.  The ±x charts cover
+each ±y chart's divisor but for its point on the y-axis, u = 0 (Dumortier,
+Llibre & Artés, *Qualitative Theory of Planar Differential Systems*, ch. 3),
+so `blowup_origin` isolates the roots of the ±x divisors only and takes a
+±y chart's point at u = 0 alone; the `blowup` printout scans the ±y charts.
 
-Sector assembly walks the divisor stationary points of the four charts in
+Sector assembly walks those divisor stationary points in
 counterclockwise order, samples the divisor flow on each open arc (exact
 rational signs), and classifies each arc by the radial stability of its
 flow source and sink: source repelling + sink attracting gives an elliptic
@@ -136,11 +140,13 @@ class DivisorPoint:
 
     direction: str
     coordinate: object  # Fraction (exact) or float, along the divisor
-    exact: bool
     jacobian: tuple
     kind: ClassificationKind
     radial_eigenvalue: object
-    tangential_eigenvalue: object
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.coordinate, Fraction)
 
     def label(self) -> str:
         if self.coordinate == 0:
@@ -184,15 +190,26 @@ def divisor_stationary_points(chart: BlowupChart):
         return [DivisorContinuum(chart.direction, ClassificationKind("degenerate_curve"))], 0
 
     exact, floats, complex_count = real_roots(coeffs)
+    return _divisor_points(chart, exact + floats), complex_count
+
+
+def _axis_points(chart: BlowupChart):
+    """`divisor_stationary_points` of a ±y chart at u = 0 alone, with no root isolation, so
+    None in place of the complex count.  A continuum is the whole divisor, as in every chart."""
+    coeffs = _divisor_restriction(chart)
+    if coeffs == []:
+        return divisor_stationary_points(chart)[0], None
+    return _divisor_points(chart, [] if coeffs[0] else [Fraction(0)]), None
+
+
+def _divisor_points(chart: BlowupChart, roots) -> list:
     f = chart.field()
-    points = [_divisor_point(chart, f, u, jacobian_at(f, _chart_point(chart, u))) for u in exact + floats]
-    return points, complex_count
+    return [_divisor_point(chart, f, u, jacobian_at(f, _chart_point(chart, u))) for u in roots]
 
 
 def _divisor_point(chart: BlowupChart, f: PolyField, u, J) -> DivisorPoint:
     kind = classify_point(f, _chart_point(chart, u), J)
-    lam_r, lam_t = (J[0][0], J[1][1]) if chart.radial_var == "x" else (J[1][1], J[0][0])
-    return DivisorPoint(chart.direction, u, isinstance(u, Fraction), J, kind, lam_r, lam_t)
+    return DivisorPoint(chart.direction, u, J, kind, J[0][0] if chart.radial_var == "x" else J[1][1])
 
 
 def _antipode(plus: BlowupChart, plus_divisor):
@@ -223,8 +240,6 @@ class Sector:
     kind: str  # "elliptic" | "hyperbolic" | "parabolic"
     start: str  # label of the bounding divisor point, ccw start
     end: str
-    start_angle: float
-    end_angle: float
     halfplane: str  # "upper" | "lower"
     stability: str | None = None  # parabolic only: "attracting" | "repelling"
 
@@ -235,7 +250,7 @@ class SectorDecomposition:
     homoclinic: bool
     index: int
     weights: NewtonWeights
-    boundary_directions: tuple = ()  # (chart_direction, coordinate, label, angle)
+    boundary_directions: tuple = ()  # (chart_direction, coordinate, label)
 
     def counts(self):
         e = sum(1 for s in self.sectors if s.kind == "elliptic")
@@ -251,7 +266,7 @@ class SectorDecomposition:
         origin, where separatrix tracing starts.
         """
         seeds = []
-        for direction, u, label, _ in self.boundary_directions:
+        for direction, u, label in self.boundary_directions:
             chart_point = (r, float(u)) if direction in ("+x", "-x") else (float(u), r)
             seeds.append((label, blow_down(direction, self.weights, *chart_point)))
         return seeds
@@ -280,10 +295,7 @@ class _CycleEntry:
             return 1
         if lam < 0:
             return -1
-        raise UnresolvedError(
-            f"zero radial eigenvalue at divisor point {self.point.label()}",
-            partial=self.point,
-        )
+        raise UnresolvedError(f"zero radial eigenvalue at divisor point {self.point.label()}")
 
     @property
     def side(self) -> int:
@@ -358,10 +370,12 @@ _CYCLE_ORDER = (("+x", 1), ("+y", 0), ("-x", -1), ("-y", 0))
 
 
 def blowup_origin(f: PolyField):
-    """(weights, charts, divisor) of a nilpotent origin, each built once.
+    """(weights, charts, divisor) of a nilpotent origin, each built once: what the sector cycle reads.
 
     The Newton-polygon weights; the four directional charts by direction,
-    in DIRECTIONS order; and `divisor_stationary_points` of each chart.
+    in DIRECTIONS order; and by direction the (points, complex count) of
+    `divisor_stationary_points` on a ±x chart, and of a ±y chart its point
+    at u = 0 alone, with None for the count.
     """
     w = newton_weights(f.P, f.Q)  # raises PreconditionError unless the origin is nilpotent
     charts, divisor = {}, {}
@@ -370,7 +384,7 @@ def blowup_origin(f: PolyField):
             charts[d], divisor[d] = _antipode(charts["+" + d[1]], divisor["+" + d[1]])
         else:
             charts[d] = blowup_directional(f, d, w)
-            divisor[d] = divisor_stationary_points(charts[d])
+            divisor[d] = (divisor_stationary_points if d[1] == "x" else _axis_points)(charts[d])
     return w, charts, divisor
 
 
@@ -391,11 +405,8 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
     for d, order in _CYCLE_ORDER:
         pts, _ = divisor[d]
         if pts and isinstance(pts[0], DivisorContinuum):
-            raise UnresolvedError("continuum of stationary points on the divisor", partial=pts[0])
-        if order:
-            pts = sorted(pts, key=lambda p: order * float(p.coordinate))
-        else:
-            pts = [p for p in pts if p.coordinate == 0]
+            raise UnresolvedError("continuum of stationary points on the divisor")
+        pts = sorted(pts, key=lambda p: order * float(p.coordinate))
         cycle.extend(_CycleEntry(p, _nominal_angle(d, p.coordinate)) for p in pts)
 
     if not cycle:
@@ -404,10 +415,7 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
 
     for entry in cycle:
         if entry.point.kind.name in ("nilpotent", "degenerate_curve"):
-            raise UnresolvedError(
-                f"divisor point {entry.point.label()} is non-elementary",
-                partial=charts,
-            )
+            raise UnresolvedError(f"divisor point {entry.point.label()} is non-elementary")
 
     sectors = []
     n = len(cycle)
@@ -437,8 +445,6 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
                 kind=kind,
                 start=a.point.label(),
                 end=b.point.label(),
-                start_angle=a.angle,
-                end_angle=b.angle,
                 halfplane=halfplane,
                 stability=stab,
             )
@@ -451,10 +457,7 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
             f"sector cycle has odd elliptic-hyperbolic difference {e - h}"
         )
     index = 1 + (e - h) // 2
-    boundary = tuple(
-        (c.point.direction, float(c.point.coordinate), c.point.label(), c.angle)
-        for c in cycle
-    )
+    boundary = tuple((c.point.direction, float(c.point.coordinate), c.point.label()) for c in cycle)
     return SectorDecomposition(
         sectors=tuple(sectors),
         homoclinic=e > 0,

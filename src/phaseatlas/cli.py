@@ -184,6 +184,8 @@ def cmd_blowup(args):
             f"{chart.radial_var}^{chart.cancelled_power}"
         )
         pts, complex_count = divisor[direction]
+        if direction[1] == "y":  # the record holds this chart's point at u = 0 alone
+            pts, complex_count = blowup.divisor_stationary_points(chart)
         for p in pts:
             if isinstance(p, blowup.DivisorContinuum):
                 lines.append("  divisor: continuum of stationary points")

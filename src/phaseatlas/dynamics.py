@@ -194,7 +194,10 @@ def dopri5(base, z0, opts, direction):
             ax, ax5, ay, ay5 = abs(x), abs(x5), abs(y), abs(y5)
             sx = abs_tol + rel_tol * (ax5 if ax5 > ax else ax)
             sy = abs_tol + rel_tol * (ay5 if ay5 > ay else ay)
-            err = sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
+            try:
+                err = sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
+            except OverflowError:  # float ** raises where * gives inf: the step is rejected
+                err = inf
             accept = err <= 1.0
             factor = 0.9 * (err + 1e-300) ** -0.2
             factor = factor if factor > 0.2 else 0.2

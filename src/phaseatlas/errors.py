@@ -58,11 +58,7 @@ class AmbiguityError(PhaseAtlasError):
 
 class UnresolvedError(PhaseAtlasError):
     """Sector assembly met a non-elementary divisor point, a continuum on the
-    divisor or a zero radial eigenvalue; partial data attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    divisor or a zero radial eigenvalue."""
 
 
 class InconclusiveError(PhaseAtlasError):

@@ -321,11 +321,6 @@ class BiPoly:
         """p(y, x): x and y exchanged, terms kept in storage order."""
         return BiPoly._make({(j, i): n for (i, j), n in self._num.items()}, self._den)
 
-    def mul_monomial(self, c, i: int, j: int) -> "BiPoly":
-        c = as_rational(c)
-        num = {(e0 + i, e1 + j): n * c.numerator for (e0, e1), n in self._num.items()}
-        return BiPoly._make(num, self._den * c.denominator) if c else BiPoly()
-
     def monomial_order(self, var: str) -> int:
         """Largest k with var^k dividing self; large sentinel for zero poly."""
         if not self._num:
@@ -661,7 +656,7 @@ def poly_divexact(p: BiPoly, d: BiPoly) -> BiPoly:
     if p.is_zero():
         return p
     if d.is_constant():
-        return p.mul_monomial(Fraction(d._den, d._num[(0, 0)]), 0, 0)
+        return p * Fraction(d._den, d._num[(0, 0)])
     # long division in y of p's numerators by the primitive part of d's, whose
     # quotient is integral when it exists (Gauss's lemma)
     g = math.gcd(*d._num.values())
@@ -702,7 +697,7 @@ def reduce_fraction(n: BiPoly, d: BiPoly) -> tuple[BiPoly, BiPoly]:
         n, d = poly_divexact(n, g), poly_divexact(d, g)
     # 1/scale, for the scale that makes d primitive with a positive lead
     inv = Fraction(d._den if d._lead() > 0 else -d._den, math.gcd(*d._num.values()))
-    return n.mul_monomial(inv, 0, 0), d.mul_monomial(inv, 0, 0)
+    return n * inv, d * inv
 
 
 # -- restriction to an exceptional divisor {var = 0} ---------------------------------

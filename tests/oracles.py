@@ -302,8 +302,8 @@ def four_chart_blowup_directional(f: PolyField, direction: str, w: NewtonWeights
     sx = 1 if direction == "+x" else -1
     phi = (BiPoly.monomial(sx, alpha, 0), BiPoly.monomial(1, beta, 1))
     Pphi, Qphi = f.P.subst(*phi), f.Q.subst(*phi)
-    n1 = Pphi.mul_monomial(sx, beta, 0)
-    n2 = Qphi.mul_monomial(alpha, alpha - 1, 0) - (Y * Pphi).mul_monomial(sx * beta, beta - 1, 0)
+    n1 = Pphi * BiPoly.monomial(sx, beta, 0)
+    n2 = Qphi * BiPoly.monomial(alpha, alpha - 1, 0) - Y * Pphi * BiPoly.monomial(sx * beta, beta - 1, 0)
     s = divisor_power(n1, n2, "x")
     return blowup.BlowupChart(
         direction=direction,
@@ -316,10 +316,17 @@ def four_chart_blowup_directional(f: PolyField, direction: str, w: NewtonWeights
 
 
 def four_chart_blowup_origin(f: PolyField):
-    """(weights, charts, divisor) as `blowup.blowup_origin` gives them, each chart built and scanned alone."""
+    """(weights, charts, divisor) as `blowup.blowup_origin` gives them, each chart built and scanned alone.
+
+    A ±y chart keeps its points at u = 0 and no complex count: the ±x charts cover the rest of its divisor.
+    """
     w = newton_weights(f.P, f.Q)
     charts = {d: four_chart_blowup_directional(f, d, w) for d in blowup.DIRECTIONS}
-    return w, charts, {d: blowup.divisor_stationary_points(c) for d, c in charts.items()}
+    divisor = {d: blowup.divisor_stationary_points(c) for d, c in charts.items()}
+    for d in ("+y", "-y"):
+        pts = divisor[d][0]
+        divisor[d] = ([p for p in pts if isinstance(p, blowup.DivisorContinuum) or p.coordinate == 0], None)
+    return w, charts, divisor
 
 
 # -- the numeric finder's box test, interpreted term by term ------------------------

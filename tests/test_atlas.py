@@ -131,6 +131,39 @@ def test_region_summary_cross_validation_on_all_representatives():
         assert summary.s1_sectors == content.s1_case
 
 
+@st.composite
+def _sector_sweep_points(draw):
+    """(a, b): 6-14-digit decimals in (0, 4), free or on a = 1, b = 1, a = b or the curve
+    |8a(a-1)| = b, and on b = 1 a = 10^15 ... 10^300, or a = 1/2 and 1/2 ± 10^-17 ... 10^-31."""
+    digits = draw(st.integers(6, 14))
+    decimal = st.integers(1, 4 * 10**digits - 1).map(lambda n: F(n, 10**digits))
+    a, b = draw(decimal), draw(decimal)
+    locus = draw(st.sampled_from(["free", "a=1", "b=1", "a=b", "curve", "large", "half"]))
+    if locus == "a=1":
+        return F(1), b
+    if locus == "b=1":
+        return a, F(1)
+    if locus == "a=b":
+        return a, a
+    if locus == "curve":
+        a = F(3, 20) + a * F(7, 40)  # in (3/20, 17/20), where 8a(1-a) > 1
+        return a, 8 * a * (1 - a)
+    if locus == "large":
+        return F(10) ** draw(st.integers(15, 300)), F(1)
+    if locus == "half":
+        return F(1, 2) + draw(st.sampled_from([-1, 0, 1])) * F(1, 10 ** draw(st.integers(17, 31))), F(1)
+    return a, b
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_sector_sweep_points())
+def test_every_origin_case_has_its_whole_sector_cycle(point):
+    # region_summary compares the origin's sectors, with each halfplane and parabolic stability,
+    # against the case's multiset; any other cycle raises InternalInconsistencyError
+    summary = region_summary(*point)
+    assert summary.region == classify_region(*point)
+
+
 def test_region_summary_examples():
     s = region_summary(F(7, 10), F(1, 2))
     assert s.region == "3h"

@@ -1,10 +1,12 @@
 import json
 import time
 import tracemalloc
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
+from test_atlas import APPENDIX_PAIRS
 from test_output_lock import SCANS
 
 from phaseatlas import cli
@@ -78,15 +80,17 @@ def test_unresolved_spec_origin_is_a_note_computed_once(count_calls, tmp_path, c
 def test_blowup_builds_each_chart_once(count_calls, capsys):
     from phaseatlas import blowup, polycore
 
-    counts = count_calls((polycore.newton_weights, blowup.divisor_stationary_points))
-    # a minus chart is scanned only when its radial weight is even: weights (1, 1)
-    # at (7/10, 1/2) derive both, weights (1, 2) on b = 1 build the -y chart
-    for command in ("blowup", "analyze"):
-        for a, b, scans in (("7/10", "1/2", 2), ("3/10", "1", 3)):
+    counts = count_calls((polycore.newton_weights, blowup.blowup_directional, blowup.divisor_stationary_points))
+    # a minus chart is built only when its radial weight is even: weights (1, 1) at (7/10, 1/2)
+    # derive both, weights (1, 2) on b = 1 build the -y chart.  The record scans the +x chart
+    # alone, as -x is derived at both points; the blowup printout scans +y and -y itself
+    for command, scans in (("blowup", 3), ("analyze", 1)):
+        for a, b, charts in (("7/10", "1/2", 2), ("3/10", "1", 3)):
             counts.update(dict.fromkeys(counts, 0))
             code, _, _ = run(capsys, command, "--a", a, "--b", b)
             assert code == 0
-            assert counts == {"newton_weights": 1, "divisor_stationary_points": scans}, (command, a, b)
+            assert counts == {"newton_weights": 1, "blowup_directional": charts,
+                              "divisor_stationary_points": scans}, (command, a, b)
 
 
 @pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 2), ("1", "1", 2)])
@@ -745,18 +749,39 @@ def test_overflowing_float_jacobian_exits_3(capsys, tmp_path, command, a):
         ("0.49999999999999999", "3i", "3a"),
         ("0.50000000000000001", "3k", "3c"),
         ("0.5" + "0" * 28 + "1", "3k", "3c"),
+        pytest.param("0.5" + "0" * 398 + "1", "3k", "3c", id="1/2+1e-400-3k-3c"),
+        pytest.param("0.4" + "9" * 399, "3i", "3a", id="1/2-1e-400-3i-3a"),
     ],
 )
 def test_divisor_points_at_one_float_angle_keep_their_sectors(capsys, a, region, case):
     # distinct divisor points share a float angle: from a = 1e16 the +x point at u = 2a - 1 and
     # the +y point (π/2), near a = 1/2 the -x points at u = 0 and u = 2a - 1 (π); the zero span
     # between them was read as a whole loop, or its midpoint as on the x-axis, and both commands
-    # exited 4 for a = 1e16 and a = 1/2 + 1e-17 (a = 1e15 and 1/2 - 1e-17 passed)
+    # exited 4 for a = 1e16 and a = 1/2 + 1e-17 (a = 1e15 and 1/2 - 1e-17 passed).  At
+    # a = 1/2 ± 1e-400 both exited 3: the ±y charts' divisor roots off u = 0, about ±7e199, were
+    # linearized in floats, which overflowed
     code, out, _ = run(capsys, "region", "--a", a, "--b", "1")
     assert code == 0 and json.loads(out)["s1_sectors"] == case
     # analyze checks the origin's sectors against the case
     code, out, _ = run(capsys, "analyze", "--a", a, "--b", "1", "--format", "json")
     assert code == 0 and json.loads(out)["region"] == region
+
+
+@pytest.mark.parametrize("a, b", [("27/10", "1"), ("0.2000000003", "1"),
+                                  *((str(a), str(b)) for a, b in APPENDIX_PAIRS)])
+def test_cdk_analyze_classifies_no_float_matrix(monkeypatch, capsys, a, b):
+    # the blow-up linearizes a ±y chart at u = 0 alone, an exact point; its irrational divisor
+    # points, such as +y's ±0.4767 at (27/10, 1), were the cdk field's only float verdicts
+    from phaseatlas import compact, equilibria
+
+    matrices = []
+    classify_linear = equilibria.classify_linear
+    for module in (equilibria, compact):
+        monkeypatch.setattr(module, "classify_linear", lambda J: matrices.append(J) or classify_linear(J))
+    code, _, _ = run(capsys, "analyze", "--a", a, "--b", b)
+    assert code == 0 and (matrices or (a, b) == ("1", "1"))  # a = b = 1 has no isolated point
+    floats = [J for J in matrices if not all(isinstance(v, (int, Fraction)) for row in J for v in row)]
+    assert floats == []
 
 
 @pytest.mark.parametrize(

@@ -421,6 +421,21 @@ def test_overflow_inside_a_stage_names_the_stage_point():
     assert x > 1e154  # a stage point, where x**2 overflows; no sample gets there
 
 
+def test_an_error_estimate_beyond_the_float_range_rejects_the_step():
+    # only the first step's stage-6 value is 1e300: x4 is about 2.5e296 and x5 about 0.01, so the
+    # scaled error's square overflows.  The step is rejected, as an infinite error is, and the
+    # retry at h / 5 = 0.002 is accepted.  (portrait --a 1e7 --b 1/2 met this in a cdk field.)
+    calls = []
+
+    def field(x, y):
+        calls.append((x, y))
+        return (1e300 if len(calls) == 7 else 1.0), 0.0
+
+    traj = integrate(field, (0.0, 0.0), IntegratorOptions(max_time=0.1, box=_SQUARE))
+    assert traj.termination.kind == "time_exhausted"
+    assert traj.samples[1][0] == 0.01 * 0.2
+
+
 # -- omega limits -----------------------------------------------------------------
 
 

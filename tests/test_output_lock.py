@@ -166,9 +166,10 @@ def test_spec_file_chart_digest(capsys, tmp_path, command, name, text):
 def test_cusp_analyze_reads_the_origin_jacobian_without_diff(monkeypatch, capsys, tmp_path):
     # the nilpotency test, made twice, reads the linear coefficients, the
     # -y point at infinity is the antipode of +y, and with weights (2, 3) the
-    # -y blow-up chart is the antipode of +y: 16 differentiations, where 4 per
-    # nilpotency test made it 32, a linearized V2 chart 24 and a linearized
-    # -y blow-up chart 20
+    # -y blow-up chart is the antipode of +y; neither ±y chart has a divisor
+    # point at u = 0, and their others are not linearized: 12 differentiations
+    # (the finder's Newton step, the U2 chart and the +x blow-up chart), where
+    # the +y chart's irrational divisor point made it 16
     calls = []
     diff = polycore.BiPoly.diff
     monkeypatch.setattr(polycore.BiPoly, "diff", lambda self, var: calls.append(var) or diff(self, var))
@@ -176,7 +177,7 @@ def test_cusp_analyze_reads_the_origin_jacobian_without_diff(monkeypatch, capsys
     spec.write_text(CUSP, encoding="utf-8")
     got = _digest(capsys, "analyze", "--system", str(spec), "--format", "json")
     assert got == OTHER_DIGESTS["analyze-cusp"]
-    assert len(calls) == 16
+    assert len(calls) == 12
 
 
 SCANS = {

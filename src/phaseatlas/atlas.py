@@ -84,30 +84,34 @@ class RegionContent:
     s34_kind: str | None
     s1_case: str  # local case at the origin: "1","2","3a".."3d" or "circle"
     infinity: object  # "continuum" or (x_direction_kind, y_direction_kind)
-    homoclinic: bool
     almost_attractors: tuple
+
+    @property
+    def homoclinic(self) -> bool:
+        """Whether the origin case's sector pattern has an elliptic sector (the circle case has none)."""
+        return any(tag[0] == "elliptic" for tag in _SECTOR_PATTERNS.get(self.s1_case, ()))
 
 
 _X_SADDLE = ("saddle", "repelling_node")
 _X_NODE = ("repelling_node", "saddle")
 
 REGION_TABLE: dict[str, RegionContent] = {
-    "1": RegionContent(None, None, "circle", "continuum", False, ("s1", "circle")),
-    "2a": RegionContent("attracting_node", "saddle", "1", _X_NODE, True, ("s1", "s2")),
-    "2b": RegionContent("saddle", "attracting_focus", "2", _X_SADDLE, False, ("s3", "s4")),
-    "2c": RegionContent("saddle", "attracting_node", "2", _X_SADDLE, False, ("s3", "s4")),
-    "3a": RegionContent("semi_hyperbolic(attracting_node)", None, "2", _X_SADDLE, False, ("s2",)),
-    "3b": RegionContent("semi_hyperbolic(saddle)", None, "1", _X_NODE, True, ("s1",)),
-    "3c": RegionContent("attracting_node", None, "2", "continuum", False, ("s2",)),
-    "3d": RegionContent("attracting_node", None, "2", _X_SADDLE, False, ("s2",)),
-    "3e": RegionContent("attracting_node", None, "2", _X_NODE, False, ("s2",)),
-    "3f": RegionContent("saddle", None, "1", "continuum", True, ("s1",)),
-    "3g": RegionContent("saddle", None, "1", _X_SADDLE, True, ("s1",)),
-    "3h": RegionContent("saddle", None, "1", _X_NODE, True, ("s1",)),
-    "3i": RegionContent("saddle", None, "3a", _X_SADDLE, True, ("s1",)),
-    "3j": RegionContent("saddle", None, "3b", _X_SADDLE, True, ("s1",)),
-    "3k": RegionContent("saddle", None, "3c", _X_SADDLE, True, ("s1",)),
-    "3l": RegionContent("attracting_node", None, "3d", _X_NODE, False, ("s1", "s2")),
+    "1": RegionContent(None, None, "circle", "continuum", ("s1", "circle")),
+    "2a": RegionContent("attracting_node", "saddle", "1", _X_NODE, ("s1", "s2")),
+    "2b": RegionContent("saddle", "attracting_focus", "2", _X_SADDLE, ("s3", "s4")),
+    "2c": RegionContent("saddle", "attracting_node", "2", _X_SADDLE, ("s3", "s4")),
+    "3a": RegionContent("semi_hyperbolic(attracting_node)", None, "2", _X_SADDLE, ("s2",)),
+    "3b": RegionContent("semi_hyperbolic(saddle)", None, "1", _X_NODE, ("s1",)),
+    "3c": RegionContent("attracting_node", None, "2", "continuum", ("s2",)),
+    "3d": RegionContent("attracting_node", None, "2", _X_SADDLE, ("s2",)),
+    "3e": RegionContent("attracting_node", None, "2", _X_NODE, ("s2",)),
+    "3f": RegionContent("saddle", None, "1", "continuum", ("s1",)),
+    "3g": RegionContent("saddle", None, "1", _X_SADDLE, ("s1",)),
+    "3h": RegionContent("saddle", None, "1", _X_NODE, ("s1",)),
+    "3i": RegionContent("saddle", None, "3a", _X_SADDLE, ("s1",)),
+    "3j": RegionContent("saddle", None, "3b", _X_SADDLE, ("s1",)),
+    "3k": RegionContent("saddle", None, "3c", _X_SADDLE, ("s1",)),
+    "3l": RegionContent("attracting_node", None, "3d", _X_NODE, ("s1", "s2")),
 }
 
 # origin case -> the multiset of (kind, halfplane, stability) sector tags, each written out
@@ -123,8 +127,6 @@ _SECTOR_PATTERNS: dict[str, tuple] = {
     "3c": (_E_UP, _E_UP, _P_UP_IN, _P_UP_IN, _P_LO_IN, _P_LO_IN),
     "3d": (_H_UP, _H_UP, _P_UP_OUT, _P_UP_OUT, _P_LO_IN, _P_LO_IN),
 }
-
-_CASE_INDEX = {"1": 2, "2": 0, "3a": 2, "3b": 2, "3c": 2, "3d": 0}
 
 
 class FieldAnalysis:
@@ -170,22 +172,6 @@ class RegionSummary:
     analysis: FieldAnalysis
 
 
-def _kind_string(kind) -> str:
-    return kind.name if kind.subkind is None else f"{kind.name}({kind.subkind})"
-
-
-def _validate_sectors(dec, case: str):
-    got = sorted(((s.kind, s.halfplane, s.stability) for s in dec.sectors), key=str)
-    if got != sorted(_SECTOR_PATTERNS[case], key=str):
-        raise InternalInconsistencyError(f"sector structure {got} does not match case {case}")
-    if dec.index != _CASE_INDEX[case]:
-        raise InternalInconsistencyError(
-            f"origin index {dec.index} does not match case {case}"
-        )
-    if dec.homoclinic != any(k[0] == "elliptic" for k in _SECTOR_PATTERNS[case]):
-        raise InternalInconsistencyError("homoclinic flag inconsistent with sectors")
-
-
 def region_summary(a, b) -> RegionSummary:
     """Full qualitative record of the region of (a, b); see `cdk_field_summary`."""
     return cdk_field_summary(FieldAnalysis(cdk_poly_field(a, b)))
@@ -215,7 +201,7 @@ def cdk_field_summary(analysis: FieldAnalysis) -> RegionSummary:
         by_label = {p.label: p for p in points}
         finite["s1"] = f"nilpotent (case {expected.s1_case})"
         finite["s2"] = expected.s2_kind
-        got = _kind_string(by_label["s2"].kind)
+        got = str(by_label["s2"].kind)
         if got != expected.s2_kind:
             raise InternalInconsistencyError(
                 f"s2 kind {got} != expected {expected.s2_kind} in region {region}"
@@ -224,14 +210,16 @@ def cdk_field_summary(analysis: FieldAnalysis) -> RegionSummary:
             finite["s3"] = finite["s4"] = expected.s34_kind
             if "s3" not in by_label:
                 raise InternalInconsistencyError(f"s3/s4 missing in region {region}")
-            got = _kind_string(by_label["s3"].kind)
+            got = str(by_label["s3"].kind)
             if got != expected.s34_kind:
                 raise InternalInconsistencyError(
                     f"s3/s4 kind {got} != expected {expected.s34_kind}"
                 )
         elif "s3" in by_label:
             raise InternalInconsistencyError(f"unexpected s3/s4 in region {region}")
-        _validate_sectors(analysis.sectors, expected.s1_case)
+        got = sorted(((s.kind, s.halfplane, s.stability) for s in analysis.sectors.sectors), key=str)
+        if got != sorted(_SECTOR_PATTERNS[expected.s1_case], key=str):
+            raise InternalInconsistencyError(f"sector structure {got} does not match case {expected.s1_case}")
 
     inf = analysis.infinity
     if expected.infinity == "continuum":

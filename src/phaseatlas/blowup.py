@@ -27,16 +27,20 @@ so `blowup_origin` isolates the roots of the ±x divisors only and takes a
 ±y chart's point at u = 0 alone; the `blowup` printout scans the ±y charts.
 
 Sector assembly walks those divisor stationary points in
-counterclockwise order, samples the divisor flow on each open arc (exact
-rational signs), and classifies each arc by the radial stability of its
-flow source and sink: source repelling + sink attracting gives an elliptic
-sector, attracting + repelling a hyperbolic one, equal signs a parabolic
-one.  The Bendixson count 1 + (elliptic − hyperbolic)/2 is the index.
+counterclockwise order, each chart's sorted by exact coordinate (+x
+ascending, −x descending), samples the divisor flow on each open arc
+(exact rational signs), and classifies each arc by the radial stability
+of its flow source and sink: source repelling + sink attracting gives an
+elliptic sector, attracting + repelling a hyperbolic one, equal signs a
+parabolic one.  A sector's half-plane is the side of the x-axis of its
+arc's middle, which the two end points' charts and an exact comparison
+of their coordinates decide (`_upper`).  The index, the Bendixson count
+1 + (elliptic − hyperbolic)/2, and the homoclinic flag, an elliptic
+sector, are read off the sectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -247,8 +251,6 @@ class Sector:
 @dataclass(frozen=True)
 class SectorDecomposition:
     sectors: tuple
-    homoclinic: bool
-    index: int
     weights: NewtonWeights
     boundary_directions: tuple = ()  # (chart_direction, coordinate, label)
 
@@ -257,6 +259,17 @@ class SectorDecomposition:
         h = sum(1 for s in self.sectors if s.kind == "hyperbolic")
         p = sum(1 for s in self.sectors if s.kind == "parabolic")
         return e, h, p
+
+    @property
+    def index(self) -> int:
+        """The Bendixson count 1 + (elliptic − hyperbolic)/2."""
+        e, h, _ = self.counts()
+        return 1 + (e - h) // 2
+
+    @property
+    def homoclinic(self) -> bool:
+        """Whether an elliptic sector, full of homoclinic orbits, is present."""
+        return self.counts()[0] > 0
 
     def boundary_seeds(self, r: float):
         """One plane point per characteristic direction, at curve radius r.
@@ -272,51 +285,39 @@ class SectorDecomposition:
         return seeds
 
 
-def _nominal_angle(direction: str, u) -> float:
-    uf = float(u)
-    if direction == "+x":
-        return math.atan(uf)
-    if direction == "-x":
-        return math.pi - math.atan(uf)
-    if direction == "+y":
-        return math.pi / 2
-    return 3 * math.pi / 2
+def _radial_sign(p: DivisorPoint) -> int:
+    lam = p.radial_eigenvalue
+    if lam > 0:
+        return 1
+    if lam < 0:
+        return -1
+    raise UnresolvedError(f"zero radial eigenvalue at divisor point {p.label()}")
 
 
-@dataclass(frozen=True)
-class _CycleEntry:
-    point: DivisorPoint
-    angle: float
+def _upper(a: DivisorPoint, b: DivisorPoint, wrap: bool) -> bool:
+    """Whether the counterclockwise arc from a to b has its middle above the x-axis, decided exactly.
 
-    @property
-    def radial_sign(self) -> int:
-        lam = self.point.radial_eigenvalue
-        if lam > 0:
-            return 1
-        if lam < 0:
-            return -1
-        raise UnresolvedError(f"zero radial eigenvalue at divisor point {self.point.label()}")
-
-    @property
-    def side(self) -> int:
-        """Sign of y along the entry's direction, from its exact coordinate: 1, -1, or 0 on the x-axis."""
-        if self.point.direction in ("+y", "-y"):
-            return 1 if self.point.direction == "+y" else -1
-        return (self.point.coordinate > 0) - (self.point.coordinate < 0)
+    A point of the chart k in `_QUARTER` lies at the angle kπ/2 + atan(u) (+x), kπ/2 − atan(u) (−x)
+    or kπ/2 (±y, where u = 0), so the middle's half-plane depends on ka + kb alone, and on 0 or 4
+    on whether atan(ua) + atan(ub) > 0, that is ua > −ub.  A middle on the axis counts as lower
+    at +x and upper at −x.  The wrap arc, from the cycle's last point to its first, turns the
+    middle by π; a one-point cycle is a wrap arc from the point to itself.
+    """
+    k, ua, ub = _QUARTER[a.direction] + _QUARTER[b.direction], a.coordinate, b.coordinate
+    upper = ua > -ub if k == 0 else ua >= -ub if k == 4 else k < 4
+    return upper != wrap
 
 
-def _arc_samples(entries, i, charts):
-    """Sampling positions for the open arc between cycle entries i and i+1.
+def _arc_samples(a: DivisorPoint, b: DivisorPoint, charts):
+    """Sampling positions for the open counterclockwise arc from divisor point a to b.
 
     Each sample is (chart, u, ccw_orientation): in the +x chart increasing u
     moves counterclockwise, in the -x chart it moves clockwise.  An arc that
     spans several charts gets one sample near each end; the divisor flow has
     no zero in the open arc, so all samples must agree on its direction.
     """
-    a = entries[i]
-    b = entries[(i + 1) % len(entries)]
-    da, db = a.point.direction, b.point.direction
-    ua, ub = a.point.coordinate, b.point.coordinate
+    da, db = a.direction, b.direction
+    ua, ub = a.coordinate, b.coordinate
 
     # consecutive roots inside one x-chart: a single interior sample decides
     if da == db == "+x" and ub > ua:
@@ -365,8 +366,8 @@ def _arc_flow_ccw(samples) -> bool:
 
 
 # the counterclockwise walk around the divisor: +x ascending, the +y axis
-# point, -x descending, the -y axis point
-_CYCLE_ORDER = (("+x", 1), ("+y", 0), ("-x", -1), ("-y", 0))
+# point, -x descending, the -y axis point; k of `_upper`'s angle kπ/2
+_QUARTER = {"+x": 0, "+y": 1, "-x": 2, "-y": 3}
 
 
 def blowup_origin(f: PolyField):
@@ -401,29 +402,27 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
     by blow-down.  Raises UnresolvedError when a divisor point is itself
     non-elementary or when the divisor carries a continuum.
     """
-    cycle: list[_CycleEntry] = []
-    for d, order in _CYCLE_ORDER:
+    cycle: list[DivisorPoint] = []
+    for d in _QUARTER:
         pts, _ = divisor[d]
         if pts and isinstance(pts[0], DivisorContinuum):
             raise UnresolvedError("continuum of stationary points on the divisor")
-        pts = sorted(pts, key=lambda p: order * float(p.coordinate))
-        cycle.extend(_CycleEntry(p, _nominal_angle(d, p.coordinate)) for p in pts)
+        cycle += sorted(pts, key=lambda p: p.coordinate, reverse=d == "-x")
 
     if not cycle:
         # no characteristic directions: monodromic point (focus/center-like)
-        return SectorDecomposition(sectors=(), homoclinic=False, index=1, weights=w)
+        return SectorDecomposition(sectors=(), weights=w)
 
-    for entry in cycle:
-        if entry.point.kind.name in ("nilpotent", "degenerate_curve"):
-            raise UnresolvedError(f"divisor point {entry.point.label()} is non-elementary")
+    for p in cycle:
+        if p.kind.name in ("nilpotent", "degenerate_curve"):
+            raise UnresolvedError(f"divisor point {p.label()} is non-elementary")
 
     sectors = []
     n = len(cycle)
     for i in range(n):
         a, b = cycle[i], cycle[(i + 1) % n]
-        ccw = _arc_flow_ccw(_arc_samples(cycle, i, charts))
-        src, dst = (a, b) if ccw else (b, a)
-        s_src, s_dst = src.radial_sign, dst.radial_sign
+        ccw = _arc_flow_ccw(_arc_samples(a, b, charts))
+        s_src, s_dst = (_radial_sign(p) for p in ((a, b) if ccw else (b, a)))
         if s_src > 0 and s_dst < 0:
             kind, stab = "elliptic", None
         elif s_src < 0 and s_dst > 0:
@@ -432,36 +431,14 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
             kind, stab = "parabolic", "repelling"
         else:
             kind, stab = "parabolic", "attracting"
-        span = (b.angle - a.angle) % (2 * math.pi)
-        if span == 0.0 and n > 1:
-            # distinct entries at one float angle bound a sector too thin for a float midpoint:
-            # a +x point at u ≥ 1e16 beside +y (π/2), or -x points at u = 0 and |u| < 1e-16 (π)
-            upper = a.side + b.side > 0
-        else:
-            upper = math.sin((a.angle + (span or 2 * math.pi) / 2) % (2 * math.pi)) > 0
-        halfplane = "upper" if upper else "lower"
-        sectors.append(
-            Sector(
-                kind=kind,
-                start=a.point.label(),
-                end=b.point.label(),
-                halfplane=halfplane,
-                stability=stab,
-            )
-        )
+        halfplane = "upper" if _upper(a, b, wrap=i == n - 1) else "lower"
+        sectors.append(Sector(kind=kind, start=a.label(), end=b.label(), halfplane=halfplane, stability=stab))
 
-    e = sum(1 for s in sectors if s.kind == "elliptic")
-    h = sum(1 for s in sectors if s.kind == "hyperbolic")
+    boundary = tuple((p.direction, float(p.coordinate), p.label()) for p in cycle)
+    dec = SectorDecomposition(sectors=tuple(sectors), weights=w, boundary_directions=boundary)
+    e, h, _ = dec.counts()
     if (e - h) % 2 != 0:
         raise InternalInconsistencyError(
             f"sector cycle has odd elliptic-hyperbolic difference {e - h}"
         )
-    index = 1 + (e - h) // 2
-    boundary = tuple((c.point.direction, float(c.point.coordinate), c.point.label()) for c in cycle)
-    return SectorDecomposition(
-        sectors=tuple(sectors),
-        homoclinic=e > 0,
-        index=index,
-        weights=w,
-        boundary_directions=boundary,
-    )
+    return dec

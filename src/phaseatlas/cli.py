@@ -144,15 +144,12 @@ def cmd_analyze(args):
     except PhaseAtlasError as exc:  # a cdk error has already left cdk_field_summary
         sectors = None
         diagnostics.append(f"origin sectors unresolved: {exc}")
-    inf = analysis.infinity
-    continuum = inf if isinstance(inf, compact.InfinityContinuum) else None
     doc = sysio.build_report(
         system.text,
         parameters=system.params,
         equilibria=points or None,
         circle=circle,
-        infinity=None if continuum else inf,
-        infinity_continuum=continuum,
+        infinity=analysis.infinity,
         region=region,
         sectors=sectors,
         diagnostics=diagnostics,

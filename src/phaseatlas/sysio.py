@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .compact import InfinityContinuum
 from .desing import RationalField
 from .errors import ParseError, UnknownSymbolError, UnsupportedConstructError, ZeroDenominatorError
 from .polycore import BiPoly, format_poly, format_rational
@@ -367,12 +368,14 @@ def build_report(
     equilibria=None,
     circle=None,
     infinity=None,
-    infinity_continuum=None,
     region=None,
     sectors=None,
     diagnostics=(),
 ) -> dict:
-    """Assemble the canonical report document from computed pieces."""
+    """Assemble the canonical report document from computed pieces.
+
+    `infinity` is a list of points at infinity or an InfinityContinuum.
+    """
     doc: dict = {
         "system": {
             "text": system_text,
@@ -387,17 +390,17 @@ def build_report(
             "center": [encode_number(v) for v in circle.center],
             "radius": encode_number(circle.radius),
         }
-    if infinity is not None:
-        doc["infinity"] = {"points": [encode_infinite_point(p) for p in infinity]}
-    if infinity_continuum is not None:
+    if isinstance(infinity, InfinityContinuum):
         doc["infinity"] = {
             "continuum": True,
-            "one_outgoing_trajectory_each": infinity_continuum.one_outgoing_trajectory_each(),
+            "one_outgoing_trajectory_each": infinity.one_outgoing_trajectory_each(),
             "transverse_samples": [
                 {"u": encode_number(u), "eigenvalue": encode_number(lam)}
-                for u, lam in infinity_continuum.sample_transverse
+                for u, lam in infinity.sample_transverse
             ],
         }
+    elif infinity is not None:
+        doc["infinity"] = {"points": [encode_infinite_point(p) for p in infinity]}
     if region is not None:
         doc["region"] = region
     if sectors is not None:

@@ -329,6 +329,52 @@ def four_chart_blowup_origin(f: PolyField):
     return w, charts, divisor
 
 
+# -- the half-plane of a blow-up sector, from float angles --------------------------
+
+
+def nominal_angle(direction: str, u) -> float:
+    """Float angle of the plane direction of a divisor point at coordinate u of a blow-up chart."""
+    uf = float(u)
+    if direction == "+x":
+        return math.atan(uf)
+    if direction == "-x":
+        return math.pi - math.atan(uf)
+    if direction == "+y":
+        return math.pi / 2
+    return 3 * math.pi / 2
+
+
+def float_arc_middle(a, b):
+    """Float angle in [0, 2π) of the middle of the counterclockwise divisor arc from point a to b.
+
+    A one-point cycle's arc (a is b) is the whole divisor.  Distinct points at one float angle
+    leave the arc no float middle: None.  The sector's half-plane is upper iff sin of it is > 0.
+    """
+    ta, tb = nominal_angle(a.direction, a.coordinate), nominal_angle(b.direction, b.coordinate)
+    span = (tb - ta) % (2 * math.pi)
+    if span == 0.0 and a is not b:
+        return None
+    return (ta + (span or 2 * math.pi) / 2) % (2 * math.pi)
+
+
+def arc_middle_axis(a, b):
+    """"+x" or "-x" when the middle of the counterclockwise divisor arc from point a to b lies
+    exactly on that half-axis, else None.
+
+    Counterclockwise, u rises in the +x chart and falls in the -x chart.  So an arc between the
+    points ±u of one x-chart passes that chart's axis point, u = 0, when it runs the chart's way,
+    and the opposite half-axis otherwise (a one-point cycle at u = 0 included).  An arc from +y
+    to -y passes -x, and one from -y to +y passes +x.
+    """
+    da, db, ua, ub = a.direction, b.direction, a.coordinate, b.coordinate
+    if {da, db} == {"+y", "-y"}:
+        return "-x" if da == "+y" else "+x"
+    if da != db or da[1] != "x" or ua != -ub:
+        return None
+    own_way = ua < ub if da == "+x" else ua > ub
+    return da if own_way else {"+x": "-x", "-x": "+x"}[da]
+
+
 # -- the numeric finder's box test, interpreted term by term ------------------------
 
 

@@ -4,7 +4,8 @@ The oracles evaluate the plane field F = (P, Q) directly at the mapped
 point; none of them exchanges x and y, so they check the y-direction charts
 independently of how those charts are built.  The blow-up of a nilpotent
 origin, whose minus charts are mostly antipodes of the plus charts, is also
-checked against the four charts built one by one.
+checked against the four charts built one by one, and the half-plane of each
+of its sectors against the float angles of the divisor points that bound it.
 """
 
 import math
@@ -13,12 +14,13 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaseatlas.blowup import DIRECTIONS, blowup_directional, blowup_origin
+from phaseatlas.blowup import DIRECTIONS, assemble_sectors, blowup_directional, blowup_origin
 from phaseatlas.compact import compactify_chart
 from phaseatlas.desing import PolyField, cdk_poly_field
+from phaseatlas.errors import UnresolvedError
 from phaseatlas.polycore import BiPoly, NewtonWeights
 
-from oracles import four_chart_blowup_origin
+from oracles import arc_middle_axis, float_arc_middle, four_chart_blowup_origin
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 _exponent = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 0 < sum(e) <= 4)
@@ -116,6 +118,42 @@ def test_blowup_origin_charts_push_forward_to_the_plane_field(f, points):
     for chart in charts.values():
         assert chart.weights == w
         _assert_pushes_forward(f, chart, points)
+
+
+_decimal = st.integers(6, 14).flatmap(lambda d: st.integers(1, 4 * 10**d - 1).map(lambda n: Fraction(n, 10**d)))
+_near_half = st.tuples(st.integers(17, 400), st.sampled_from((-1, 1))).map(
+    lambda ks: (Fraction(1, 2) + Fraction(ks[1], 10 ** ks[0]), Fraction(1)))
+_cdk_points = st.one_of(
+    st.tuples(_decimal, _decimal),
+    _decimal.map(lambda a: (a, Fraction(1))),
+    _decimal.map(lambda a: (a, a)),
+    st.integers(15, 300).map(lambda k: (Fraction(10**k), Fraction(1))),
+    _near_half,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(_nilpotent_fields(), _cdk_points.map(lambda ab: cdk_poly_field(*ab))))
+@example(PolyField(BiPoly({(0, 1): 1}), BiPoly({(3, 0): 2})))  # ±x points at ±1: middles on both half-axes
+@example(cdk_poly_field(Fraction(7, 10), Fraction(1, 2)))  # ±y points alone: middles on both half-axes
+def test_sector_halfplanes_are_the_float_angle_reference(f):
+    # a sector's half-plane is the side of the x-axis of its arc's middle; where the float
+    # middle is clear of the axis it decides, and a middle exactly on it is lower at +x, upper at -x
+    try:
+        w, charts, divisor = blowup_origin(f)
+        sectors = assemble_sectors(w, charts, divisor).sectors
+    except UnresolvedError:
+        return  # a divisor continuum, or a divisor point that is not elementary
+    points = {p.label(): p for pts, _ in divisor.values() for p in pts}
+    for s in sectors:
+        a, b = points[s.start], points[s.end]
+        axis = arc_middle_axis(a, b)
+        if axis is not None:
+            assert s.halfplane == ("lower" if axis == "+x" else "upper"), s
+            continue
+        middle = float_arc_middle(a, b)
+        if middle is not None and min(middle % math.pi, math.pi - middle % math.pi) > 1e-9:
+            assert s.halfplane == ("upper" if math.sin(middle) > 0 else "lower"), s
 
 
 def _poincare_formula(f, chart, u, z):

@@ -767,6 +767,23 @@ def test_divisor_points_at_one_float_angle_keep_their_sectors(capsys, a, region,
     assert code == 0 and json.loads(out)["region"] == region
 
 
+@pytest.mark.parametrize(
+    "a, u, labels",
+    [
+        ("0.5" + "0" * 398 + "1", Fraction(1, 5 * 10**399), ["+x", "+x:u", "+y", "-x:u", "-x", "-y"]),
+        ("0.4" + "9" * 399, Fraction(-1, 5 * 10**399), ["+x:u", "+x", "+y", "-x", "-x:u", "-y"]),
+    ],
+    ids=["1/2+1e-400", "1/2-1e-400"],
+)
+def test_origin_sectors_run_counterclockwise_by_exact_coordinate(capsys, a, u, labels):
+    # on b = 1 each x-chart has divisor points at u = 0 and u = 2a - 1, here ±2e-400; both were
+    # 0.0 as floats, so the -x pair was walked clockwise: +y, -x, -x:u, -y at 1/2 + 1e-400
+    code, out, _ = run(capsys, "analyze", "--a", a, "--b", "1", "--format", "json")
+    assert code == 0
+    got = [s["from"] for s in json.loads(out)["origin_sectors"]["sectors"]]
+    assert got == [label.replace(":u", f":{u}") for label in labels]
+
+
 @pytest.mark.parametrize("a, b", [("27/10", "1"), ("0.2000000003", "1"),
                                   *((str(a), str(b)) for a, b in APPENDIX_PAIRS)])
 def test_cdk_analyze_classifies_no_float_matrix(monkeypatch, capsys, a, b):

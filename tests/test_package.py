@@ -14,7 +14,6 @@ UNREFERENCED_ALLOWED = {
     "PolyField.shifted": "tests move stationary points to the origin with it",
     "BlowupChart.substitution": "the chart-identity tests check each chart against it",
     "BlowupChart.substitution_jacobian": "the chart-identity tests check each chart against it",
-    "SectorDecomposition.counts": "acceptance criterion 4 and test_blowup.py read it",
     "SingularEvaluationError": "tests/oracles.py raises it",
 }
 

@@ -23,8 +23,10 @@ with s = (−1)^k and D = diag(−1, (−1)^β) for −x, diag((−1)^α, −1) 
 its divisor points are D·z, with Jacobians s·D·J·D.  The ±x charts cover
 each ±y chart's divisor but for its point on the y-axis, u = 0 (Dumortier,
 Llibre & Artés, *Qualitative Theory of Planar Differential Systems*, ch. 3),
-so `blowup_origin` isolates the roots of the ±x divisors only and takes a
-±y chart's point at u = 0 alone; the `blowup` printout scans the ±y charts.
+so `divisor_stationary_points` isolates the roots of a ±x divisor and takes
+a ±y chart's point at u = 0 alone.  `blowup_origin` scans each chart it
+builds once, and every reader, the `blowup` printout included, reads that
+record.
 
 Sector assembly walks those divisor stationary points in
 counterclockwise order, each chart's sorted by exact coordinate (+x
@@ -146,7 +148,11 @@ class DivisorPoint:
     coordinate: object  # Fraction (exact) or float, along the divisor
     jacobian: tuple
     kind: ClassificationKind
-    radial_eigenvalue: object
+
+    @property
+    def radial_eigenvalue(self):
+        """The Jacobian's entry along the radial variable: x̄ on a ±x chart, ȳ on a ±y chart."""
+        return self.jacobian[0][0] if self.direction[1] == "x" else self.jacobian[1][1]
 
     @property
     def exact(self) -> bool:
@@ -184,36 +190,29 @@ def _chart_point(chart: BlowupChart, u):
 
 
 def divisor_stationary_points(chart: BlowupChart):
-    """Real stationary points of the chart field on its exceptional divisor.
+    """(points, complex count) of the chart field's stationary points on its exceptional divisor.
 
-    Complex roots are reflected only in the returned count.  A divisor made
-    entirely of stationary points comes back as a DivisorContinuum.
+    A ±x chart gives every real root, and the number of complex ones.  A ±y
+    chart gives its point at u = 0 alone, with no root isolation, so None in
+    place of the count: the ±x charts cover the rest of its divisor.  A
+    divisor made entirely of stationary points comes back as a
+    DivisorContinuum, on every chart.
     """
     coeffs = _divisor_restriction(chart)
+    complex_count = 0 if chart.radial_var == "x" else None
     if coeffs == []:
-        return [DivisorContinuum(chart.direction, ClassificationKind("degenerate_curve"))], 0
-
-    exact, floats, complex_count = real_roots(coeffs)
-    return _divisor_points(chart, exact + floats), complex_count
-
-
-def _axis_points(chart: BlowupChart):
-    """`divisor_stationary_points` of a ±y chart at u = 0 alone, with no root isolation, so
-    None in place of the complex count.  A continuum is the whole divisor, as in every chart."""
-    coeffs = _divisor_restriction(chart)
-    if coeffs == []:
-        return divisor_stationary_points(chart)[0], None
-    return _divisor_points(chart, [] if coeffs[0] else [Fraction(0)]), None
-
-
-def _divisor_points(chart: BlowupChart, roots) -> list:
+        return [DivisorContinuum(chart.direction, ClassificationKind("degenerate_curve"))], complex_count
+    if chart.radial_var == "x":
+        exact, floats, complex_count = real_roots(coeffs)
+        roots = exact + floats
+    else:
+        roots = [] if coeffs[0] else [Fraction(0)]
     f = chart.field()
-    return [_divisor_point(chart, f, u, jacobian_at(f, _chart_point(chart, u))) for u in roots]
+    return [_divisor_point(chart, f, u, jacobian_at(f, _chart_point(chart, u))) for u in roots], complex_count
 
 
 def _divisor_point(chart: BlowupChart, f: PolyField, u, J) -> DivisorPoint:
-    kind = classify_point(f, _chart_point(chart, u), J)
-    return DivisorPoint(chart.direction, u, J, kind, J[0][0] if chart.radial_var == "x" else J[1][1])
+    return DivisorPoint(chart.direction, u, J, classify_point(f, _chart_point(chart, u), J))
 
 
 def _antipode(plus: BlowupChart, plus_divisor):
@@ -252,7 +251,7 @@ class Sector:
 class SectorDecomposition:
     sectors: tuple
     weights: NewtonWeights
-    boundary_directions: tuple = ()  # (chart_direction, coordinate, label)
+    boundary_directions: tuple = ()  # the cycle's DivisorPoints, counterclockwise
 
     def counts(self):
         e = sum(1 for s in self.sectors if s.kind == "elliptic")
@@ -272,17 +271,19 @@ class SectorDecomposition:
         return self.counts()[0] > 0
 
     def boundary_seeds(self, r: float):
-        """One plane point per characteristic direction, at curve radius r.
+        """(label, plane point) per characteristic direction, at curve radius r.
 
         A divisor point at coordinate u of an x-direction chart blows down
         to the curve y = u·(±x)^β; seeds sit on those curves close to the
-        origin, where separatrix tracing starts.
+        origin, where separatrix tracing starts.  Divisor points whose seeds
+        are equal as floats give one seed, under the first one's label.
         """
-        seeds = []
-        for direction, u, label in self.boundary_directions:
-            chart_point = (r, float(u)) if direction in ("+x", "-x") else (float(u), r)
-            seeds.append((label, blow_down(direction, self.weights, *chart_point)))
-        return seeds
+        seeds = {}
+        for p in self.boundary_directions:
+            u = float(p.coordinate)
+            chart_point = (r, u) if p.direction[1] == "x" else (u, r)
+            seeds.setdefault(blow_down(p.direction, self.weights, *chart_point), p.label())
+        return [(label, seed) for seed, label in seeds.items()]
 
 
 def _radial_sign(p: DivisorPoint) -> int:
@@ -375,8 +376,10 @@ def blowup_origin(f: PolyField):
 
     The Newton-polygon weights; the four directional charts by direction,
     in DIRECTIONS order; and by direction the (points, complex count) of
-    `divisor_stationary_points` on a ±x chart, and of a ±y chart its point
-    at u = 0 alone, with None for the count.
+    `divisor_stationary_points`, the one scan of each chart built: every
+    real root on a ±x chart, the point at u = 0 alone and None on a ±y one.
+    A minus chart derived from its plus chart takes its points from the plus
+    chart's scan.
     """
     w = newton_weights(f.P, f.Q)  # raises PreconditionError unless the origin is nilpotent
     charts, divisor = {}, {}
@@ -385,7 +388,7 @@ def blowup_origin(f: PolyField):
             charts[d], divisor[d] = _antipode(charts["+" + d[1]], divisor["+" + d[1]])
         else:
             charts[d] = blowup_directional(f, d, w)
-            divisor[d] = (divisor_stationary_points if d[1] == "x" else _axis_points)(charts[d])
+            divisor[d] = divisor_stationary_points(charts[d])
     return w, charts, divisor
 
 
@@ -434,8 +437,7 @@ def assemble_sectors(w: NewtonWeights, charts, divisor) -> SectorDecomposition:
         halfplane = "upper" if _upper(a, b, wrap=i == n - 1) else "lower"
         sectors.append(Sector(kind=kind, start=a.label(), end=b.label(), halfplane=halfplane, stability=stab))
 
-    boundary = tuple((p.direction, float(p.coordinate), p.label()) for p in cycle)
-    dec = SectorDecomposition(sectors=tuple(sectors), weights=w, boundary_directions=boundary)
+    dec = SectorDecomposition(sectors=tuple(sectors), weights=w, boundary_directions=tuple(cycle))
     e, h, _ = dec.counts()
     if (e - h) % 2 != 0:
         raise InternalInconsistencyError(

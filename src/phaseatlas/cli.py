@@ -181,8 +181,6 @@ def cmd_blowup(args):
             f"{chart.radial_var}^{chart.cancelled_power}"
         )
         pts, complex_count = divisor[direction]
-        if direction[1] == "y":  # the record holds this chart's point at u = 0 alone
-            pts, complex_count = blowup.divisor_stationary_points(chart)
         for p in pts:
             if isinstance(p, blowup.DivisorContinuum):
                 lines.append("  divisor: continuum of stationary points")
@@ -190,6 +188,8 @@ def cmd_blowup(args):
                 lines.append(f"  divisor point u={p.coordinate}: {p.kind}")
         if complex_count:
             lines.append(f"  ({complex_count} complex divisor roots suppressed)")
+        if direction[1] == "y":
+            lines.append("  divisor points off u=0: those of the +x and -x charts")
     try:
         dec = blowup.assemble_sectors(w, charts, divisor)
         kinds = ", ".join(s.kind for s in dec.sectors)

@@ -46,12 +46,21 @@ class InfinitePoint:
 
     chart: str
     u: object  # Fraction or float position on the divisor
-    exact: bool
     direction_label: str  # "+x" | "-x" | "+y" | "-y" | "slope"
     jacobian: tuple
     kind: ClassificationKind
-    transverse_eigenvalue: object
-    antipode_chart: str
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.u, Fraction)
+
+    @property
+    def transverse_eigenvalue(self):
+        return self.jacobian[1][1]
+
+    @property
+    def antipode_chart(self) -> str:
+        return _ANTIPODE[self.chart]
 
     def angle(self) -> float:
         """Polar angle of the plane direction this equator point represents."""
@@ -141,19 +150,8 @@ def points_at_infinity(charts: PoincareCharts):
     # s = −1 takes 0 - v, not -v: a float +0.0 stays +0.0, as the V chart's own evaluation gives
     found += [(_ANTIPODE[c], u, J if odd else tuple(tuple(0 - v for v in row) for row in J))
               for c, u, J in found]
-    return [
-        InfinitePoint(
-            chart=chart,
-            u=u,
-            exact=isinstance(u, Fraction),
-            direction_label=_CHART_AXIS[chart] if u == 0 else "slope",
-            jacobian=J,
-            kind=classify_linear(J),
-            transverse_eigenvalue=J[1][1],
-            antipode_chart=_ANTIPODE[chart],
-        )
-        for chart, u, J in found
-    ]
+    return [InfinitePoint(chart, u, _CHART_AXIS[chart] if u == 0 else "slope", J, classify_linear(J))
+            for chart, u, J in found]
 
 
 # -- Poincaré disc coordinates -----------------------------------------------------

@@ -88,8 +88,11 @@ class StationaryPoint:
     eigenvalues: tuple
     kind: ClassificationKind
     label: str | None = None
-    exact: bool = True
     error_bound: float | None = None
+
+    @property
+    def exact(self) -> bool:
+        return all(isinstance(v, Fraction) for v in self.location)
 
     def location_floats(self) -> tuple[float, float]:
         return (float(self.location[0]), float(self.location[1]))
@@ -335,7 +338,6 @@ def _make_point(f: PolyField, loc, label, kind=None, error_bound=None):
         eigenvalues=eigenvalues_2x2(J),
         kind=classify_point(f, loc, J) if kind is None else kind,
         label=label,
-        exact=all(isinstance(v, Fraction) for v in loc),
         error_bound=error_bound,
     )
 

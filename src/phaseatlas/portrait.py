@@ -75,11 +75,7 @@ TRAJECTORY_TIME = 40.0
 
 
 def glyph_for(kind) -> tuple[str, str]:
-    key = str(kind).replace(" [boundary]", "")
-    if key in GLYPH_MAP:
-        return GLYPH_MAP[key]
-    base = key.split("(")[0]
-    return GLYPH_MAP[base]
+    return GLYPH_MAP[str(kind).replace(" [boundary]", "")]
 
 
 # -- vector document ----------------------------------------------------------------
@@ -164,14 +160,12 @@ def _marker_svg(shape, cx, cy, s, color) -> str:
         pts = [(cx, cy - s), (cx + s, cy), (cx, cy + s), (cx - s, cy)]
     elif shape == "triangle":
         pts = [(cx, cy - s), (cx + s, cy + s), (cx - s, cy + s)]
-    elif shape == "x":
+    else:  # x
         return (
             f'<path d="M {_fmt(cx - s)} {_fmt(cy - s)} L {_fmt(cx + s)} {_fmt(cy + s)} '
             f'M {_fmt(cx - s)} {_fmt(cy + s)} L {_fmt(cx + s)} {_fmt(cy - s)}" '
             f'stroke="{color}" stroke-width="{_fmt(s / 2)}" fill="none"/>'
         )
-    else:  # dot
-        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(s)}" fill="{color}"/>'
     d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts) + " Z"
     return f'<path d="{d}" fill="{color}"/>'
 

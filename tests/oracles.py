@@ -261,7 +261,6 @@ def four_chart_points_at_infinity(f: PolyField):
         return compact.InfinityContinuum(
             tangential_eigenvalue=Fraction(0), sample_transverse=tuple(samples)
         )
-    antipode = {"U1": "V1", "V1": "U1", "U2": "V2", "V2": "U2"}
     axis = {"U1": "+x", "V1": "-x", "U2": "+y", "V2": "-y"}
     points = []
     for chart in CHART_IDS:
@@ -277,12 +276,9 @@ def four_chart_points_at_infinity(f: PolyField):
                 compact.InfinitePoint(
                     chart=chart,
                     u=u,
-                    exact=isinstance(u, Fraction),
                     direction_label=axis[chart] if u == 0 else "slope",
                     jacobian=J,
                     kind=classify_linear(J),
-                    transverse_eigenvalue=J[1][1],
-                    antipode_chart=antipode[chart],
                 )
             )
     return points
@@ -316,17 +312,10 @@ def four_chart_blowup_directional(f: PolyField, direction: str, w: NewtonWeights
 
 
 def four_chart_blowup_origin(f: PolyField):
-    """(weights, charts, divisor) as `blowup.blowup_origin` gives them, each chart built and scanned alone.
-
-    A ±y chart keeps its points at u = 0 and no complex count: the ±x charts cover the rest of its divisor.
-    """
+    """(weights, charts, divisor) as `blowup.blowup_origin` gives them, each chart built and scanned alone."""
     w = newton_weights(f.P, f.Q)
     charts = {d: four_chart_blowup_directional(f, d, w) for d in blowup.DIRECTIONS}
-    divisor = {d: blowup.divisor_stationary_points(c) for d, c in charts.items()}
-    for d in ("+y", "-y"):
-        pts = divisor[d][0]
-        divisor[d] = ([p for p in pts if isinstance(p, blowup.DivisorContinuum) or p.coordinate == 0], None)
-    return w, charts, divisor
+    return w, charts, {d: blowup.divisor_stationary_points(c) for d, c in charts.items()}
 
 
 # -- the half-plane of a blow-up sector, from float angles --------------------------

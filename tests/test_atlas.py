@@ -13,6 +13,7 @@ from phaseatlas.atlas import (
     region_summary,
     scan_grid,
 )
+from phaseatlas.compact import InfinityContinuum
 from phaseatlas.equilibria import StationaryCircle
 from phaseatlas.errors import DomainError
 
@@ -337,3 +338,98 @@ def test_scan_of_17_digit_ranges_runs_on_integers(monkeypatch):
     )
     assert res.a_values[0] == a_range[0] + F(3, 400) and res.b_values[-1] == b_range[1] - F(3, 400)
     assert len(res.distinct_regions()) >= 10
+
+
+# -- the sixteen regions swept across every boundary ------------------------------------
+
+# the rational boundaries as linear forms c0 + ca·a + cb·b: a = 1, b = 1, a = b, and a = 1/2,
+# a boundary on b = 1 alone, which elsewhere only adds samples
+_LINES = ((-1, 1, 0), (-1, 0, 1), (0, 1, -1), (-1, 2, 0))
+
+# REGION_TABLE rows whose records are equal, so a label change between them moves no record
+_EQUAL_ROWS: set = set()
+
+
+def _curve_sign(a, b) -> int:
+    """Sign of |8a(a-1)| - b: 1 on the focus side of the 2b/2c boundary, 0 on it."""
+    g = abs(8 * a * (a - 1)) - b
+    return (g > 0) - (g < 0)
+
+
+def _segment_path(p0, p1, steps, bisections=40):
+    """Rational points from p0 to p1 in order: a grid of steps, each `_LINES` crossing with a point
+    on each side, and each sign change of `_curve_sign` bracketed by exact bisection."""
+    (a0, b0), (a1, b1) = p0, p1
+    ts = {F(k, steps) for k in range(steps + 1)}
+    crossings = set()
+    for c0, ca, cb in _LINES:
+        l0, l1 = c0 + ca * a0 + cb * b0, c0 + ca * a1 + cb * b1
+        if l0 != l1 and 0 < l0 / (l0 - l1) < 1:
+            crossings.add(l0 / (l0 - l1))
+    ts |= crossings
+    grid = sorted(ts)
+    eps = min(r - l for l, r in zip(grid, grid[1:])) / 4
+    ts |= {t + s for t in crossings for s in (eps, -eps)}
+    at = lambda t: (a0 + t * (a1 - a0), b0 + t * (b1 - b0))
+    grid = sorted(ts)
+    for lo, hi in zip(grid, grid[1:]):
+        s_lo, s_hi = _curve_sign(*at(lo)), _curve_sign(*at(hi))
+        if s_lo * s_hi >= 0:
+            continue
+        for _ in range(bisections):
+            mid = (lo + hi) / 2
+            s_mid = _curve_sign(*at(mid))
+            if s_mid == 0:
+                ts.add(mid)
+                break
+            lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
+        ts |= {lo, hi}
+    return [at(t) for t in sorted(ts)]
+
+
+def _record(summary):
+    """The record that `region_summary` checked, read off its analysis: the finite points' kinds,
+    the origin's sector tags and the points at infinity."""
+    analysis = summary.analysis
+    points, circle = analysis.finite
+    sectors, inf = analysis.sectors, analysis.infinity
+    return (circle is not None,
+            sorted((p.label, str(p.kind)) for p in points),
+            None if sectors is None else sorted(((s.kind, s.halfplane, s.stability) for s in sectors.sectors), key=str),
+            "continuum" if isinstance(inf, InfinityContinuum)
+            else sorted((p.chart, p.direction_label, p.kind.name) for p in inf))
+
+
+def test_sixteen_regions_swept_across_every_boundary():
+    # the record is constant along each region and changes across each boundary: random rational
+    # segments in (0, 4]², some on a = 1, b = 1 or a = b, and points on b = 8a(1 - a), the node side
+    rng = random.Random(31)
+    rand = lambda lo, hi: lo + (hi - lo) * F(rng.randint(1, 999), 1000)
+    paths = []
+    for k in range(48):
+        p0 = (rand(0, 4), rand(0, 4))
+        p1 = (rand(0, 1), rand(1, 2)) if k % 2 else (rand(0, 4), rand(0, 4))  # across the curve
+        paths.append(_segment_path(p0, p1, 12))
+    for _ in range(4):
+        a0, a1, b0, b1 = rand(0, 1), rand(1, 4), rand(0, 1), rand(1, 4)
+        paths += [_segment_path((a0, 1), (a1, 1), 12), _segment_path((1, b0), (1, b1), 12),
+                  _segment_path((a0, a0), (a1, a1), 12)]
+    for _ in range(40):
+        a = rand(F(3, 20), F(17, 20))  # 8a(1 - a) > 1
+        b, d = 8 * a * (1 - a), F(1, 10**6)
+        paths.append([(a, b - d), (a, b), (a, b + d)])
+
+    summaries = {}
+    for path in paths:
+        for p in path:
+            if p not in summaries:
+                summaries[p] = region_summary(*p)
+    assert {s.region for s in summaries.values()} == set(REGION_IDS)
+    assert len(summaries) <= 2000
+    for path in paths:
+        for p, q in zip(path, path[1:]):
+            sp, sq = summaries[p], summaries[q]
+            if sp.region == sq.region:
+                assert _record(sp) == _record(sq), (p, q, sp.region)
+            elif _record(sp) == _record(sq):
+                assert frozenset((sp.region, sq.region)) in _EQUAL_ROWS, (p, q, sp.region, sq.region)

@@ -197,13 +197,16 @@ def test_divisor_points_b1_plus_x():
 
 
 def test_divisor_points_b1_plus_y_irrational_pair():
+    # the +y divisor also vanishes at u = ±1/sqrt(2a - 1): (x, y) = (u ȳ, ȳ²) there is the curve
+    # y = (2a - 1)x² of the ±x charts' points at 2a - 1, so the +y scan gives its u = 0 point alone
     a = F(7, 10)
-    pts, _ = divisor_stationary_points(
-        blowup_directional(cdk_poly_field(a, 1), "+y", W12)
-    )
-    coords = sorted(float(p.coordinate) for p in pts)
+    chart = blowup_directional(cdk_poly_field(a, 1), "+y", W12)
+    pts, complex_count = divisor_stationary_points(chart)
+    assert [p.coordinate for p in pts] == [0] and complex_count is None
     r = 1 / math.sqrt(2 * 0.7 - 1)
-    assert coords == pytest.approx([-r, 0.0, r], abs=1e-9)
+    assert [chart.px.eval(u, 0.0) for u in (-r, r)] == pytest.approx([0.0, 0.0], abs=1e-9)
+    _, _, divisor = blowup_origin(cdk_poly_field(a, 1))
+    assert all(2 * a - 1 in [p.coordinate for p in divisor[d][0]] for d in ("+x", "-x"))
 
 
 def test_divisor_continuum_for_star_node():
@@ -356,6 +359,18 @@ def test_bendixson_count_consistency():
         assert dec.index == 1 + (e - h) // 2
         numeric = dynamics.index_on_circle(cdk_poly_field(a, b), (0, 0), 0.05, n=4096)
         assert numeric == dec.index
+
+
+def test_boundary_seeds_are_distinct_beside_a_float_tie():
+    # at (1/2 + 10^-400, 1) each x-chart has points at u = 0 and 2a - 1 = 2e-400, 0.0 as floats:
+    # +x and +x:u both seeded at (0.05, 0.0), -x:u and -x both at (-0.05, 0.0)
+    dec = classify_nilpotent_origin(cdk_poly_field(F(1, 2) + F(1, 10**400), 1))
+    cycle = [p.label() for p in dec.boundary_directions]
+    assert cycle == ["+x", f"+x:{F(2, 10**400)}", "+y", f"-x:{F(2, 10**400)}", "-x", "-y"]
+    seeds = dec.boundary_seeds(0.05)
+    assert [label for label, _ in seeds] == ["+x", "+y", f"-x:{F(2, 10**400)}", "-y"]
+    assert len({seed for _, seed in seeds}) == 4
+    assert [seed for _, seed in seeds][0::2] == [(0.05, 0.0), (-0.05, 0.0)]
 
 
 # -- empirical probe --------------------------------------------------------------------

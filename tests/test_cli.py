@@ -82,15 +82,26 @@ def test_blowup_builds_each_chart_once(count_calls, capsys):
 
     counts = count_calls((polycore.newton_weights, blowup.blowup_directional, blowup.divisor_stationary_points))
     # a minus chart is built only when its radial weight is even: weights (1, 1) at (7/10, 1/2)
-    # derive both, weights (1, 2) on b = 1 build the -y chart.  The record scans the +x chart
-    # alone, as -x is derived at both points; the blowup printout scans +y and -y itself
-    for command, scans in (("blowup", 3), ("analyze", 1)):
+    # derive both, weights (1, 2) on b = 1 build the -y chart.  The record scans each chart it
+    # builds once, and the blowup printout reads the record
+    for command in ("blowup", "analyze"):
         for a, b, charts in (("7/10", "1/2", 2), ("3/10", "1", 3)):
             counts.update(dict.fromkeys(counts, 0))
             code, _, _ = run(capsys, command, "--a", a, "--b", b)
             assert code == 0
             assert counts == {"newton_weights": 1, "blowup_directional": charts,
-                              "divisor_stationary_points": scans}, (command, a, b)
+                              "divisor_stationary_points": charts}, (command, a, b)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_blowup_prints_the_record_beside_a_float_tie(capsys, sign):
+    # a = 1/2 ± 10^-401: the +y divisor's roots off u = 0, about ±2.2e200, are not scanned, so
+    # no float linearization overflows; the -x and +x points 2a - 1 and 0 are both printed
+    a = "0.5" + "0" * 399 + "1" if sign == "+" else "0.4" + "9" * 400
+    code, out, err = run(capsys, "blowup", "--a", a, "--b", "1")
+    assert code == 0 and err == ""
+    assert out.count("  divisor points off u=0: those of the +x and -x charts\n") == 2
+    assert "sectors: " in out
 
 
 @pytest.mark.parametrize("a, b, charts", [("7/10", "1/2", 2), ("1", "1", 2)])

@@ -89,9 +89,9 @@ CUSP = "y ; x^2\n"
 
 OTHER_DIGESTS = {
     "analyze-lotka-volterra": "48dc9501447d669f94648c309d65902e4097c94b63bd9ed1cc2d780c0a45ff45",
-    "blowup-3/10-1": "00db00299d410d5046787f6bb8bd3ed69c7586fb42884c6f556475f1f2322847",
+    "blowup-3/10-1": "9421ebe401aaf950fb6a0e29216af6f8df3de7df0fac11393ea1c39b09915fe8",
     # weights (1, 1): both minus charts are antipodes of the plus charts
-    "blowup-7/10-1/2": "8dbb8be24e74efd031c71a713d70437cb5baf198bccee3152a3b513abee7c8dd",
+    "blowup-7/10-1/2": "8439a0dd3ed4b65f8ac4be14d95ee1824a5a21815ff6671d74b3f73e7151b2d8",
     "infinity-3/10-1": "696cc78c6346a3bc1d8a79ff4adb20d7d0b8b3fba940c0af06335c5781f8c0be",
     "scan-20": "984beb2aef13c3112844f4c6d0d2c1d93d41900022be33a643e62b517ddea946",
     # cells in all 16 regions, with midpoints on a = 1, b = 1, a = b, (1/2, 1)
@@ -105,7 +105,7 @@ OTHER_DIGESTS = {
     "region-map-200": "1ed57b66c5089ef30a21a4dc9aee103e15a5c16ca0b5ec5866007445a29b57eb",
     # spec-file charts: the cdk cases reach weights (1, 1) and (1, 2) only, and
     # Lotka-Volterra's points at infinity are not those of a cdk field
-    "blowup-cusp": "e1ac68c34ee25efab3839bb395493d23ed94e4beee4216ba6af390ecb92eba0e",
+    "blowup-cusp": "daccf0fee6eae7ae18eaa0f6f3e0d0863ef09cd640752f9002521ea091991ee4",
     "infinity-cusp": "fed103a9363c0ce340f8bb37ccb192d0573e0df67b5f8177ea7747beb162cf6c",
     "infinity-lotka-volterra": "09021449b9a41205042c3933ac56f27a991b65c6b5dddd89374fe191c3ab0da4",
     # recorded while the nilpotency test still differentiated P and Q

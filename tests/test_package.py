@@ -15,6 +15,7 @@ UNREFERENCED_ALLOWED = {
     "BlowupChart.substitution": "the chart-identity tests check each chart against it",
     "BlowupChart.substitution_jacobian": "the chart-identity tests check each chart against it",
     "SingularEvaluationError": "tests/oracles.py raises it",
+    "InfinitePoint.transverse_eigenvalue": "test_compact.py asserts through it",
 }
 
 
@@ -68,6 +69,14 @@ def test_the_analysis_sequence_has_one_reader():
                             if "." not in qualname and step in _references(node))
                for step in steps}
     assert readers == dict.fromkeys(steps, ["atlas.FieldAnalysis"])
+
+
+def test_the_divisor_scan_has_one_caller():
+    # each blow-up chart is scanned once, into the record, and every reader takes the record
+    callers = sorted(f"{module}.{getattr(top, 'name', '<module>')}" for module, tree in _modules().items()
+                     for top in tree.body for call in ast.walk(top) if isinstance(call, ast.Call)
+                     and "divisor_stationary_points" in (getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+    assert callers == ["blowup.blowup_origin"]
 
 
 def test_generated_code_is_compiled_by_compile_named():

@@ -59,6 +59,16 @@ def _separatrices(f, points):
             for seed, direction, stable, source in jobs]
 
 
+def test_origin_separatrices_are_traced_once_beside_a_float_tie():
+    # at (1/2 + 10^-400, 1) the 6 origin boundary points give 4 distinct float seeds, each traced
+    # forward and backward once
+    f = cdk_poly_field(F(1, 2) + F(1, 10**400), 1)
+    _, jobs = portrait._separatrix_jobs(f, cdk_stationary_points(F(1, 2) + F(1, 10**400), 1),
+                                        classify_nilpotent_origin(f))
+    origin = [(seed, direction) for seed, direction, _, source in jobs if source.startswith("origin[")]
+    assert len(origin) == len(set(origin)) == 8
+
+
 def test_linear_saddle_four_separatrices():
     f = PolyField(X, -Y)
     pts = [

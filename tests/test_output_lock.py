@@ -82,6 +82,46 @@ ANALYZE_HUMAN_DIGESTS = {
     ("7/10", "19/10"): "d14c35a53d61970e3db70dfaf1f7e57b7a3d1a2c375d4977697eb2e4884c6d09",
 }
 
+# region --format json and --format human at the appendix parameter pairs
+REGION_DIGESTS = {
+    "json": {
+        ("1", "1"): "5d60b775bc150150dc3c9b097c323a62c85f1fc32c56c236f1b1696addd8a167",
+        ("1", "1/2"): "da3f079a33f1b873227fa1bbf15d479f17b2f16d49dd7261dd6a8d48f25abe15",
+        ("1", "19/10"): "4e3a1fc21c4423118467ca033f8dd2e15d58f80dd92db499e418b6e58e41c8e7",
+        ("1/2", "1"): "b05038734ca1c2b4cb19a0ebd4270171ba17901024967a1fe4019a2972b3e60d",
+        ("1/2", "1/2"): "1545c460afbeac909d8f25092902185876147db1d918d9185c651adfd667f6fd",
+        ("1/2", "19/10"): "e50047acdea0ac4412b870518b7d7c412d2a5575def24152fd44c6ecb77be17f",
+        ("1/5", "1"): "da42c799b74cb62e3c9cc87d1f24703d924f07a20f105984581647ff1a82373a",
+        ("1/5", "1/2"): "44082cc4aeae3aa5f1f780750358fc430aa39da99afe3928903c0d4842b3efb8",
+        ("19/10", "19/10"): "753c3713ab2fe9c71f799690f7485ca9689514147afb90e97c3ee6a78647b312",
+        ("5/2", "1"): "1bc5a4b037fa5856d89349674e57b451810a027f1e8536c2e7532657224fcf9b",
+        ("5/2", "1/2"): "be3cfec0823bec533d9df647ab3038e000fc5b181b7565a97677905aef4759af",
+        ("5/2", "19/10"): "4019aa20f841081d9c1db06854a32c4a78c011f36ec5733457661ae2561d557a",
+        ("6/5", "19/10"): "d68fb694445cac9743ead2edffef178f0f1335f865d701b193c0cb0626fbcf2c",
+        ("7/10", "1"): "93c4dff1c4a62f049ddaf3155062505c72a606c54e2bb9d9f03fc13ca13c306a",
+        ("7/10", "1/2"): "89c96e3fec1a8f5f33c7263128770b402cda7b2acc7161aec6dcf9675a717274",
+        ("7/10", "19/10"): "cc7eab8323725b6963c3462c949cdcfa2b0036a7f33b3aaf7c84e096bc60f999",
+    },
+    "human": {
+        ("1", "1"): "8e246e04ca0197a2ef9ebe8be1dcc9956bae9834dd0f3acae60ed80c843ffdfe",
+        ("1", "1/2"): "a7a0ad75d6eed346bb5e6f0f8709bd698f93f392356f8ea5a489daff9cd25c59",
+        ("1", "19/10"): "35910d867b42d04fd0b35a741137dc1439d158fa63de31553803ab72a04f8cb7",
+        ("1/2", "1"): "156ad2055968ce5e559ac81dcfbf1bfad228f3b5646d2780fcbc5fc63cc0b5a0",
+        ("1/2", "1/2"): "f68c436dd138fdeb5b71ad5cd9f0feea4ee2cde36416f6c5ec01041cd48b04c6",
+        ("1/2", "19/10"): "5d66f7ad5f32b7553b4aede21ed96e5f0f3db23e1093adf87983162a89bf8ece",
+        ("1/5", "1"): "ebb279fb7fd2ebcf69fa37bcc273176046386cf1aa3f551facfc0e722e4f6bd6",
+        ("1/5", "1/2"): "f87fd899cc566a960d2da22923d5bac933817a07a346e9669bfa8234660d3e78",
+        ("19/10", "19/10"): "b46aa12d6cd47682cee6cb3454fc3d48013c05d03885ac4021c4f0d574a03d26",
+        ("5/2", "1"): "55d9166b3935f4366e44f4acd70598ff49a185dd4ab9a4f4d3218e7a6d0a1fdd",
+        ("5/2", "1/2"): "1ddd7ab944f089cfc502d73bbdc3411a62535703271d0aa88d3d4fdf20135804",
+        ("5/2", "19/10"): "da28c6837bb0e1b6c4885d31cf5d67a22818150119ced89ef8d654506ea1aa41",
+        ("6/5", "19/10"): "bf2f5127a86438199c632b0d88a8b50c88ef53ad74b46e673bd7c4509ccca718",
+        ("7/10", "1"): "5ce6f6272cf59d5aeb1a617b17fc7a4265f128c70dea3625c284f5d4968bbb0d",
+        ("7/10", "1/2"): "02295ff216e7e300cbf4fcaad3523301ce048a43880b0bd16ad9ccc244e73ef9",
+        ("7/10", "19/10"): "2a49f1adab19efc2377619b1cbcda4faad6ef755cfa2dad4e23d51f6b1906802",
+    },
+}
+
 LOTKA_VOLTERRA = "param p = 3\nx*(p - x - 2*y) ; y*(2 - x - y)\n"
 
 # weights (2, 3), irrational divisor roots and a -x chart with even alpha
@@ -128,6 +168,14 @@ def test_analyze_json_digest(capsys, a, b):
 def test_analyze_human_digest(capsys, a, b):
     got = _digest(capsys, "analyze", "--system", "cdk", "--a", a, "--b", b)
     assert got == ANALYZE_HUMAN_DIGESTS[(a, b)]
+
+
+@pytest.mark.parametrize(
+    "fmt,a,b", [(fmt, a, b) for fmt in sorted(REGION_DIGESTS) for a, b in sorted(REGION_DIGESTS[fmt])]
+)
+def test_region_digest(capsys, fmt, a, b):
+    got = _digest(capsys, "region", "--a", a, "--b", b, "--format", fmt)
+    assert got == REGION_DIGESTS[fmt][(a, b)]
 
 
 def test_spec_file_analyze_digest(capsys, tmp_path):

@@ -42,7 +42,6 @@ from .equilibria import (
     StationaryPoint,
     cdk_stationary_points,
     classify_linear,
-    classify_semihyperbolic,
     find_stationary,
     jacobian_at,
 )

@@ -8,16 +8,17 @@ regions of their own.  Regions are labeled 1, 2a-2c, 3a-3l.
 `FieldAnalysis` is one polynomial field's analysis in the order the paper
 sorts each region: the finite stationary points, the origin's blow-up
 sectors, the points at infinity, each computed once, on first use.
-`analyze`, `stationary`, `omega` and `portrait` read it, and
-`cdk_field_summary` checks a cdk field's record against the region's
-expected content in `REGION_TABLE`; any mismatch raises
+`analyze`, `stationary`, `omega` and `portrait` read it.  For a cdk field,
+`cdk_field_summary` reads the record into a `RegionContent` in the table's
+own terms and compares it with the region's `REGION_TABLE` row, almost
+attractors aside, in one comparison; a mismatch raises
 InternalInconsistencyError, which signals a bug, never a user error.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -78,7 +79,7 @@ def _region(A: int, B: int, D: int) -> str:
 
 @dataclass(frozen=True)
 class RegionContent:
-    """Expected qualitative content of one region."""
+    """Qualitative content of one region: a `REGION_TABLE` row, or a cdk field's record in its terms."""
 
     s2_kind: str | None  # None when s2 is not isolated (the circle case)
     s34_kind: str | None
@@ -161,14 +162,10 @@ class FieldAnalysis:
 
 @dataclass(frozen=True)
 class RegionSummary:
-    """The region's expected content, with the record it was checked against."""
+    """The region, its `REGION_TABLE` row and the record that row was checked against."""
 
     region: str
-    finite_points: dict
-    s1_sectors: str
-    infinity: object
-    homoclinic: bool
-    almost_attractors: tuple
+    content: RegionContent
     analysis: FieldAnalysis
 
 
@@ -178,75 +175,41 @@ def region_summary(a, b) -> RegionSummary:
 
 
 def cdk_field_summary(analysis: FieldAnalysis) -> RegionSummary:
-    """The region of a `cdk_poly_field` field, its `REGION_TABLE` entry checked against the field's record.
+    """The region of a `cdk_poly_field` field, its `REGION_TABLE` row checked against the field's record.
 
-    The record is read in its order (closed form, blow-up, infinity), so its first error is raised first.
+    The record is read in its order (closed form, blow-up, infinity), so its first error is raised first;
+    a record that differs from the row, almost attractors aside, raises after the whole record is read.
     """
-    f = analysis.field
-    region = classify_region(*f.provenance[1:3])
-    expected = REGION_TABLE[region]
-    points, circle = analysis.finite
+    region = classify_region(*analysis.field.provenance[1:3])
+    row, record = REGION_TABLE[region], _record(analysis)
+    if record != replace(row, almost_attractors=()):
+        raise InternalInconsistencyError(f"region {region}: row {row} does not match record {record}")
+    return RegionSummary(region=region, content=row, analysis=analysis)
 
-    finite: dict = {}
-    if region == "1":
-        finite["circle"] = "stationary_circle"
-        if circle is None:
-            raise InternalInconsistencyError("expected a stationary circle at a=b=1")
+
+def _record(analysis: FieldAnalysis) -> RegionContent:
+    """A cdk field's `FieldAnalysis` in `REGION_TABLE` terms, with no almost attractors."""
+    f = analysis.field
+    points, circle = analysis.finite
+    kinds = {p.label: str(p.kind) for p in points}
+    if circle is not None:
         for t in (Fraction(0), Fraction(1), Fraction(-2, 3)):
-            x = t / (1 + t * t)
-            y = 1 / (1 + t * t)
+            x, y = t / (1 + t * t), 1 / (1 + t * t)
             if f.P.eval(x, y) != 0 or f.Q.eval(x, y) != 0:
                 raise InternalInconsistencyError("field does not vanish on the circle")
+        case = "circle"
     else:
-        by_label = {p.label: p for p in points}
-        finite["s1"] = f"nilpotent (case {expected.s1_case})"
-        finite["s2"] = expected.s2_kind
-        got = str(by_label["s2"].kind)
-        if got != expected.s2_kind:
-            raise InternalInconsistencyError(
-                f"s2 kind {got} != expected {expected.s2_kind} in region {region}"
-            )
-        if expected.s34_kind is not None:
-            finite["s3"] = finite["s4"] = expected.s34_kind
-            if "s3" not in by_label:
-                raise InternalInconsistencyError(f"s3/s4 missing in region {region}")
-            got = str(by_label["s3"].kind)
-            if got != expected.s34_kind:
-                raise InternalInconsistencyError(
-                    f"s3/s4 kind {got} != expected {expected.s34_kind}"
-                )
-        elif "s3" in by_label:
-            raise InternalInconsistencyError(f"unexpected s3/s4 in region {region}")
-        got = sorted(((s.kind, s.halfplane, s.stability) for s in analysis.sectors.sectors), key=str)
-        if got != sorted(_SECTOR_PATTERNS[expected.s1_case], key=str):
-            raise InternalInconsistencyError(f"sector structure {got} does not match case {expected.s1_case}")
-
+        tags = sorted(((s.kind, s.halfplane, s.stability) for s in analysis.sectors.sectors), key=str)
+        cases = (c for c, pattern in _SECTOR_PATTERNS.items() if sorted(pattern, key=str) == tags)
+        case = next(cases, tuple(tags))  # a cycle of no case is recorded as its tags, which no row holds
     inf = analysis.infinity
-    if expected.infinity == "continuum":
-        if not isinstance(inf, compact.InfinityContinuum):
-            raise InternalInconsistencyError(f"expected infinity continuum in {region}")
-        if not inf.one_outgoing_trajectory_each():
-            raise InternalInconsistencyError("continuum transverse eigenvalues not positive")
-    else:
-        if isinstance(inf, compact.InfinityContinuum):
-            raise InternalInconsistencyError(f"unexpected infinity continuum in {region}")
-        x_kind, y_kind = expected.infinity
-        for p in inf:
-            want = x_kind if p.direction_label in ("+x", "-x") else y_kind
-            if p.kind.name != want:
-                raise InternalInconsistencyError(
-                    f"infinite point {p.direction_label} is {p.kind.name}, expected {want}"
-                )
-
-    return RegionSummary(
-        region=region,
-        finite_points=finite,
-        s1_sectors=expected.s1_case,
-        infinity=expected.infinity,
-        homoclinic=expected.homoclinic,
-        almost_attractors=expected.almost_attractors,
-        analysis=analysis,
-    )
+    if isinstance(inf, compact.InfinityContinuum):
+        infinity = "continuum" if inf.one_outgoing_trajectory_each() else "continuum, not one outgoing each"
+    else:  # the kinds at ±x and at the other directions; a row holds one kind for each
+        on_x = {p.kind.name for p in inf if p.direction_label in ("+x", "-x")}
+        off_x = {p.kind.name for p in inf if p.direction_label not in ("+x", "-x")}
+        infinity = ("/".join(sorted(on_x)), "/".join(sorted(off_x)))
+    return RegionContent(kinds.get("s2"), kinds.get("s3"), case, infinity, ())
 
 
 # -- grid scan ------------------------------------------------------------------------

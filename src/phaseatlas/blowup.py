@@ -81,7 +81,7 @@ class BlowupChart:
 
         dφ · (cancelled_coeff · v^cancelled_power · (px, py)) = F ∘ φ
 
-    where φ is `substitution` and v the radial variable (x̄ in x-direction
+    where φ is `blow_down` and v the radial variable (x̄ in x-direction
     charts, ȳ in y-direction charts).
     """
 
@@ -98,10 +98,6 @@ class BlowupChart:
 
     def field(self) -> PolyField:
         return PolyField(self.px, self.py, provenance=("blowup", self.direction, tuple(self.weights)))
-
-    def substitution(self, u, v):
-        """Plane point of the chart point (x̄, ȳ) = (u, v)."""
-        return blow_down(self.direction, self.weights, u, v)
 
     def substitution_jacobian(self, u, v):
         alpha, beta = self.weights

@@ -134,10 +134,10 @@ def cmd_analyze(args):
         diagnostics.append(f"generated {datetime.datetime.now().isoformat()}")
     region = None
     if system.kind == "cdk":
-        # checks the whole record against the region table, raising its first error
+        # reads the whole record, raising its first error, then checks it against the region table
         summary = atlas.cdk_field_summary(analysis)
         region = summary.region
-        diagnostics.append(f"almost attractors: {', '.join(summary.almost_attractors)}")
+        diagnostics.append(f"almost attractors: {', '.join(summary.content.almost_attractors)}")
     points, circle = _stationary_pieces(analysis)
     try:
         sectors = analysis.sectors
@@ -261,28 +261,33 @@ def cmd_omega(args):
 def cmd_region(args):
     a, b = _rational(args.a), _rational(args.b)
     summary = atlas.region_summary(a, b)
+    row = summary.content
+    if row.s1_case == "circle":
+        finite = {"circle": "stationary_circle"}
+    else:
+        finite = {"s1": f"nilpotent (case {row.s1_case})", "s2": row.s2_kind}
+        if row.s34_kind is not None:
+            finite["s3"] = finite["s4"] = row.s34_kind
     doc = {
         "region": summary.region,
-        "finite_points": summary.finite_points,
-        "s1_sectors": summary.s1_sectors,
-        "infinity": summary.infinity
-        if isinstance(summary.infinity, str)
-        else {"x": summary.infinity[0], "y": summary.infinity[1]},
-        "homoclinic": summary.homoclinic,
-        "almost_attractors": list(summary.almost_attractors),
+        "finite_points": finite,
+        "s1_sectors": row.s1_case,
+        "infinity": row.infinity if isinstance(row.infinity, str) else {"x": row.infinity[0], "y": row.infinity[1]},
+        "homoclinic": row.homoclinic,
+        "almost_attractors": list(row.almost_attractors),
     }
     if args.format == "json":
         _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return EXIT_OK
     lines = [f"region: {summary.region}", "finite stationary points:"]
-    lines += [f"  {label}: {kind}" for label, kind in summary.finite_points.items()]
-    lines.append(f"s1 sectors: {summary.s1_sectors}")
-    if isinstance(summary.infinity, str):
+    lines += [f"  {label}: {kind}" for label, kind in finite.items()]
+    lines.append(f"s1 sectors: {row.s1_case}")
+    if isinstance(row.infinity, str):
         lines.append("infinity: every point stationary")
     else:
-        lines += ["infinity:", f"  x: {summary.infinity[0]}", f"  y: {summary.infinity[1]}"]
-    lines.append(f"homoclinic: {summary.homoclinic}")
-    lines.append(f"almost attractors: {', '.join(summary.almost_attractors)}")
+        lines += ["infinity:", f"  x: {row.infinity[0]}", f"  y: {row.infinity[1]}"]
+    lines.append(f"homoclinic: {row.homoclinic}")
+    lines.append(f"almost attractors: {', '.join(row.almost_attractors)}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

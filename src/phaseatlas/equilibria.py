@@ -281,11 +281,6 @@ def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     )
 
 
-def classify_semihyperbolic(f: PolyField, z) -> str:
-    """Semi-hyperbolic subkind: saddle, attracting/repelling node, or saddle-node."""
-    return semihyperbolic_analysis(f, z).subkind
-
-
 def classify_point(f: PolyField, z, J) -> ClassificationKind:
     """Kind of the stationary point z of f whose Jacobian there is J.
 
@@ -295,7 +290,7 @@ def classify_point(f: PolyField, z, J) -> ClassificationKind:
     kind = classify_linear(J)
     if kind.name == "semi_hyperbolic" and _matrix_is_exact(J):
         try:
-            return ClassificationKind("semi_hyperbolic", subkind=classify_semihyperbolic(f, z))
+            return ClassificationKind("semi_hyperbolic", subkind=semihyperbolic_analysis(f, z).subkind)
         except (InconclusiveError, PreconditionError):
             return kind
     return kind

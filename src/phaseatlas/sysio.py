@@ -334,8 +334,8 @@ def encode_number(value, tol: float | None = None):
     return {"exact": format_rational(Fraction(value))}
 
 
-def _encode_matrix(m, tol=None):
-    return [[encode_number(v, tol) for v in row] for row in m]
+def _encode_matrix(m):
+    return [[encode_number(v) for v in row] for row in m]
 
 
 def encode_stationary_point(p) -> dict:

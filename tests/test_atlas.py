@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from phaseatlas.atlas import (
 )
 from phaseatlas.compact import InfinityContinuum
 from phaseatlas.equilibria import StationaryCircle
-from phaseatlas.errors import DomainError
+from phaseatlas.errors import DomainError, InternalInconsistencyError
 
 F = Fraction
 
@@ -126,10 +127,21 @@ def test_region_summary_cross_validation_on_all_representatives():
     for (a, b), region in sorted(APPENDIX_PAIRS.items()):
         summary = region_summary(a, b)
         assert summary.region == region
-        content = REGION_TABLE[region]
-        assert summary.homoclinic == content.homoclinic
-        assert summary.almost_attractors == content.almost_attractors
-        assert summary.s1_sectors == content.s1_case
+        assert summary.content is REGION_TABLE[region]
+
+
+@pytest.mark.parametrize("field", ["s2_kind", "s34_kind", "s1_case", "infinity"])
+def test_region_summary_catches_every_edited_row(monkeypatch, field):
+    # each compared cell of each appendix pair's row, given in turn every other value its column holds
+    values = {getattr(row, field) for row in REGION_TABLE.values()}
+    for (a, b), region in sorted(APPENDIX_PAIRS.items()):
+        row = REGION_TABLE[region]
+        for value in values - {getattr(row, field)}:
+            with monkeypatch.context() as m:
+                m.setitem(REGION_TABLE, region, replace(row, **{field: value}))
+                with pytest.raises(InternalInconsistencyError, match=f"region {region}: row "):
+                    region_summary(a, b)
+        assert region_summary(a, b).content is row
 
 
 @st.composite
@@ -168,11 +180,11 @@ def test_every_origin_case_has_its_whole_sector_cycle(point):
 def test_region_summary_examples():
     s = region_summary(F(7, 10), F(1, 2))
     assert s.region == "3h"
-    assert s.finite_points["s2"] == "saddle"
-    assert s.infinity == ("repelling_node", "saddle")
-    assert s.homoclinic
+    assert s.content.s2_kind == "saddle"
+    assert s.content.infinity == ("repelling_node", "saddle")
+    assert s.content.homoclinic
     assert s.analysis.sectors.index == 2
-    x_kind, y_kind = s.infinity
+    x_kind, y_kind = s.content.infinity
     assert sorted((p.direction_label, p.kind.name) for p in s.analysis.infinity) == [
         ("+x", x_kind), ("+y", y_kind), ("-x", x_kind), ("-y", y_kind)
     ]
@@ -184,13 +196,13 @@ def test_region_summary_examples():
 
     s = region_summary(F(19, 10), F(19, 10))
     assert s.region == "3c"
-    assert s.finite_points["s2"] == "attracting_node"
-    assert s.infinity == "continuum"
+    assert s.content.s2_kind == "attracting_node"
+    assert s.content.infinity == "continuum"
 
     s = region_summary(F(3, 10), F(1))
     assert s.region == "3i"
-    assert s.s1_sectors == "3a"
-    assert s.finite_points["s2"] == "saddle"
+    assert s.content.s1_case == "3a"
+    assert s.content.s2_kind == "saddle"
 
 
 # -- grid scan -------------------------------------------------------------------------

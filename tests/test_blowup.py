@@ -9,6 +9,7 @@ from phaseatlas.blowup import (
     DIRECTIONS,
     BlowupChart,
     DivisorContinuum,
+    blow_down,
     blowup_directional,
     blowup_origin,
     classify_nilpotent_origin,
@@ -114,7 +115,7 @@ def _check_reconstruction(f, chart, rng, tries=12):
         cv = scale * chart.py.eval(u, v)
         J = chart.substitution_jacobian(u, v)
         push = (J[0][0] * cu + J[0][1] * cv, J[1][0] * cu + J[1][1] * cv)
-        plane = chart.substitution(u, v)
+        plane = blow_down(chart.direction, chart.weights, u, v)
         expected = (f.P.eval(*plane), f.Q.eval(*plane))
         assert push == expected
         done += 1

@@ -16,7 +16,6 @@ from phaseatlas.equilibria import (
     cdk_closed_form,
     classify_linear,
     classify_point,
-    classify_semihyperbolic,
     cdk_stationary_points,
     eigenvalues_2x2,
     find_stationary,
@@ -313,27 +312,27 @@ def test_sqrt_exact_detection():
 
 def test_semihyperbolic_s2_cases():
     f = cdk_poly_field(1, F(19, 10))
-    assert classify_semihyperbolic(f, (0, 1)) == "attracting_node"
+    assert semihyperbolic_analysis(f, (0, 1)).subkind == "attracting_node"
     f = cdk_poly_field(1, F(1, 2))
-    assert classify_semihyperbolic(f, (0, 1)) == "saddle"
+    assert semihyperbolic_analysis(f, (0, 1)).subkind == "saddle"
 
 
 def test_semihyperbolic_saddle_node_normal_form():
     # xdot = x^2, ydot = -y is the saddle-node prototype
     f = PolyField(X**2, -Y)
-    assert classify_semihyperbolic(f, (0, 0)) == "saddle_node"
+    assert semihyperbolic_analysis(f, (0, 0)).subkind == "saddle_node"
 
 
 def test_semihyperbolic_node_prototypes():
-    assert classify_semihyperbolic(PolyField(-(X**3), -Y), (0, 0)) == "attracting_node"
-    assert classify_semihyperbolic(PolyField(X**3, Y), (0, 0)) == "repelling_node"
-    assert classify_semihyperbolic(PolyField(X**3, -Y), (0, 0)) == "saddle"
+    assert semihyperbolic_analysis(PolyField(-(X**3), -Y), (0, 0)).subkind == "attracting_node"
+    assert semihyperbolic_analysis(PolyField(X**3, Y), (0, 0)).subkind == "repelling_node"
+    assert semihyperbolic_analysis(PolyField(X**3, -Y), (0, 0)).subkind == "saddle"
 
 
 def test_semihyperbolic_analysis_refuses_a_float_point():
     # the center-manifold analysis is exact; a float point is a domain error
     with pytest.raises(DomainError):
-        classify_semihyperbolic(PolyField(X**2, -Y), (0.0, 0.0))
+        semihyperbolic_analysis(PolyField(X**2, -Y), (0.0, 0.0))
 
 
 def _series_mul(a, b, order):

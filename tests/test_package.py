@@ -12,7 +12,6 @@ UNREFERENCED_ALLOWED = {
     "SprottField.original": "test_desing.py checks the multiplied field against it",
     "SprottField.jacobian_original": "acceptance criterion 9 linearizes the original system with it",
     "PolyField.shifted": "tests move stationary points to the origin with it",
-    "BlowupChart.substitution": "the chart-identity tests check each chart against it",
     "BlowupChart.substitution_jacobian": "the chart-identity tests check each chart against it",
     "SingularEvaluationError": "tests/oracles.py raises it",
     "InfinitePoint.transverse_eigenvalue": "test_compact.py asserts through it",

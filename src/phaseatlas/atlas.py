@@ -194,7 +194,8 @@ def _record(analysis: FieldAnalysis) -> RegionContent:
     kinds = {p.label: str(p.kind) for p in points}
     if circle is not None:
         for t in (Fraction(0), Fraction(1), Fraction(-2, 3)):
-            x, y = t / (1 + t * t), 1 / (1 + t * t)
+            x = t / (1 + t * t)
+            y = 1 / (1 + t * t)
             if f.P.eval(x, y) != 0 or f.Q.eval(x, y) != 0:
                 raise InternalInconsistencyError("field does not vanish on the circle")
         case = "circle"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from phaseatlas.atlas import (
     REGION_IDS,
     REGION_TABLE,
-    RegionSummary,
     classify_region,
     region_summary,
     scan_grid,

@@ -161,11 +161,18 @@ def disc_coords(z) -> tuple[float, float]:
     """Diffeomorphism of the plane onto the open unit disc.
 
     The central projection onto the Poincaré sphere followed by vertical
-    projection: p -> p / sqrt(1 + |p|²).
+    projection: p -> p / sqrt(1 + |p|²), see `disc_points`.
     """
-    x, y = float(z[0]), float(z[1])
-    r = math.sqrt(1.0 + x * x + y * y)
-    return (x / r, y / r)
+    return next(disc_points([(float(z[0]), float(z[1]))]))
+
+
+def disc_points(points):
+    """`disc_coords` of each float point (x, y), lazily; r = hypot(1, x, y) where 1 + x² + y² overflows."""
+    for x, y in points:
+        r = math.sqrt(1.0 + x * x + y * y)
+        if r == math.inf:  # a finite point far out: hypot does not overflow, and is inf where x or y is
+            r = math.hypot(1.0, x, y)
+        yield x / r, y / r
 
 
 def boundary_point(direction_angle: float) -> tuple[float, float]:

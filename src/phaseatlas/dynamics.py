@@ -18,12 +18,15 @@ bound once, on the evaluator's first `integrate`, with the field's powers and
 term sums written into each stage, and kept on the evaluator; any other
 callable gets one loop that calls it at each stage.
 The sums name the coefficients, so fields of one term shape share one
-compiled loop (`desing.bind`), each reading its own coefficients.  Both do a
-tableau loop's float operations in its order, so trajectories agree bit for
-bit.  First same as last: k6 is the next k0, since the stage-6 point is
-(x5, y5) bit for bit while both are finite (its weights are x5's first six,
-and b6 * k6 = ±0.0 changes no bit of a sum started at +0.0); a non-finite
-step ends the trajectory, and a rejected step keeps its k0.
+compiled loop (`desing.bind`), each reading its own coefficients.  Both give
+a tableau loop's floats in its order, so trajectories agree bit for bit.
+First same as last: the fifth-order solution is the stage-6 point (px, py),
+so it is not summed again and k6 is the next k0.  The b5 weights are the
+stage-6 ones and a zero b6; a sum started at +0.0 is never -0.0, so
+b6 * k6 = ±0.0 changes no bit of it while k6 is finite and makes it NaN when
+it is not.  x5 = px * (1.0 + 0.0 * k6u) gives both, bit for bit, NaN
+included (y5 likewise); a non-finite step ends the trajectory, and a
+rejected step keeps its k0.
 """
 
 from __future__ import annotations
@@ -119,11 +122,12 @@ def _calling_loop():
 
 
 def _build_loop(field, tabs):
-    """Bind _LOOP with the tableau's sums in {stages} ... {b4v}, `field` at each FIELD line and the
-    coefficients of the tables `tabs` that `field` sums.
+    """Bind _LOOP with the tableau's stage sums in {stages} and the fourth-order ones in {b4u} and
+    {b4v}, `field` at each FIELD line and the coefficients of the tables `tabs` that `field` sums.
 
     Each sum keeps a loop's order, start (0.0 for a stage, 0 for a solution) and zero weights,
-    so zero signs, NaN and inf come out as from that loop.
+    so zero signs, NaN and inf come out as from that loop.  The fifth-order solution is the
+    stage-6 point, as the module docstring says.
     """
     def weighted(start, weights, k):  # start + w0 * k0{k} + w1 * k1{k} + ...
         return start + "".join(f" + {w!r} * k{j}{k}" for j, w in enumerate(weights))
@@ -131,7 +135,7 @@ def _build_loop(field, tabs):
     source = _LOOP.format(
         stages="".join(stage.format(weighted("0.0", _A[i], "u"), weighted("0.0", _A[i], "v"), i, i)
                        for i in range(1, 7)),
-        **{f"{name}{k}": weighted("0", w, k) for name, w in (("b5", _B5), ("b4", _B4)) for k in "uv"})
+        b4u=weighted("0", _B4, "u"), b4v=weighted("0", _B4, "v"))
     source = re.sub(r"^( *)FIELD\n", lambda m: textwrap.indent(field, m[1]), source, flags=re.M)
     return bind(source, "dopri5", tabs, _LOOP_GLOBALS)
 
@@ -185,7 +189,7 @@ def dopri5(base, z0, opts, direction):
         if h < 1e-14 * (at if at > 1.0 else 1.0):
             return Trajectory(tuple(samples), Termination("step_underflow"), direction)
 
-{stages}        x5, y5 = x + h * ({b5u}), y + h * ({b5v})
+{stages}        x5, y5 = px * (1.0 + 0.0 * k6u), py * (1.0 + 0.0 * k6v)  # the b5 sums, see the module docstring
         x4, y4 = x + h * ({b4u}), y + h * ({b4v})
 
         if fixed_step is not None:
@@ -210,9 +214,12 @@ def dopri5(base, z0, opts, direction):
             samples.append((tau, (x, y)))
             if not (isfinite(x) and isfinite(y)):
                 return Trajectory(tuple(samples), Termination("step_underflow"), direction)
-            hit = capture_at(x, y)
-            if hit is not None:
-                return Trajectory(tuple(samples), Termination("reached_equilibrium", hit), direction)
+            for ex, ey in caps:  # capture_at's cheap rejection inline: it is called only when it may capture
+                if not (abs(x - ex) > crad or abs(y - ey) > crad):
+                    hit = capture_at(x, y)
+                    if hit is not None:
+                        return Trajectory(tuple(samples), Termination("reached_equilibrium", hit), direction)
+                    break
             if not (xmin <= x <= xmax and ymin <= y <= ymax):
                 return Trajectory(tuple(samples), Termination("left_box"), direction)
         h = hnew

@@ -89,10 +89,10 @@ def _fmt(v: float) -> str:
 def _path_data(points):
     """SVG path data of plane points drawn on the disc, or None if fewer than two project to finite points.
 
-    Each point is projected by `compact.disc_coords` and written with one "%.4f %.4f",
-    y flipped; "-0.0000" can only be a whole coordinate, so it is fixed once per path.
+    The points are projected in one pass by `compact.disc_points`, and each is written with one
+    "%.4f %.4f", y flipped; "-0.0000" can only be a whole coordinate, so it is fixed once per path.
     """
-    pts = ["%.4f %.4f" % (x, -y) for x, y in map(compact.disc_coords, points)
+    pts = ["%.4f %.4f" % (x, -y) for x, y in compact.disc_points(points)
            if math.isfinite(x) and math.isfinite(y)]
     return ("M " + " L ".join(pts)).replace("-0.0000", "0.0000") if len(pts) >= 2 else None
 

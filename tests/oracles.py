@@ -63,6 +63,17 @@ def disc_coords_inverse(q):
     return (X / r, Y / r)
 
 
+def per_point_path_data(points):
+    """`portrait._path_data` point by point: `compact.disc_coords` of each point, its finite ones
+    written "x -y" with "%.4f" and "-0.0000" read as "0.0000", or None if fewer than two."""
+    out = []
+    for z in points:
+        x, y = compact.disc_coords(z)
+        if math.isfinite(x) and math.isfinite(y):
+            out.append(" ".join("0.0000" if s == "-0.0000" else s for s in ("%.4f" % x, "%.4f" % -y)))
+    return "M " + " L ".join(out) if len(out) >= 2 else None
+
+
 def shift_to_origin(f: PolyField, z) -> PolyField:
     """Field in coordinates moving z to the origin (exact recomposition)."""
     return f.shifted(as_rational(z[0]), as_rational(z[1]))
@@ -504,8 +515,7 @@ def literal_integrate(f: PolyField, z0, opts=None, direction="forward"):
     source = dynamics._LOOP.format(
         stages="".join(stage.format(weighted("0.0", dynamics._A[i], "u"), weighted("0.0", dynamics._A[i], "v"), i, i)
                        for i in range(1, 7)),
-        **{f"{name}{k}": weighted("0", w, k) for name, w in (("b5", dynamics._B5), ("b4", dynamics._B4))
-           for k in "uv"})
+        b4u=weighted("0", dynamics._B4, "u"), b4v=weighted("0", dynamics._B4, "v"))
     source = re.sub(r"^( *)FIELD\n", lambda m: textwrap.indent(field, m[1]), source, flags=re.M)
     loop = _defined(source, "dopri5", **vars(math), Trajectory=dynamics.Trajectory,
                     Termination=dynamics.Termination, _MAX_STEPS=dynamics._MAX_STEPS)

@@ -200,6 +200,13 @@ def test_disc_center_and_ray_limit():
     assert prev > 1 - 1e-12
 
 
+def test_disc_coords_of_a_point_whose_squared_norm_overflows():
+    # 1 + x² + y² overflows to inf at these finite points, which used to go to the centre
+    assert disc_coords((1e200, 0.0)) == (1.0, 0.0)
+    qx, qy = disc_coords((1e154, 1e154))
+    assert abs(qx - math.sqrt(0.5)) <= 1e-15 and abs(qy - math.sqrt(0.5)) <= 1e-15
+
+
 def test_disc_inverse_boundary_marker():
     res = disc_coords_inverse((1.0, 0.0))
     assert isinstance(res, InfinityMarker)

@@ -436,6 +436,21 @@ def test_an_error_estimate_beyond_the_float_range_rejects_the_step():
     assert traj.samples[1][0] == 0.01 * 0.2
 
 
+def test_an_infinite_stage_6_value_makes_the_fifth_order_solution_nan():
+    # the first step's stage-6 point is x = 0.09999999999999998, no other stage's; the tableau's
+    # 0.0 * k6 = NaN makes x5 NaN there, so a loop that took x5 = px would add a finite sample
+    stage6 = 0.09999999999999998
+
+    def field(x, y):
+        return (math.inf if x == stage6 else 1.0), 0.0
+
+    opts = IntegratorOptions(max_time=1.0, fixed_step=0.1, box=_SQUARE)
+    for run in (integrate, _reference_integrate):
+        traj = run(field, (0.0, 0.0), opts)
+        assert repr(traj.samples) == repr(((0.0, (0.0, 0.0)), (0.1, (math.nan, 0.0))))
+        assert traj.termination.kind == "step_underflow"
+
+
 # -- omega limits -----------------------------------------------------------------
 
 

@@ -29,6 +29,8 @@ from phaseatlas.portrait import (
 )
 from phaseatlas.sysio import parse_system
 
+from oracles import per_point_path_data
+
 F = Fraction
 
 
@@ -224,6 +226,20 @@ def _region_maps(draw):
 @example(ScanResult(tuple(range(1, 17)), (1,), (tuple("".join(list(label)) for label in REGION_IDS),), {}))
 def test_region_map_matches_the_per_cell_writer(scan):
     assert render_region_map(scan) == _per_cell_region_map(scan)
+
+
+_PATH_COORDINATES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e-5, -1e-5, 1e154, -1e154, 1e200, -1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_PATH_COORDINATES, _PATH_COORDINATES), max_size=8))
+@example([(0.0, 0.0), (1e200, 0.0)])
+@example([(-1e-5, 1e-5), (math.nan, 0.0), (math.inf, 1.0), (1e154, -1e154)])
+def test_path_data_matches_the_per_point_writer(points):
+    assert portrait._path_data(points) == per_point_path_data(points)
 
 
 def test_glyphs_match_stationary_point_kinds():

@@ -277,7 +277,7 @@ def cmd_region(args):
         "almost_attractors": list(row.almost_attractors),
     }
     if args.format == "json":
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit(args, sysio.indented_json(doc) + "\n")
         return EXIT_OK
     lines = [f"region: {summary.region}", "finite stationary points:"]
     lines += [f"  {label}: {kind}" for label, kind in finite.items()]
@@ -301,41 +301,8 @@ def cmd_scan(args):
         "boundary_loci": {k: list(v) for k, v in sorted(res.boundary_loci.items())},
         "distinct_regions": sorted(res.distinct_regions()),
     }
-    _emit(args, _indented_json(doc) + "\n")
+    _emit(args, sysio.indented_json(doc) + "\n")
     return EXIT_OK
-
-
-def _indented_json(value, pad="") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) by the C encoder, which indent would turn off.
-
-    Each list of scalars is one call with indent=2's item separator, so a list
-    must hold only containers or only scalars.  A list of strings that json.dumps
-    writes as they are (printable ASCII with no `"` or `\\`, which is every
-    scan label and coordinate) is one join instead, with no encoder call.
-    """
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict) and value:
-        body = sep.join(f"{json.dumps(k)}: {_indented_json(v, inner)}" for k, v in sorted(value.items()))
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-        body = sep.join(_indented_json(v, inner) for v in value)
-    elif isinstance(value, list) and value and _plain_strings(value):
-        body = '"' + f'"{sep}"'.join(value) + '"'
-    elif isinstance(value, list) and value:
-        body = json.dumps(value, separators=(sep, ": "))[1:-1]
-    else:
-        return json.dumps(value)
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    return f"{opening}\n{inner}{body}\n{pad}{closing}"
-
-
-def _plain_strings(items) -> bool:
-    """True if items are all strings that json.dumps writes unescaped: ' ' to '~' less '"' and '\\'."""
-    try:
-        text = "".join(items)
-    except TypeError:
-        return False
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _read_scan_map(path) -> atlas.ScanResult:
@@ -347,6 +314,9 @@ def _read_scan_map(path) -> atlas.ScanResult:
     except ValueError as exc:
         raise ParseError(f"scan map {path} is not JSON: {exc}")
     try:
+        lists = (doc["a_values"], doc["b_values"], doc["cells"], *doc["cells"], *doc["boundary_loci"].values())
+        if not all(isinstance(v, list) for v in lists):  # a string or an object would be read item by item
+            raise ParseError("a_values, b_values, cells, each row and each boundary locus must be lists")
         res = atlas.ScanResult(
             a_values=tuple(_rational(v) for v in doc["a_values"]),
             b_values=tuple(_rational(v) for v in doc["b_values"]),

@@ -18,9 +18,9 @@ manifold and the standard semi-hyperbolic trichotomy.
 Every stationary point the package classifies, finite, on a blow-up
 divisor or at infinity, is linearized on one path: `jacobian_at` evaluates
 its Jacobian once, from derivatives each `PolyField` takes once;
-`classify_linear`, one body for exact and float matrices, gives its linear
-kind; and `classify_point` adds the center-manifold subkind at an exact
-semi-hyperbolic point.  The CDK closed form gives coordinates only: s1 and
+`classify_linear`, one body for exact and float matrices (an exact one tested
+in integers), gives its linear kind; and `classify_point` adds the
+center-manifold subkind at an exact semi-hyperbolic point.  The CDK closed form gives coordinates only: s1 and
 s2 are classified on their exact Jacobians, and s3/s4 on a rational matrix
 similar to theirs, so no kind is decided beside `classify_linear`.
 """
@@ -154,13 +154,17 @@ def _matrix_is_exact(J) -> bool:
 def classify_linear(J) -> ClassificationKind:
     """Kind of an equilibrium from its Jacobian alone.
 
-    Exact matrices (Fraction entries) are classified by exact sign tests;
-    float matrices use a relative threshold of 1e-10 on the matrix norm and
-    set `boundary` when a decisive quantity sits below it.
+    Exact matrices (int or Fraction entries) are classified by exact sign tests
+    on L·J, L the entries' common denominator, whose tr, det and tr² − 4·det are
+    ints with the signs of J's; float matrices use a relative threshold of 1e-10
+    on the matrix norm and set `boundary` when a decisive quantity sits below it.
     """
     exact = _matrix_is_exact(J)
-    num = as_rational if exact else float
-    (a11, a12), (a21, a22) = ((num(v) for v in row) for row in J)
+    if exact:
+        L = math.lcm(*(v.denominator for row in J for v in row))
+        (a11, a12), (a21, a22) = ((v.numerator * (L // v.denominator) for v in row) for row in J)
+    else:
+        (a11, a12), (a21, a22) = ((float(v) for v in row) for row in J)
     tr = a11 + a22
     det = a11 * a22 - a12 * a21
     disc = tr * tr - 4 * det

@@ -26,8 +26,8 @@ with a positioned error.
 
 Reports are nested dictionaries with every number tagged "exact" (a
 rational string) or "approx" (a 12-significant-digit float string plus a
-tolerance), rendered either as canonical JSON (bit-stable across runs) or
-as human-readable text.
+tolerance), rendered either as human-readable text or as canonical JSON, the
+bytes of json.dumps(report, sort_keys=True, indent=2) written by `indented_json`.
 """
 
 from __future__ import annotations
@@ -422,10 +422,47 @@ def build_report(
     return doc
 
 
+def indented_json(value, pad="") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), which turns the C encoder off, by one join per container.
+
+    Strings and dict keys (all strings) go through the C string encoder, other scalars through json.dumps,
+    and a list of strings that need no escaping (every scan label and coordinate) is one join.
+    """
+    if isinstance(value, str):
+        return _encode_string(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join([f"{_encode_string(k)}: {indented_json(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if _plain_strings(value):
+        body = '"' + f'"{sep}"'.join(value) + '"'
+    else:
+        body = sep.join([indented_json(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _plain_strings(items) -> bool:
+    """True if items are all strings that json.dumps writes unescaped: ' ' to '~' less '"' and '\\'."""
+    try:
+        text = "".join(items)
+    except TypeError:
+        return False
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
 def format_report(report: dict, fmt: str = "json") -> str:
-    """Render a report document; identical input gives identical bytes."""
+    """Render a report document; identical input gives identical bytes.  The JSON is
+    json.dumps(report, sort_keys=True, indent=2) and a line end, written by `indented_json`."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        return indented_json(report) + "\n"
     if fmt != "human":
         raise ParseError(f"unknown report format {fmt!r}")
     lines = []

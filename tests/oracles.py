@@ -118,6 +118,25 @@ def _s34_kind(a: Fraction, b: Fraction) -> ClassificationKind:
     return ClassificationKind("attracting_node" if tr < 0 else "repelling_node")
 
 
+def fraction_classify_linear(J) -> ClassificationKind:
+    """classify_linear on an exact matrix, by the same sign tests made in Fraction arithmetic."""
+    (a11, a12), (a21, a22) = ((as_rational(v) for v in row) for row in J)
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
+    disc = tr * tr - 4 * det
+    if det == 0 and tr == 0:
+        return ClassificationKind("nilpotent")
+    if det == 0:
+        return ClassificationKind("semi_hyperbolic")
+    if det < 0:
+        return ClassificationKind("saddle")
+    if tr == 0:
+        return ClassificationKind("center_linear")
+    if disc < 0:
+        return ClassificationKind("attracting_focus" if tr < 0 else "repelling_focus")
+    return ClassificationKind("attracting_node" if tr < 0 else "repelling_node")
+
+
 # criterion 4's float probe of the sectors round the origin
 @dataclass(frozen=True)
 class ProbeArc:

@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 from test_atlas import APPENDIX_PAIRS
-from test_output_lock import SCANS
+from test_output_lock import CUSP, LOTKA_VOLTERRA, SCANS
 
-from phaseatlas import cli
+from phaseatlas import cli, sysio
 from phaseatlas.atlas import scan_grid
 from phaseatlas.cli import main
 from phaseatlas.desing import sprott_field
@@ -360,9 +360,14 @@ _SCAN_DOC = {
         (json.dumps({**_SCAN_DOC, "a_values": ["5/4", "3/4"]}), "a_values are not strictly ascending"),
         (json.dumps({**_SCAN_DOC, "a_values": ["5/4", "5/4"]}), "a_values are not strictly ascending"),
         (json.dumps({**_SCAN_DOC, "b_values": ["3/2", "1/2"]}), "b_values are not strictly ascending"),
+        # a string or an object where a list belongs was read item by item: "13" as the axis [1, 3],
+        # and an object's keys as a row's labels
+        (json.dumps({**_SCAN_DOC, "a_values": "13"}), "must be lists"),
+        (json.dumps({**_SCAN_DOC, "cells": [{"3h": 1, "1": 2}, ["2b", "3c"]]}), "must be lists"),
+        (json.dumps({**_SCAN_DOC, "boundary_loci": {"a=1": "1"}}), "must be lists"),
     ],
     ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row", "mixed-cells", "mixed-locus",
-         "descending-a", "repeated-a", "descending-b"],
+         "descending-a", "repeated-a", "descending-b", "string-axis", "object-row", "string-locus"],
 )
 def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "map.json"
@@ -373,35 +378,56 @@ def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
 
 
 def test_scan_json_is_the_indent_2_encoding(capsys):
-    from phaseatlas.cli import _indented_json
-
     for argv in (["--resolution", "1"], ["--resolution", "7"], ["--a-range", "1/2:3/2", "--resolution", "3"]):
         code, out, _ = run(capsys, "scan", *argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
     doc = {"b": [], "a": {"z": ["1"], "y": {}}, "c": [[], ["x", "y"]], "d": [{"k": [1, 2.5, None]}], "e": "s"}
-    assert _indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert sysio.indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
-# strings json.dumps writes as they are, which _indented_json joins, and the
+_LOCKED_SPECS = {"lotka-volterra": LOTKA_VOLTERRA, "cusp": CUSP}
+
+
+@pytest.mark.parametrize("argv", [
+    *(("analyze", "--a", str(a), "--b", str(b)) for a, b in APPENDIX_PAIRS),
+    *(("region", "--a", str(a), "--b", str(b)) for a, b in APPENDIX_PAIRS),
+    *(("analyze", "--system", name) for name in _LOCKED_SPECS),
+], ids=" ".join)
+def test_report_json_is_the_indent_2_encoding(capsys, tmp_path, argv):
+    if argv[1] == "--system":
+        spec = tmp_path / "spec.txt"
+        spec.write_text(_LOCKED_SPECS[argv[2]], encoding="utf-8")
+        argv = (*argv[:2], str(spec))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# strings json.dumps writes as they are, which indented_json joins, and the
 # same with one character it escapes: a quote, a backslash, controls,
 # non-ASCII or a lone surrogate
 _plain_strings = st.text(st.sampled_from(" a7/-#~"), max_size=3)
 _strings = _plain_strings | st.builds(str.__add__, _plain_strings, st.sampled_from('"\\\n\x00\x7fé\ud800'))
 _scalars = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), _strings)
-# _indented_json takes lists of containers only or of scalars only
+# lists of strings alone, of scalars alone, and of containers and scalars mixed; tuples, which
+# json.dumps writes as lists; and empty containers, at any depth
 _json_docs = st.recursive(
-    st.lists(_strings) | st.lists(_scalars) | st.dictionaries(_strings, _scalars, max_size=3),
-    lambda docs: st.lists(docs, max_size=3) | st.dictionaries(_strings, docs | _scalars, max_size=3),
+    st.lists(_strings) | st.lists(_scalars) | st.dictionaries(_strings, _scalars, max_size=3) | _scalars,
+    lambda docs: st.lists(docs, max_size=3) | st.lists(docs, max_size=3).map(tuple)
+    | st.dictionaries(_strings, docs, max_size=3),
     max_leaves=12,
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(_json_docs)
 @example({"e": ['"', "\\", "\n", "\x00", "\x7f", "é", " ", "\ud800", ""], "p": ["3f", "1/2", "", " ~"], "s": [1, -2.5, True, None]})
+@example([1, [2]])
+@example(("a",))
+@example({"a": [[], {}, ([],), "", 0, {"b": ()}]})
 def test_indented_json_is_json_dumps(doc):
-    assert cli._indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert sysio.indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 # rectangles with cell midpoints on the loci: (1/2, 2) is on a = 1/2 and the

@@ -26,7 +26,7 @@ from phaseatlas.equilibria import (
 from phaseatlas.errors import DomainError, InconclusiveError, PreconditionError
 from phaseatlas.polycore import BiPoly, X, Y
 
-from oracles import _s34_kind, interval_box_test, s34_eigenvalues, shift_to_origin
+from oracles import _s34_kind, fraction_classify_linear, interval_box_test, s34_eigenvalues, shift_to_origin
 
 F = Fraction
 
@@ -256,6 +256,44 @@ def test_classify_linear_similarity_invariant():
                     break
             Jn = np.array(s) @ np.array(J, dtype=float) @ np.linalg.inv(np.array(s, dtype=float))
             assert classify_linear(tuple(map(tuple, Jn))).name == base
+
+
+# ints and rationals, with numerators and denominators of 1 to 300 digits
+_long = st.builds(lambda lead, k, low: lead * 10**k + low, st.integers(1, 9), st.integers(0, 294), st.integers(0, 10**5))
+_rationals = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(lambda n, d, sign: sign * Fraction(n, d), _long, _long, st.sampled_from((1, -1))),
+    st.builds(int.__mul__, _long, st.sampled_from((1, -1))),
+)
+
+
+@st.composite
+def _exact_matrices(draw):
+    """A matrix with det = 0, tr = 0, both, or tr² = 4·det, or none of these; ints among the Fractions."""
+    a11, a12, a21, a22 = (draw(_rationals) for _ in range(4))
+    shape = draw(st.sampled_from(["any", "det=0", "tr=0", "nilpotent", "disc=0"]))
+    if shape in ("tr=0", "nilpotent"):
+        a22 = -a11
+    if shape in ("det=0", "nilpotent") and a12:
+        a21 = Fraction(a11) * a22 / a12
+    elif shape in ("det=0", "nilpotent"):
+        a11, a22 = (0, 0) if shape == "nilpotent" else (a11, 0)
+    if shape == "disc=0":
+        if a12:
+            a21 = -Fraction(a11 - a22) ** 2 / (4 * a12)
+        else:
+            a22 = a11
+    whole = draw(st.booleans())  # whole Fractions as ints
+    a11, a12, a21, a22 = (int(v) if whole and v == int(v) else v for v in (a11, a12, a21, a22))
+    return (a11, a12), (a21, a22)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_exact_matrices())
+@example(((Fraction(1, 3), Fraction(-1, 3 * 10**299)), (Fraction(10**299, 3), Fraction(-1, 3))))
+def test_classify_linear_on_exact_matrices_matches_fraction_arithmetic(J):
+    assert classify_linear(J) == fraction_classify_linear(J)
 
 
 # -- s3/s4 eigenvalues ----------------------------------------------------------------

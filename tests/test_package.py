@@ -78,6 +78,28 @@ def test_the_divisor_scan_has_one_caller():
     assert callers == ["blowup.blowup_origin"]
 
 
+def test_indented_json_has_one_writer():
+    # json.dumps(indent=...) turns the C encoder off; sysio.indented_json writes the same bytes,
+    # and every indented document the package prints (report, region, scan) goes through it
+    modules = _modules()
+
+    def json_calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(getattr(call.func, "value", None), "id", None) == "json"
+                and call.func.attr in ("dumps", "dump", "JSONEncoder")]
+
+    indent = [f"{module}:{call.lineno}" for module, tree in modules.items() for call in json_calls(tree)
+              if any(keyword.arg == "indent" for keyword in call.keywords)]
+    assert indent == []
+    writers = sorted(f"{module}.{qualname}" for module, tree in modules.items()
+                     for qualname, _, node in _definitions(tree) if json_calls(node))
+    assert writers == ["sysio.indented_json"]
+    callers = sorted(f"{module}.{qualname}" for module, tree in modules.items()
+                     for qualname, _, node in _definitions(tree) if qualname != "indented_json"
+                     and "indented_json" in _references(node))
+    assert callers == ["cli.cmd_region", "cli.cmd_scan", "sysio.format_report"]
+
+
 def test_generated_code_is_compiled_by_compile_named():
     # every generated source (rhs, dopri5, box, jac) is compiled once per process and filed
     # under its own name, so a profile keeps them apart; desing.bind alone makes functions of

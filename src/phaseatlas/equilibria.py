@@ -15,14 +15,15 @@ Classification: hyperbolic kinds drop out of the 2x2 eigenvalue structure;
 points with exactly one zero eigenvalue get an exact polynomial center
 manifold and the standard semi-hyperbolic trichotomy.
 
-Every stationary point the package classifies, finite, on a blow-up
-divisor or at infinity, is linearized on one path: `jacobian_at` evaluates
-its Jacobian once, from derivatives each `PolyField` takes once;
-`classify_linear`, one body for exact and float matrices (an exact one tested
-in integers), gives its linear kind; and `classify_point` adds the
-center-manifold subkind at an exact semi-hyperbolic point.  The CDK closed form gives coordinates only: s1 and
-s2 are classified on their exact Jacobians, and s3/s4 on a rational matrix
-similar to theirs, so no kind is decided beside `classify_linear`.
+Every stationary point the package classifies, finite, on a blow-up divisor
+or at infinity, is linearized on one path: `jacobian_at` evaluates its
+Jacobian once, from derivatives each `PolyField` takes once;
+`classify_linear`, one body for exact and float matrices (an exact one
+tested in integers), gives its linear kind; and `classify_point` adds the
+center-manifold subkind at an exact semi-hyperbolic point.  The CDK closed
+form gives coordinates only: s1 and s2 are classified on their exact
+Jacobians, and s3/s4 on a rational matrix similar to theirs, so no kind is
+decided beside `classify_linear`.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ largest common monomial power v^k that keeps the exceptional divisor
 reconstituted exactly.
 
 Exchanging x and y turns the ±y substitutions into the ±x ones with the
-weights exchanged, and P and Q; the ±y chart is built by that mirror image.
-A substitution maps monomials to monomials, so it re-keys the terms.
+weights exchanged: a ±y chart, and its blow-down, is the mirror image of the
+±x one of `PolyField.swapped` with weights (β, α), so the ±x term map is the
+only one written.  A substitution maps monomials to monomials: it re-keys terms.
 
 `blowup_origin` builds +x and +y, −x only if α is even, −y only if β is
 even.  Else the minus chart is F₋(z) = s·D·F₊(D·z), a sign on each term,
@@ -63,14 +64,11 @@ DIRECTIONS = ("+x", "-x", "+y", "-y")
 
 def blow_down(direction: str, weights, xb, yb):
     """Plane point of the chart point (x̄, ȳ) of a directional blow-up."""
+    if direction[1] == "y":  # the mirror image of the ±x point (ȳ, x̄) with the weights exchanged
+        y, x = blow_down(direction[0] + "x", weights[::-1], yb, xb)
+        return (x, y)
     alpha, beta = weights
-    if direction == "+x":
-        return (xb**alpha, xb**beta * yb)
-    if direction == "-x":
-        return (-(xb**alpha), xb**beta * yb)
-    if direction == "+y":
-        return (xb * yb**alpha, yb**beta)
-    return (xb * yb**alpha, -(yb**beta))
+    return (xb**alpha if direction == "+x" else -(xb**alpha), xb**beta * yb)
 
 
 @dataclass(frozen=True)
@@ -114,23 +112,25 @@ def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> Blowup
     if f.P.eval(0, 0) != 0 or f.Q.eval(0, 0) != 0:
         raise PreconditionError("origin is not a stationary point of the field")
     alpha, beta = w
-    sv, var = (1 if direction[0] == "+" else -1), direction[1]
-    # φ: x^i y^j -> sv^i x^(αi+βj) y^j; xdot = sv*P∘φ/(α x^(α-1)), ydot over α*x^(α+β-1)
-    if var == "x":
-        phi = ((sv, alpha, 0), (1, beta, 1))
-        n1 = f.P.subst_monomials(*phi, (sv, beta, 0))
-        n2 = (f.Q.subst_monomials(*phi, (alpha, alpha - 1, 0))
-              - f.P.subst_monomials(*phi, (sv * beta, beta - 1, 1)))
-    else:  # the same with x and y, P and Q, α and β exchanged
-        phi = ((1, 1, alpha), (sv, 0, beta))
-        n1 = f.Q.subst_monomials(*phi, (sv, 0, alpha))
-        n2 = (f.P.subst_monomials(*phi, (beta, 0, beta - 1))
-              - f.Q.subst_monomials(*phi, (sv * alpha, 1, alpha - 1)))
-    s = divisor_power(n1, n2, var)
-    n1, n2 = n1.div_monomial(var, s), n2.div_monomial(var, s)
-    return BlowupChart(direction, w, *((n1, n2) if var == "x" else (n2, n1)),
-                       cancelled_coeff=Fraction(1, alpha if var == "x" else beta),
+    sv = 1 if direction[0] == "+" else -1
+    if direction[1] == "x":
+        chart, s = _x_chart(f, sv, alpha, beta)
+    else:  # the ±x chart of the mirror image, with the weights exchanged, mirrored back
+        chart, s = _x_chart(f.swapped(), sv, beta, alpha)
+        chart = chart.swapped()
+    return BlowupChart(direction, w, chart.P, chart.Q, Fraction(1, alpha if direction[1] == "x" else beta),
                        cancelled_power=s - (alpha + beta - 1))
+
+
+def _x_chart(f: PolyField, sv: int, alpha: int, beta: int):
+    """(chart field, shed power s) of the sv·x blow-up of f with weights (α, β): the one term map."""
+    # φ: x^i y^j -> sv^i x^(αi+βj) y^j; xdot = sv*P∘φ/(α x^(α-1)), ydot over α*x^(α+β-1)
+    phi = ((sv, alpha, 0), (1, beta, 1))
+    n1 = f.P.subst_monomials(*phi, (sv, beta, 0))
+    n2 = (f.Q.subst_monomials(*phi, (alpha, alpha - 1, 0))
+          - f.P.subst_monomials(*phi, (sv * beta, beta - 1, 1)))
+    s = divisor_power(n1, n2, "x")
+    return PolyField(n1.div_monomial("x", s), n2.div_monomial("x", s)), s
 
 
 # -- stationary points on the exceptional divisor ---------------------------------
@@ -308,29 +308,24 @@ def _upper(a: DivisorPoint, b: DivisorPoint, wrap: bool) -> bool:
 def _arc_samples(a: DivisorPoint, b: DivisorPoint, charts):
     """Sampling positions for the open counterclockwise arc from divisor point a to b.
 
-    Each sample is (chart, u, ccw_orientation): in the +x chart increasing u
-    moves counterclockwise, in the -x chart it moves clockwise.  An arc that
-    spans several charts gets one sample near each end; the divisor flow has
-    no zero in the open arc, so all samples must agree on its direction.
+    Each sample is (chart, u, o), o the x-chart's orientation: +1 on +x, where
+    increasing u moves counterclockwise, −1 on −x, where it moves clockwise.  An
+    arc that spans several charts gets one sample near each end; the divisor flow
+    has no zero in the open arc, so all samples must agree on its direction.
     """
     da, db = a.direction, b.direction
     ua, ub = a.coordinate, b.coordinate
+    oa, ob = (1 if d == "+x" else -1 for d in (da, db))  # o·u increases counterclockwise
 
     # consecutive roots inside one x-chart: a single interior sample decides
-    if da == db == "+x" and ub > ua:
-        return [(charts["+x"], (ua + ub) / 2, +1)]
-    if da == db == "-x" and ub < ua:
-        return [(charts["-x"], (ua + ub) / 2, -1)]
+    if da == db and da[1] == "x" and oa * ub > oa * ua:
+        return [(charts[da], (ua + ub) / 2, oa)]
 
     samples = []
-    if da == "+x":  # arc leaves the +x chart upward (ccw = increasing u)
-        samples.append((charts["+x"], ua + 1, +1))
-    elif da == "-x":  # arc leaves the -x chart downward (ccw = decreasing u)
-        samples.append((charts["-x"], ua - 1, -1))
-    if db == "+x":  # arc arrives from below in the +x chart
-        samples.append((charts["+x"], ub - 1, +1))
-    elif db == "-x":  # arc arrives from above in the -x chart
-        samples.append((charts["-x"], ub + 1, -1))
+    if da[1] == "x":  # the arc leaves a's chart counterclockwise, toward larger o·u
+        samples.append((charts[da], ua + oa, oa))
+    if db[1] == "x":  # and arrives in b's chart from smaller o·u
+        samples.append((charts[db], ub - ob, ob))
     if not samples:
         # arc between axis points only: +y -> -y passes the -x chart going
         # ccw, -y -> +y passes the +x chart; the chart has no divisor roots

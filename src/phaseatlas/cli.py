@@ -33,19 +33,11 @@ from fractions import Fraction
 
 from . import atlas, blowup, compact, dynamics, equilibria, portrait, sysio
 from .desing import cdk_poly_field, desingularize, sprott_field
-from .errors import (
-    DomainError,
-    InternalInconsistencyError,
-    ParseError,
-    PhaseAtlasError,
-    PreconditionError,
-)
+from .errors import InternalInconsistencyError, ParseError, PhaseAtlasError, PreconditionError
 from .polycore import BiPoly, format_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_PRECONDITION = 3
-EXIT_INCONSISTENT = 4
 
 
 def _rational(text: str) -> Fraction:
@@ -313,7 +305,11 @@ def _read_scan_map(path) -> atlas.ScanResult:
         doc = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"scan map {path} is not JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"scan map {path} is not a JSON object")
     try:
+        if not isinstance(doc["boundary_loci"], dict):
+            raise ParseError("boundary_loci is not an object")
         lists = (doc["a_values"], doc["b_values"], doc["cells"], *doc["cells"], *doc["boundary_loci"].values())
         if not all(isinstance(v, list) for v in lists):  # a string or an object would be read item by item
             raise ParseError("a_values, b_values, cells, each row and each boundary locus must be lists")
@@ -326,7 +322,7 @@ def _read_scan_map(path) -> atlas.ScanResult:
         unknown = res.distinct_regions() - set(atlas.REGION_IDS)
     except KeyError as exc:
         raise ParseError(f"scan map {path} has no {exc} entry")
-    except (ParseError, TypeError, AttributeError) as exc:
+    except (ParseError, TypeError) as exc:
         raise ParseError(f"scan map {path}: {exc}")
     if unknown:
         raise ParseError(f"scan map {path} has unknown region labels {sorted(unknown, key=repr)}")
@@ -457,21 +453,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PhaseAtlasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except (PhaseAtlasError, OSError) as exc:
+        kind = "internal inconsistency" if isinstance(exc, InternalInconsistencyError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ and −(u/z, 1/z) with z > 0 their Jacobians' off-diagonals change sign.  The
 divisor {z = 0} is the equator; its stationary points are the roots of u̇(u, 0).
 
 Only U1 and U2 are built.  Exchanging x and y turns U2 into U1: the U2
-chart of (P, Q) is the U1 chart of the swapped field (Q(y, x), P(y, x)),
-so one construction serves both.  A V point is the antipode of a U point:
-the same u, and the U Jacobian times s.
+chart of (P, Q) is the U1 chart of its mirror image `PolyField.swapped`,
+(Q(y, x), P(y, x)), so one construction serves both.  A V point is the
+antipode of a U point: the same u, and the U Jacobian times s.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def compactify_chart(f: PolyField, chart: str) -> PolyField:
     if chart not in ("U1", "U2"):
         raise DomainError(f"unknown chart {chart!r}: only U1 and U2 are built")
     if chart == "U2":  # U2 is U1 of the field with x and y exchanged
-        f = PolyField(f.Q.swapped(), f.P.swapped())
+        f = f.swapped()
     d = f.max_degree()
     if d < 0:
         raise PreconditionError("cannot compactify the zero field")

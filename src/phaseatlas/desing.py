@@ -252,6 +252,10 @@ class PolyField:
     def max_degree(self) -> int:
         return max(self.P.total_degree(), self.Q.total_degree())
 
+    def swapped(self) -> "PolyField":
+        """The mirror image (Q(y, x), P(y, x)) of the field in the line y = x, terms kept in storage order."""
+        return PolyField(self.Q.swapped(), self.P.swapped(), self.time_factor.swapped(), self.provenance + (("swap",),))
+
     def shifted(self, dx, dy) -> "PolyField":
         """Field in coordinates centred at (dx, dy); exact recomposition."""
         dx, dy = as_rational(dx), as_rational(dy)

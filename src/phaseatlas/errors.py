@@ -1,12 +1,15 @@
 """Exception taxonomy shared by all phaseatlas modules.
 
-The CLI maps these onto exit codes: parse-type errors exit 2, domain and
-precondition violations exit 3, internal-inconsistency exits 4.
+Each class carries its CLI exit code as the class attribute `exit_code`:
+parse-type errors exit 2, domain and precondition violations and every other
+package error exit 3, internal-inconsistency exits 4.
 """
 
 
 class PhaseAtlasError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class DomainError(PhaseAtlasError, ValueError):
@@ -19,6 +22,8 @@ class PreconditionError(PhaseAtlasError, ValueError):
 
 class ParseError(PhaseAtlasError, ValueError):
     """Syntax error in a textual system specification."""
+
+    exit_code = 2
 
     def __init__(self, message, line=None, column=None):
         if line is not None:
@@ -75,3 +80,5 @@ class InternalInconsistencyError(PhaseAtlasError):
     This signals a bug in the package (or an input outside its verified
     envelope), never a user error.
     """
+
+    exit_code = 4

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from test_atlas import APPENDIX_PAIRS
 from test_output_lock import CUSP, LOTKA_VOLTERRA, SCANS
 
-from phaseatlas import cli, sysio
+from phaseatlas import cli, errors, sysio
 from phaseatlas.atlas import scan_grid
 from phaseatlas.cli import main
 from phaseatlas.desing import sprott_field
@@ -365,9 +365,16 @@ _SCAN_DOC = {
         (json.dumps({**_SCAN_DOC, "a_values": "13"}), "must be lists"),
         (json.dumps({**_SCAN_DOC, "cells": [{"3h": 1, "1": 2}, ["2b", "3c"]]}), "must be lists"),
         (json.dumps({**_SCAN_DOC, "boundary_loci": {"a=1": "1"}}), "must be lists"),
+        # a document or loci table of the wrong JSON type gave Python's indexing message
+        ("[1, 2]", "is not a JSON object"),
+        ("3", "is not a JSON object"),
+        ('"x"', "is not a JSON object"),
+        ("null", "is not a JSON object"),
+        (json.dumps({**_SCAN_DOC, "boundary_loci": []}), "boundary_loci is not an object"),
     ],
     ids=["unknown-label", "not-json", "bad-value", "missing-key", "short-row", "mixed-cells", "mixed-locus",
-         "descending-a", "repeated-a", "descending-b", "string-axis", "object-row", "string-locus"],
+         "descending-a", "repeated-a", "descending-b", "string-axis", "object-row", "string-locus",
+         "array-document", "number-document", "string-document", "null-document", "array-loci"],
 )
 def test_malformed_scan_map_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "map.json"
@@ -547,6 +554,24 @@ def test_spec_file_with_an_empty_side_exits_2(tmp_path, capsys, text):
 def test_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "stationary", "--system", "/nonexistent/path.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize("error, code, err", [
+    (errors.InternalInconsistencyError("e"), 4, "internal inconsistency: e\n"),
+    (errors.ParseError("e"), 2, "error: e\n"),
+    (errors.UnknownSymbolError("e"), 2, "error: e\n"),
+    (errors.DomainError("e"), 3, "error: e\n"),
+    (errors.PreconditionError("e"), 3, "error: e\n"),
+    (errors.UnresolvedError("e"), 3, "error: e\n"),
+    (PermissionError("e"), 2, "error: e\n"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_exits_with_its_code(capsys, monkeypatch, error, code, err):
+    # the exit code is the class's exit_code, and an OSError exits 2; only an inconsistency is named so
+    def fail(a, b):
+        raise error
+
+    monkeypatch.setattr(cli.atlas, "region_summary", fail)
+    assert run(capsys, "region", "--a", "1", "--b", "1") == (code, "", err)
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

@@ -160,6 +160,31 @@ def test_cdk_poly_field_rejects_nonpositive_parameters(a, b):
         cdk_poly_field(a, b)
 
 
+def _dulac_residual(P, Q, b):
+    """x·s·(P_x + Q_y) − (3x² + y²)·P − 2xy·Q + b·x·s², s = x² + y²: zero where the Dulac identity holds."""
+    s = X**2 + Y**2
+    return X * s * (P.diff_x() + Q.diff_y()) - (3 * X**2 + Y**2) * P - 2 * X * Y * Q + b * X * s**2
+
+
+def test_cdk_field_has_no_periodic_orbit_by_a_dulac_function():
+    """No CDK field has a periodic orbit, for any a, b > 0 (Bendixson-Dulac).
+
+    The y-axis is invariant, since P = x(y − a(x² + y²)) vanishes on it, so a
+    periodic orbit lies in one open half-plane x > 0 or x < 0.  There the
+    function B = 1/(x·s), s = x² + y², is smooth, and the identity
+    x·s·(P_x + Q_y) − (3x² + y²)·P − 2xy·Q = −b·x·s² gives
+    div(B·F) = −b/x, which has one sign on each open half-plane for every
+    b > 0: so neither holds a periodic orbit.  Both sides are affine in (a, b),
+    so the identity at three affinely independent points holds for every (a, b).
+    """
+    for a, b in ((Fraction(5, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(19, 10)), (Fraction(7, 10), 1)):
+        f = cdk_poly_field(a, b)
+        assert f.P.monomial_order("x") >= 1  # x divides P: the y-axis is invariant
+        assert _dulac_residual(f.P, f.Q, b).is_zero(), (a, b)
+        # the identity sees every term: Q without its −b·y³ term fails it
+        assert not _dulac_residual(f.P, f.Q + b * Y**3, b).is_zero(), (a, b)
+
+
 # -- Sprott fixture -------------------------------------------------------------
 
 

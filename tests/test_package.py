@@ -100,6 +100,23 @@ def test_indented_json_has_one_writer():
     assert callers == ["cli.cmd_region", "cli.cmd_scan", "sysio.format_report"]
 
 
+def test_the_xy_mirror_and_the_blowup_term_map_are_written_once():
+    # PolyField.swapped is the one x↔y mirror: compact's U2 and blowup's ±y charts are the
+    # U1 and ±x construction of the mirror image, so no module swaps P and Q itself
+    modules = _modules()
+    mirrors = [f"{module}:{call.lineno}" for module, tree in modules.items() if module != "desing"
+               for call in ast.walk(tree) if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "PolyField"
+               and any("swapped" in _references(arg) for arg in (*call.args, *(k.value for k in call.keywords)))]
+    assert mirrors == []
+    # the ±x term map, three monomial substitutions, is the only one blowup_directional reaches;
+    # _antipode's sign map is a separate one
+    blowup = {qualname: node for qualname, _, node in _definitions(modules["blowup"])}
+    reached = {"blowup_directional"} | (set(_references(blowup["blowup_directional"])) & set(blowup))
+    substitutions = [f"{name}:{call.lineno}" for name in sorted(reached) for call in ast.walk(blowup[name])
+                     if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "subst_monomials"]
+    assert len(substitutions) == 3, substitutions
+
+
 def test_generated_code_is_compiled_by_compile_named():
     # every generated source (rhs, dopri5, box, jac) is compiled once per process and filed
     # under its own name, so a profile keeps them apart; desing.bind alone makes functions of

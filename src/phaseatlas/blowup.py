@@ -97,13 +97,6 @@ class BlowupChart:
     def field(self) -> PolyField:
         return PolyField(self.px, self.py, provenance=("blowup", self.direction, tuple(self.weights)))
 
-    def substitution_jacobian(self, u, v):
-        alpha, beta = self.weights
-        sv = 1 if self.direction[0] == "+" else -1
-        if self.radial_var == "x":
-            return ((sv * alpha * u ** (alpha - 1), 0 * u), (beta * u ** (beta - 1) * v, u**beta))
-        return ((v**alpha, alpha * v ** (alpha - 1) * u), (0 * v, sv * beta * v ** (beta - 1)))
-
 
 def blowup_directional(f: PolyField, direction: str, w: NewtonWeights) -> BlowupChart:
     """Blow up the origin of f in one direction with the given weights."""

@@ -32,12 +32,14 @@ import math
 import textwrap
 import types
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DomainError, PreconditionError, UndefinedPointError
 from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_lcm, reduce_fraction
 from .polycore import poly_gcd  # noqa: F401  bench/tests/test_bench.py expects desing to bind it
+
+_UNIT = BiPoly.const(1)  # the time factor of every PolyField built without one
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ class PolyField:
 
     P: BiPoly
     Q: BiPoly
-    time_factor: BiPoly = field(default_factory=lambda: BiPoly.const(1))
+    time_factor: BiPoly = _UNIT
     provenance: tuple = ("general",)
 
     def eval(self, x, y):
@@ -253,8 +255,9 @@ class PolyField:
         return max(self.P.total_degree(), self.Q.total_degree())
 
     def swapped(self) -> "PolyField":
-        """The mirror image (Q(y, x), P(y, x)) of the field in the line y = x, terms kept in storage order."""
-        return PolyField(self.Q.swapped(), self.P.swapped(), self.time_factor.swapped(), self.provenance + (("swap",),))
+        """The mirror image (Q(y, x), P(y, x)) of the field in the line y = x, terms kept in storage order,
+        with a fresh provenance: a mirror is not the field that `provenance` names."""
+        return PolyField(self.Q.swapped(), self.P.swapped(), self.time_factor.swapped())
 
     def shifted(self, dx, dy) -> "PolyField":
         """Field in coordinates centred at (dx, dy); exact recomposition."""

@@ -23,10 +23,11 @@ a tableau loop's floats in its order, so trajectories agree bit for bit.
 First same as last: the fifth-order solution is the stage-6 point (px, py),
 so it is not summed again and k6 is the next k0.  The b5 weights are the
 stage-6 ones and a zero b6; a sum started at +0.0 is never -0.0, so
-b6 * k6 = ±0.0 changes no bit of it while k6 is finite and makes it NaN when
-it is not.  x5 = px * (1.0 + 0.0 * k6u) gives both, bit for bit, NaN
-included (y5 likewise); a non-finite step ends the trajectory, and a
-rejected step keeps its k0.
+b6 * k6 = ±0.0 changes no bit of it while k6 is finite.  A stage value that
+is not finite leaves x5 or y5 (stages 0-5) or a b4 sum (stage 6) not finite,
+so the error estimate is inf or NaN and the step is rejected, with or
+without that term: every accepted step, and so every sample, is finite, and
+a rejected step keeps its k0.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class IntegratorOptions:
     box: tuple = (-1e6, 1e6, -1e6, 1e6)
     equilibrium_capture_radius: float = 1e-6
     equilibria: tuple = ()
-    fixed_step: float | None = None
 
     def __post_init__(self):
         # written so that NaN fails every test
@@ -127,7 +127,7 @@ def _build_loop(field, tabs):
 
     Each sum keeps a loop's order, start (0.0 for a stage, 0 for a solution) and zero weights,
     so zero signs, NaN and inf come out as from that loop.  The fifth-order solution is the
-    stage-6 point, as the module docstring says.
+    stage-6 point, which is that loop's on every step it accepts, as the module docstring says.
     """
     def weighted(start, weights, k):  # start + w0 * k0{k} + w1 * k1{k} + ...
         return start + "".join(f" + {w!r} * k{j}{k}" for j, w in enumerate(weights))
@@ -150,7 +150,7 @@ def dopri5(base, z0, opts, direction):
     xmin, xmax, ymin, ymax = opts.box
     caps = [(float(ex), float(ey)) for ex, ey in opts.equilibria]
     crad = opts.equilibrium_capture_radius
-    rel_tol, abs_tol, max_time, fixed_step = opts.rel_tol, opts.abs_tol, opts.max_time, opts.fixed_step
+    rel_tol, abs_tol, max_time = opts.rel_tol, opts.abs_tol, opts.max_time
 
     def capture_at(x, y):
         for ex, ey in caps:
@@ -176,10 +176,7 @@ def dopri5(base, z0, opts, direction):
 
     u, v = base(x, y)
     k0u, k0v = sign * u, sign * v  # the first step's k0
-    if fixed_step is not None:
-        h = fixed_step
-    else:
-        h = min(1.0, 0.01 * (1.0 + hypot(x, y)) / (hypot(u, v) + 1e-30))
+    h = min(1.0, 0.01 * (1.0 + hypot(x, y)) / (hypot(u, v) + 1e-30))
 
     for _ in range(_MAX_STEPS):
         if tau >= max_time:
@@ -189,31 +186,25 @@ def dopri5(base, z0, opts, direction):
         if h < 1e-14 * (at if at > 1.0 else 1.0):
             return Trajectory(tuple(samples), Termination("step_underflow"), direction)
 
-{stages}        x5, y5 = px * (1.0 + 0.0 * k6u), py * (1.0 + 0.0 * k6v)  # the b5 sums, see the module docstring
+{stages}        x5, y5 = px, py  # the b5 sums, see the module docstring
         x4, y4 = x + h * ({b4u}), y + h * ({b4v})
 
-        if fixed_step is not None:
-            accept, hnew = True, h
-        else:
-            ax, ax5, ay, ay5 = abs(x), abs(x5), abs(y), abs(y5)
-            sx = abs_tol + rel_tol * (ax5 if ax5 > ax else ax)
-            sy = abs_tol + rel_tol * (ay5 if ay5 > ay else ay)
-            try:
-                err = sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
-            except OverflowError:  # float ** raises where * gives inf: the step is rejected
-                err = inf
-            accept = err <= 1.0
-            factor = 0.9 * (err + 1e-300) ** -0.2
-            factor = factor if factor > 0.2 else 0.2
-            hnew = h * (factor if factor < 5.0 else 5.0)
+        ax, ax5, ay, ay5 = abs(x), abs(x5), abs(y), abs(y5)
+        sx = abs_tol + rel_tol * (ax5 if ax5 > ax else ax)
+        sy = abs_tol + rel_tol * (ay5 if ay5 > ay else ay)
+        try:
+            err = sqrt((((x5 - x4) / sx) ** 2 + ((y5 - y4) / sy) ** 2) / 2.0)
+        except OverflowError:  # float ** raises where * gives inf: the step is rejected
+            err = inf
+        factor = 0.9 * (err + 1e-300) ** -0.2
+        factor = factor if factor > 0.2 else 0.2
+        hnew = h * (factor if factor < 5.0 else 5.0)
 
-        if accept:
+        if err <= 1.0:  # False for a NaN estimate, see the module docstring
             tau += h
             k0u, k0v = k6u, k6v  # first same as last, exact as the module docstring says
             x, y = x5, y5
             samples.append((tau, (x, y)))
-            if not (isfinite(x) and isfinite(y)):
-                return Trajectory(tuple(samples), Termination("step_underflow"), direction)
             for ex, ey in caps:  # capture_at's cheap rejection inline: it is called only when it may capture
                 if not (abs(x - ex) > crad or abs(y - ey) > crad):
                     hit = capture_at(x, y)

@@ -450,14 +450,13 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
 
     excludes = f.box_test()
     min_diam = max((xmax - xmin), (ymax - ymin)) / 2**9
-    max_depth = 40
-    stack = [(xmin, xmax, ymin, ymax, 0)]
+    stack = [(xmin, xmax, ymin, ymax)]
     candidates, failed, leaves = [], [], []
     while stack:
-        xlo, xhi, ylo, yhi, depth = stack.pop()
+        xlo, xhi, ylo, yhi = stack.pop()
         if excludes(xlo, xhi, ylo, yhi)[0]:
             continue
-        if max(xhi - xlo, yhi - ylo) <= min_diam or depth >= max_depth:
+        if max(xhi - xlo, yhi - ylo) <= min_diam:
             leaves.append((xlo, xhi, ylo, yhi))
             cx, cy = (xlo + xhi) / 2, (ylo + yhi) / 2
             x, y, res = _newton_polish(f, cx, cy, tol)
@@ -472,10 +471,10 @@ def find_stationary(f: PolyField, box, tol: float = 1e-10):
         xm, ym = (xlo + xhi) / 2, (ylo + yhi) / 2
         stack.extend(
             [
-                (xlo, xm, ylo, ym, depth + 1),
-                (xm, xhi, ylo, ym, depth + 1),
-                (xlo, xm, ym, yhi, depth + 1),
-                (xm, xhi, ym, yhi, depth + 1),
+                (xlo, xm, ylo, ym),
+                (xm, xhi, ylo, ym),
+                (xlo, xm, ym, yhi),
+                (xm, xhi, ym, yhi),
             ]
         )
 

@@ -341,6 +341,15 @@ def four_chart_blowup_directional(f: PolyField, direction: str, w: NewtonWeights
     )
 
 
+def substitution_jacobian(chart: blowup.BlowupChart, u, v):
+    """Jacobian dφ at (u, v) of the chart's substitution φ = `blowup.blow_down`, each direction written out."""
+    alpha, beta = chart.weights
+    sv = 1 if chart.direction[0] == "+" else -1
+    if chart.radial_var == "x":
+        return ((sv * alpha * u ** (alpha - 1), 0 * u), (beta * u ** (beta - 1) * v, u**beta))
+    return ((v**alpha, alpha * v ** (alpha - 1) * u), (0 * v, sv * beta * v ** (beta - 1)))
+
+
 def four_chart_blowup_origin(f: PolyField):
     """(weights, charts, divisor) as `blowup.blowup_origin` gives them, each chart built and scanned alone."""
     w = newton_weights(f.P, f.Q)

@@ -131,6 +131,12 @@ def test_cdk_provenance_recorded():
     assert f.provenance[1:] == (Fraction(1, 2), Fraction(19, 10))
 
 
+def test_fields_built_without_a_time_factor_share_one_unit():
+    # the default is built once, not by the BiPoly constructor for each field
+    f, g = PolyField(X, Y), PolyField(Y, -X)
+    assert f.time_factor is g.time_factor and f.time_factor == BiPoly.const(1)
+
+
 _cdk_parameter = st.one_of(
     st.just(Fraction(1)),
     st.fractions(min_value=Fraction(1, 20), max_value=5, max_denominator=20),

@@ -90,12 +90,13 @@ def test_left_box_termination():
 
 
 def test_fixed_step_order_five():
-    # xdot = x has exact solution e^tau; halving h should shrink the error ~2^5
+    # xdot = x has exact solution e^tau; halving h should shrink the error ~2^5.  The step is fixed
+    # on the tableau loop, which integrate matches bit for bit on every case below
     f = PolyField(X, Y)
     errs = []
     for h in (0.1, 0.05):
-        opts = IntegratorOptions(max_time=1.0, fixed_step=h, box=(-10, 10, -10, 10))
-        traj = integrate(f, (1.0, 1.0), opts)
+        opts = IntegratorOptions(max_time=1.0, box=(-10, 10, -10, 10))
+        traj = _reference_integrate(f, (1.0, 1.0), opts, step=h)
         tau, (x, _) = traj.samples[-1]
         errs.append(abs(x - math.exp(tau)))
     ratio = errs[0] / errs[1]
@@ -121,8 +122,11 @@ def _term_sum(p, x, y):
     return total
 
 
-def _reference_integrate(f, z0, opts=None, direction="forward"):
-    """DOPRI5 as a loop over the tableau, with the field summed term by term as BiPoly.eval sums it."""
+def _reference_integrate(f, z0, opts=None, direction="forward", step=None):
+    """DOPRI5 as a loop over the tableau, with the field summed term by term as BiPoly.eval sums it.
+
+    A `step` fixes h and accepts every step, non-finite ones included; `integrate` has no such mode.
+    """
     if opts is None:
         opts = IntegratorOptions()
     if isinstance(f, PolyField):
@@ -161,8 +165,8 @@ def _reference_integrate(f, z0, opts=None, direction="forward"):
 
     u0, v0 = rhs(x, y)
     speed = math.hypot(u0, v0)
-    if opts.fixed_step is not None:
-        h = opts.fixed_step
+    if step is not None:
+        h = step
     else:
         h = min(1.0, 0.01 * (1.0 + math.hypot(x, y)) / (speed + 1e-30))
 
@@ -188,7 +192,7 @@ def _reference_integrate(f, z0, opts=None, direction="forward"):
         x4 = x + h * _sum0(b * ki[0] for b, ki in zip(_B4, k))
         y4 = y + h * _sum0(b * ki[1] for b, ki in zip(_B4, k))
 
-        if opts.fixed_step is not None:
+        if step is not None:
             accept, hnew = True, h
         else:
             sx = opts.abs_tol + opts.rel_tol * max(abs(x), abs(x5))
@@ -224,7 +228,7 @@ _PLANE = (-math.inf, math.inf, -math.inf, math.inf)
 def _axis_capture_case():
     """x' = 1 along the x-axis, with a target exactly crad beyond the third sample."""
     f = PolyField(BiPoly.const(1), BiPoly.const(0))
-    opts = IntegratorOptions(max_time=1.0, fixed_step=0.01, box=_SQUARE)
+    opts = IntegratorOptions(max_time=1.0, box=_SQUARE)
     x3, y3 = _reference_integrate(f, (0.5, 0.0), opts).samples[3][1]
     crad = 2.0**-10
     assert (x3 - (x3 + crad), y3) == (-crad, 0.0)
@@ -244,9 +248,9 @@ _CASES = [
     (cdk_poly_field(F(5, 2), F(1, 2)), (-0.3, 0.7),
      IntegratorOptions(max_time=20.0, box=_SQUARE), "forward", "time_exhausted"),
     (cdk_poly_field(F(3, 10), 1), (0.4, -0.2),
-     IntegratorOptions(max_time=1.0, fixed_step=0.01, box=_SQUARE), "backward", "time_exhausted"),
+     IntegratorOptions(max_time=1.0, box=_SQUARE), "backward", "time_exhausted"),
     (cdk_poly_field(1, 1), (0.2, 0.3),
-     IntegratorOptions(max_time=5.0, fixed_step=0.03), "forward", "time_exhausted"),
+     IntegratorOptions(max_time=5.0), "forward", "time_exhausted"),
     (_LOTKA_VOLTERRA, (0.5, 0.5),
      IntegratorOptions(max_time=200.0, equilibria=_LV_POINTS), "forward", "reached_equilibrium"),
     (_LOTKA_VOLTERRA, (1.2, 0.9),
@@ -259,9 +263,8 @@ _CASES = [
      IntegratorOptions(max_time=1.0, box=_SQUARE), "forward", "time_exhausted"),
     # x' = x^2 blows up at tau = 1 on an unbounded box
     (PolyField(X**2, -Y), (1.0, 1.0), IntegratorOptions(box=_PLANE), "forward", "step_underflow"),
-    # the same blow-up at a fixed step, without powers: the stages overflow to inf and NaN
-    (PolyField(X * Y, X * Y), (1.0, 1.0),
-     IntegratorOptions(fixed_step=0.25, box=_PLANE), "forward", "step_underflow"),
+    # the same blow-up without powers, on x = y
+    (PolyField(X * Y, X * Y), (1.0, 1.0), IntegratorOptions(box=_PLANE), "forward", "step_underflow"),
     # from a slow start h is 1.0: steps are rejected and retried from the same k0
     (PolyField(Y, -X), (1e-3, 0.0), IntegratorOptions(max_time=2.0, box=_SQUARE), "forward", "time_exhausted"),
     # x goes from -0.0 to +0.0 in the first step, and the next k0 must be the field at +0.0:
@@ -313,14 +316,12 @@ _SIMPLE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
     direction=st.sampled_from(["forward", "backward"]),
     targets=st.lists(st.tuples(_SIMPLE, _SIMPLE), max_size=3),
     crad=st.sampled_from([0.0, 1e-3, 0.1, 0.5]),
-    fixed_step=st.sampled_from([None, None, 0.05]),
 )
-def test_generated_loop_matches_the_tableau_loop_on_random_fields(p, q, start, direction, targets, crad,
-                                                                   fixed_step):
+def test_generated_loop_matches_the_tableau_loop_on_random_fields(p, q, start, direction, targets, crad):
     f = PolyField(_polynomial(p), _polynomial(q))
     # the origin is an equilibrium of every field without constant terms
     opts = IntegratorOptions(max_time=10.0, box=(-4.0, 4.0, -4.0, 4.0), equilibria=((0.0, 0.0), *targets),
-                             equilibrium_capture_radius=crad, fixed_step=fixed_step)
+                             equilibrium_capture_radius=crad)
 
     def outcome(run, field):
         try:
@@ -409,8 +410,9 @@ def test_overflowing_field_value_is_a_precondition_error():
 
 
 def test_overflow_inside_a_stage_names_the_stage_point():
-    # x' = x^2 at a fixed step: the start and the first steps are finite, then a stage's x**2 overflows
-    f, z0, opts = PolyField(X**2, -Y), (1.0, 1.0), IntegratorOptions(fixed_step=0.25, box=_PLANE)
+    # x' = x: x = e^tau passes 1.34e154, where Q's x**2 overflows, before tau = 400; a stage gets there first
+    f, z0 = PolyField(X, F(1, 10**300) * X**2), (1.0, 0.0)
+    opts = IntegratorOptions(max_time=400.0, box=_PLANE)
     with pytest.raises(PreconditionError, match="overflows a float") as want:
         _reference_integrate(_overflow_as_precondition(f), z0, opts)
     for field in (f, _counting(f.compiled())[0]):
@@ -418,7 +420,7 @@ def test_overflow_inside_a_stage_names_the_stage_point():
             integrate(field, z0, opts)
         assert str(got.value) == str(want.value)
     x = float(str(want.value).split("(")[1].split(",")[0])
-    assert x > 1e154  # a stage point, where x**2 overflows; no sample gets there
+    assert x == 1.3765709555586396e154  # a stage point, where x**2 overflows; no sample gets there
 
 
 def test_an_error_estimate_beyond_the_float_range_rejects_the_step():
@@ -436,19 +438,27 @@ def test_an_error_estimate_beyond_the_float_range_rejects_the_step():
     assert traj.samples[1][0] == 0.01 * 0.2
 
 
-def test_an_infinite_stage_6_value_makes_the_fifth_order_solution_nan():
-    # the first step's stage-6 point is x = 0.09999999999999998, no other stage's; the tableau's
-    # 0.0 * k6 = NaN makes x5 NaN there, so a loop that took x5 = px would add a finite sample
-    stage6 = 0.09999999999999998
-
-    def field(x, y):
-        return (math.inf if x == stage6 else 1.0), 0.0
-
-    opts = IntegratorOptions(max_time=1.0, fixed_step=0.1, box=_SQUARE)
+def test_an_infinite_stage_6_value_rejects_the_step():
+    # the first step has h = 0.01 and its stage-6 point is x = 0.009999999999999998, no other
+    # stage's.  k6 = inf makes x4 inf, with x5 = px finite, so the error estimate is not finite
+    # and the step is retried at h / 5, as the tableau's x5 = NaN is; no sample is NaN or inf
+    stage6 = 0.009999999999999998
+    opts = IntegratorOptions(max_time=0.1, box=_SQUARE)
     for run in (integrate, _reference_integrate):
+        calls = []
+
+        def field(x, y):
+            calls.append(x)
+            return (math.inf if x == stage6 else 1.0), 0.0
+
         traj = run(field, (0.0, 0.0), opts)
-        assert repr(traj.samples) == repr(((0.0, (0.0, 0.0)), (0.1, (math.nan, 0.0))))
-        assert traj.termination.kind == "step_underflow"
+        assert stage6 in calls
+        assert traj.samples[1] == (0.01 * 0.2, (0.0019999999999999996, 0.0))
+        assert all(math.isfinite(x) for _, (x, _) in traj.samples)
+        assert traj.termination.kind == "time_exhausted"
+    # held to its step, the tableau loop takes that step and ends on the NaN sample
+    traj = _reference_integrate(field, (0.0, 0.0), opts, step=0.01)
+    assert repr(traj.samples) == repr(((0.0, (0.0, 0.0)), (0.01, (math.nan, 0.0))))
 
 
 # -- omega limits -----------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_closed_form_follows_a_shifted_field():
     assert circle.center == (F(-1, 3), F(1, 2)) and circle.radius == F(1, 2)
 
 
+def test_a_mirrored_cdk_field_is_not_taken_for_the_closed_form():
+    # swapped() kept ("cdk", a, b) with ("swap",) after it, and the closed form read ("swap",)[1]
+    f = cdk_poly_field(F(7, 10), F(1, 2)).swapped()
+    assert f.provenance == ("general",)
+    pts, circle = FieldAnalysis(f).finite
+    assert circle is None
+    # s1 = (0, 0) and the mirror image (1, 0) of s2, by the finder; their kinds are not pinned here
+    assert [tuple(round(float(c), 6) + 0.0 for c in p.location) for p in pts] == [(0.0, 0.0), (1.0, 0.0)]
+
+
 def test_rejects_nonpositive():
     with pytest.raises(DomainError):
         cdk_stationary_points(0, 1)

@@ -10,15 +10,15 @@ sorts each region: the finite stationary points, the origin's blow-up
 sectors, the points at infinity, each computed once, on first use.
 `analyze`, `stationary`, `omega` and `portrait` read it.  For a cdk field,
 `cdk_field_summary` reads the record into a `RegionContent` in the table's
-own terms and compares it with the region's `REGION_TABLE` row, almost
-attractors aside, in one comparison; a mismatch raises
-InternalInconsistencyError, which signals a bug, never a user error.
+own terms and compares it with the region's `REGION_TABLE` row in one
+comparison; a mismatch raises InternalInconsistencyError, which signals a
+bug, never a user error.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -93,6 +93,7 @@ class RegionContent:
         return any(tag[0] == "elliptic" for tag in _SECTOR_PATTERNS.get(self.s1_case, ()))
 
 
+_ATTRACTING = ("attracting_node", "attracting_focus", "semi_hyperbolic(attracting_node)")
 _X_SADDLE = ("saddle", "repelling_node")
 _X_NODE = ("repelling_node", "saddle")
 
@@ -178,31 +179,40 @@ def cdk_field_summary(analysis: FieldAnalysis) -> RegionSummary:
     """The region of a `cdk_poly_field` field, its `REGION_TABLE` row checked against the field's record.
 
     The record is read in its order (closed form, blow-up, infinity), so its first error is raised first;
-    a record that differs from the row, almost attractors aside, raises after the whole record is read.
+    a record that differs from the row raises after the whole record is read.
     """
     region = classify_region(*analysis.field.provenance[1:3])
     row, record = REGION_TABLE[region], _record(analysis)
-    if record != replace(row, almost_attractors=()):
+    if record != row:
         raise InternalInconsistencyError(f"region {region}: row {row} does not match record {record}")
     return RegionSummary(region=region, content=row, analysis=analysis)
 
 
 def _record(analysis: FieldAnalysis) -> RegionContent:
-    """A cdk field's `FieldAnalysis` in `REGION_TABLE` terms, with no almost attractors."""
+    """A cdk field's `FieldAnalysis` in `REGION_TABLE` terms.
+
+    Almost attractors by a local rule: s1 when its sectors include an elliptic or an attracting
+    parabolic one, s2-s4 when their kind attracts, ("s1", "circle") on the circle.  The Dulac
+    function 1/(x(x² + y²)), with divergence -b/x, rules out periodic orbits; forward boundedness
+    and the absence of an attracting graphic are assumed, not checked.
+    """
     f = analysis.field
     points, circle = analysis.finite
     kinds = {p.label: str(p.kind) for p in points}
+    attractors = [label for label in ("s2", "s3", "s4") if kinds.get(label) in _ATTRACTING]
     if circle is not None:
         for t in (Fraction(0), Fraction(1), Fraction(-2, 3)):
             x = t / (1 + t * t)
             y = 1 / (1 + t * t)
             if f.P.eval(x, y) != 0 or f.Q.eval(x, y) != 0:
                 raise InternalInconsistencyError("field does not vanish on the circle")
-        case = "circle"
+        case, attractors = "circle", ["s1", "circle"]
     else:
         tags = sorted(((s.kind, s.halfplane, s.stability) for s in analysis.sectors.sectors), key=str)
         cases = (c for c, pattern in _SECTOR_PATTERNS.items() if sorted(pattern, key=str) == tags)
         case = next(cases, tuple(tags))  # a cycle of no case is recorded as its tags, which no row holds
+        if any(kind == "elliptic" or stability == "attracting" for kind, _, stability in tags):
+            attractors.insert(0, "s1")
     inf = analysis.infinity
     if isinstance(inf, compact.InfinityContinuum):
         infinity = "continuum" if inf.one_outgoing_trajectory_each() else "continuum, not one outgoing each"
@@ -210,7 +220,7 @@ def _record(analysis: FieldAnalysis) -> RegionContent:
         on_x = {p.kind.name for p in inf if p.direction_label in ("+x", "-x")}
         off_x = {p.kind.name for p in inf if p.direction_label not in ("+x", "-x")}
         infinity = ("/".join(sorted(on_x)), "/".join(sorted(off_x)))
-    return RegionContent(kinds.get("s2"), kinds.get("s3"), case, infinity, ())
+    return RegionContent(kinds.get("s2"), kinds.get("s3"), case, infinity, tuple(attractors))
 
 
 # -- grid scan ------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DomainError, PreconditionError, UndefinedPointError
-from .polycore import BiPoly, X, Y, as_rational, poly_divexact, poly_lcm, reduce_fraction
+from .polycore import BiPoly, X, Y, as_rational, eval_many, poly_divexact, poly_lcm, reduce_fraction
 from .polycore import poly_gcd  # noqa: F401  bench/tests/test_bench.py expects desing to bind it
 
 _UNIT = BiPoly.const(1)  # the time factor of every PolyField built without one
@@ -207,7 +207,7 @@ class PolyField:
     provenance: tuple = ("general",)
 
     def eval(self, x, y):
-        return (self.P.eval(x, y), self.Q.eval(x, y))
+        return eval_many((self.P, self.Q), x, y)
 
     def compiled(self):
         """Fast float evaluator (x, y) -> (u, v) for the numeric pipeline, built once by

@@ -40,7 +40,7 @@ from .errors import (
     InconclusiveError,
     PreconditionError,
 )
-from .polycore import X, BiPoly, as_rational, poly_divexact, poly_gcd
+from .polycore import X, BiPoly, as_rational, eval_many, poly_divexact, poly_gcd
 
 KIND_NAMES = (
     "saddle",
@@ -59,7 +59,8 @@ SEMI_HYPERBOLIC_SUBKINDS = ("saddle", "attracting_node", "repelling_node", "sadd
 # relative threshold below which a float eigenvalue real part counts as zero
 _ZERO_EIG_REL = 1e-10
 
-# truncation order of the center-manifold series
+# highest order of the center-manifold series: the solve stops at the reduced
+# flow's first nonzero term, and a flow that vanishes through it is inconclusive
 _CENTER_ORDER = 6
 
 
@@ -86,10 +87,15 @@ class StationaryPoint:
 
     location: tuple
     jacobian: tuple
-    eigenvalues: tuple
     kind: ClassificationKind
     label: str | None = None
     error_bound: float | None = None
+
+    @property
+    def eigenvalues(self) -> tuple[complex, complex]:
+        """The Jacobian's float eigenvalues, computed on each read: a Jacobian beyond the float range
+        raises only where they are read."""
+        return eigenvalues_2x2(self.jacobian)
 
     @property
     def exact(self) -> bool:
@@ -199,13 +205,9 @@ def classify_linear(J) -> ClassificationKind:
 
 
 def jacobian_at(f: PolyField, z):
-    """2x2 Jacobian of (P, Q) at z; exact whenever z has exact coordinates."""
-    x, y = z
-    px, py, qx, qy = f.jacobian_polys()
-    return (
-        (px.eval(x, y), py.eval(x, y)),
-        (qx.eval(x, y), qy.eval(x, y)),
-    )
+    """2x2 Jacobian of (P, Q) at z, its four entries in one `eval_many`; exact whenever z has exact coordinates."""
+    px, py, qx, qy = eval_many(f.jacobian_polys(), *z)
+    return ((px, py), (qx, qy))
 
 
 # -- semi-hyperbolic analysis ------------------------------------------------------
@@ -226,10 +228,10 @@ def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
 
     Moves z to the origin and aligns the zero eigendirection with the first
     axis in one affine substitution, solves the invariance equation for the
-    center manifold eta = h(xi) up to the truncation order, and reads the
-    trichotomy off the lowest nonzero coefficient of the reduced flow
-    together with the sign of the nonzero eigenvalue.  All arithmetic is
-    exact.
+    center manifold eta = h(xi) order by order up to the reduced flow's
+    lowest nonzero coefficient (at most `_CENTER_ORDER`), and reads the
+    trichotomy off that coefficient together with the sign of the nonzero
+    eigenvalue.  All arithmetic is exact.
     """
     x0, y0 = as_rational(z[0]), as_rational(z[1])
     (a11, a12), (a21, a22) = jacobian_at(f, (x0, y0))
@@ -255,20 +257,21 @@ def semihyperbolic_analysis(f: PolyField, z) -> SemiHyperbolicAnalysis:
     A = (t22 * Pn - t12 * Qn) * (Fraction(1) / dT)
     B = (-t21 * Pn + t11 * Qn) * (Fraction(1) / dT)
 
-    # h(xi) = sum c_k xi^k from the invariance equation B(xi,h) = h'(xi) A(xi,h);
-    # B's linear eta-term contributes mu * c_k at order k, so solve it out
+    # h(xi) = sum c_k xi^k from the invariance equation B(xi,h) = h'(xi) A(xi,h).
+    # A has no linear term, so its xi^m coefficient on h reads c_2 .. c_(m-1) only:
+    # the first nonzero one is the reduced flow's lowest term, and the solve stops
+    # there.  B's linear eta-term contributes mu * c_m at order m, so solve it out
     h = BiPoly.zero()
-    for k in range(2, _CENTER_ORDER + 1):
-        c = (B.subst(X, h) - h.diff_x() * A.subst(X, h)).terms.get((k, 0), 0)
-        h = h + BiPoly.monomial(-c / mu, k, 0)
-
-    g = A.subst(X, h).terms
-    m = next((k for k in range(2, _CENTER_ORDER + 1) if g.get((k, 0))), None)
-    if m is None:
+    for m in range(2, _CENTER_ORDER + 1):
+        g = A.subst(X, h)
+        if coeff := g.terms.get((m, 0)):
+            break
+        c = (B.subst(X, h) - h.diff_x() * g).terms.get((m, 0), 0)
+        h = h + BiPoly.monomial(-c / mu, m, 0)
+    else:
         raise InconclusiveError(
             f"center-manifold flow vanishes through order {_CENTER_ORDER}", order=_CENTER_ORDER
         )
-    coeff = g[(m, 0)]
 
     if m % 2 == 0:
         subkind = "saddle_node"
@@ -335,7 +338,6 @@ def _make_point(f: PolyField, loc, label, kind=None, error_bound=None):
     return StationaryPoint(
         location=tuple(loc),
         jacobian=J,
-        eigenvalues=eigenvalues_2x2(J),
         kind=classify_point(f, loc, J) if kind is None else kind,
         label=label,
         error_bound=error_bound,

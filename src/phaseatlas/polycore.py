@@ -8,13 +8,15 @@ so equality and hashing compare the mapping and D.  Arithmetic, gcds and
 root isolation run on ints only (primitive parts and pseudo-division in
 Z[x][y]; Knuth, TAOCP vol. 2, §4.6.1).  `fractions.Fraction` is the public
 boundary: constructors accept Fractions, and `terms`, iteration,
-`constant_value()` and exact `eval` return them.
+`constant_value()` and exact `eval` return them.  `eval_many` is the one
+point evaluator: at a rational point it builds the power tables once for
+every polynomial it is given, and `BiPoly.eval` is its one-polynomial case.
 
 Floating point appears only at the evaluation boundary and for the
 irrational roots of `real_roots`, each given as the nearest double.  Float
 evaluation has one arithmetic: `BiPoly.float_terms()`, n_ij / D (the same
 correctly rounded division as float(Fraction(n_ij, D))) cached per
-polynomial and summed term by term as c·x^i·y^j, both in `BiPoly.eval` at
+polynomial and summed term by term as c·x^i·y^j, both in `eval_many` at
 float coordinates and in the integrator's `PolyField.compiled`.  Its order
 is the storage order: a sum or product appends each new exponent as it
 first appears and drops one whose coefficient cancels.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .errors import DomainError, PreconditionError, ZeroDenominatorError
 
@@ -255,31 +257,8 @@ class BiPoly:
         return self._floats
 
     def eval(self, x, y):
-        """Evaluate at a point; exact for Fraction/int coordinates.
-
-        Float coordinates sum `float_terms()` term by term as c·x^i·y^j, the
-        same arithmetic as the integrator's `PolyField.compiled`; a value that overflows
-        is a PreconditionError naming the point.  At p/q, r/s the value is
-        sum(n_ij·p^i·q^(dx-i)·r^j·s^(dy-j)) / (D·q^dx·s^dy) in ints.
-        """
-        if isinstance(x, float) or isinstance(y, float):
-            x, y = float(x), float(y)
-            total = 0.0
-            try:
-                for c, i, j in self.float_terms():
-                    total += c * x**i * y**j
-            except OverflowError:
-                total = math.inf
-            if not math.isfinite(total):
-                raise PreconditionError(f"polynomial value at ({x!r}, {y!r}) overflows a float")
-            return total
-        x, y = as_rational(x), as_rational(y)
-        (p, q), (r, s) = (x.numerator, x.denominator), (y.numerator, y.denominator)
-        dx, dy = self.degree_in("x"), self.degree_in("y")
-        xs = [p**i * q ** (dx - i) for i in range(dx + 1)]
-        ys = [r**j * s ** (dy - j) for j in range(dy + 1)]
-        total = sum(n * xs[i] * ys[j] for (i, j), n in self._num.items())
-        return Fraction(total, self._den * q ** max(dx, 0) * s ** max(dy, 0))
+        """Value at a point: `eval_many` of this polynomial alone."""
+        return eval_many((self,), x, y)[0]
 
     # -- structural operations ----------------------------------------------
 
@@ -348,6 +327,43 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({format_poly(self)!r})"
+
+
+def eval_many(polys: Sequence[BiPoly], x, y) -> tuple:
+    """Values of the polynomials at one point, in order; exact for Fraction/int coordinates.
+
+    Float coordinates sum each `float_terms()` table term by term as
+    c·x^i·y^j, the same arithmetic as the integrator's `PolyField.compiled`;
+    a value that overflows is a PreconditionError naming the point.  At
+    p/q, r/s the tables p^i·q^(dx-i) and r^j·s^(dy-j) are built once, with
+    dx, dy the largest degrees among the polynomials, and each value is
+    sum(n_ij·p^i·q^(dx-i)·r^j·s^(dy-j)) / (D·q^dx·s^dy) in ints.
+    """
+    if isinstance(x, float) or isinstance(y, float):
+        x, y = float(x), float(y)
+        return tuple(_float_value(poly, x, y) for poly in polys)
+    x, y = as_rational(x), as_rational(y)
+    (p, q), (r, s) = (x.numerator, x.denominator), (y.numerator, y.denominator)
+    dx = max((e[0] for poly in polys for e in poly._num), default=0)
+    dy = max((e[1] for poly in polys for e in poly._num), default=0)
+    xs = [p**i * q ** (dx - i) for i in range(dx + 1)]
+    ys = [r**j * s ** (dy - j) for j in range(dy + 1)]
+    scale = xs[0] * ys[0]  # q^dx·s^dy
+    return tuple(Fraction(sum(n * xs[i] * ys[j] for (i, j), n in poly._num.items()), poly._den * scale)
+                 for poly in polys)
+
+
+def _float_value(poly: BiPoly, x: float, y: float) -> float:
+    """`poly.float_terms()` summed term by term at (x, y); a value beyond the float range raises."""
+    total = 0.0
+    try:
+        for c, i, j in poly.float_terms():
+            total += c * x**i * y**j
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise PreconditionError(f"polynomial value at ({x!r}, {y!r}) overflows a float")
+    return total
 
 
 X = BiPoly.var("x")

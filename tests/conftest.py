@@ -17,7 +17,8 @@ set_hypothesis_home_dir(_hypothesis_home.name)
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(functions) -> {name: calls}, counted through every phaseatlas module that binds each."""
+    """count_calls(functions) -> {name: calls}, counted through every phaseatlas module that binds each,
+    and on its class for a method."""
 
     def install(functions):
         counts = dict.fromkeys([func.__name__ for func in functions], 0)
@@ -27,6 +28,9 @@ def count_calls(monkeypatch):
                 counts[_name] += 1
                 return _inner(*args, **kwargs)
 
+            owner = func.__qualname__.rpartition(".")[0]
+            if owner:
+                monkeypatch.setattr(getattr(sys.modules[func.__module__], owner), func.__name__, wrapper)
             for modname, module in list(sys.modules.items()):
                 if modname.startswith("phaseatlas") and getattr(module, func.__name__, None) is func:
                     monkeypatch.setattr(module, func.__name__, wrapper)

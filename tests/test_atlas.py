@@ -129,7 +129,7 @@ def test_region_summary_cross_validation_on_all_representatives():
         assert summary.content is REGION_TABLE[region]
 
 
-@pytest.mark.parametrize("field", ["s2_kind", "s34_kind", "s1_case", "infinity"])
+@pytest.mark.parametrize("field", ["s2_kind", "s34_kind", "s1_case", "infinity", "almost_attractors"])
 def test_region_summary_catches_every_edited_row(monkeypatch, field):
     # each compared cell of each appendix pair's row, given in turn every other value its column holds
     values = {getattr(row, field) for row in REGION_TABLE.values()}

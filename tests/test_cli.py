@@ -498,6 +498,16 @@ def test_parameter_beyond_float_range_never_crashes(capsys, argv):
     assert code in (0, 3)
 
 
+@pytest.mark.parametrize(
+    "a, b, region", [("1e400", "1", "3l"), ("2", "1e400", "3d"), ("1e400", "2", "3e"), ("1e400", "1e400", "3c")]
+)
+def test_region_beyond_float_range_reads_no_float_eigenvalues(capsys, a, b, region):
+    # each exited 3, "a Jacobian entry overflows a float": every point's float eigenvalues were
+    # computed, though only the reports of analyze and stationary read them
+    code, out, err = run(capsys, "region", "--a", a, "--b", b)
+    assert (code, err) == (0, "") and json.loads(out)["region"] == region
+
+
 @pytest.mark.parametrize("spec, each", [("x ; y", False), ("-x ; -y", True)])
 def test_human_analyze_reports_the_infinity_continuum_flag(tmp_path, capsys, spec, each):
     path = tmp_path / "sys.txt"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
+from phaseatlas import polycore
 from phaseatlas.atlas import FieldAnalysis, classify_region
 from phaseatlas.desing import PolyField, cdk_poly_field
 from phaseatlas.equilibria import (
@@ -200,6 +201,15 @@ def test_closed_form_classifies_s1_s2_and_the_s34_pair_once_each(count_calls):
 # -- Jacobians and shifting --------------------------------------------------------
 
 
+def test_an_exact_jacobian_is_one_evaluation(count_calls):
+    f = cdk_poly_field(F(7, 10), F(1, 2))
+    z = (F(-5, 3), F(2, 7))
+    px, py, qx, qy = (p.eval(*z) for p in f.jacobian_polys())
+    counts = count_calls((polycore.eval_many, BiPoly.eval))
+    assert jacobian_at(f, z) == ((px, py), (qx, qy))
+    assert counts == {"eval_many": 1, "eval": 0}
+
+
 def test_jacobian_at_origin_zero_matrix():
     for a, b in [(F(1, 3), F(8, 5)), (2, 3)]:
         J = jacobian_at(cdk_poly_field(a, b), (0, 0))
@@ -375,6 +385,19 @@ def test_semihyperbolic_node_prototypes():
     assert semihyperbolic_analysis(PolyField(-(X**3), -Y), (0, 0)).subkind == "attracting_node"
     assert semihyperbolic_analysis(PolyField(X**3, Y), (0, 0)).subkind == "repelling_node"
     assert semihyperbolic_analysis(PolyField(X**3, -Y), (0, 0)).subkind == "saddle"
+
+
+@pytest.mark.parametrize(
+    "f, z, order, substs",
+    [(cdk_poly_field(1, F(19, 10)), (0, 1), 3, 5), (PolyField(X**2, -Y), (0, 0), 2, 3)],
+    ids=["cdk-1-19/10-s2", "x^2;-y"],
+)
+def test_center_manifold_solve_stops_at_the_first_nonzero_term(count_calls, f, z, order, substs):
+    # P and Q moved to eigen-coordinates, then A(xi, h) at each order up to m and
+    # B(xi, h) below it
+    counts = count_calls((BiPoly.subst,))
+    assert semihyperbolic_analysis(f, z).center_order == order
+    assert counts == {"subst": substs}
 
 
 def test_semihyperbolic_analysis_refuses_a_float_point():

@@ -80,6 +80,41 @@ def test_eval_float_is_the_compiled_field_bit_for_bit():
         assert repr(PolyField(p, q).compiled()(x, y)) == repr((p.eval(x, y), q.eval(x, y)))
 
 
+_small_ints = st.integers(-10**6, 10**6)
+_coefficients = st.builds(Fraction, _small_ints, st.sampled_from([1, 2, 3, 7, 10**12, 3**40, 10**40]))
+_polys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), _coefficients, max_size=6).map(BiPoly)
+_rationals = st.builds(Fraction, _small_ints, st.integers(1, 10**30))
+_floats = st.floats(-8, 8)
+
+
+def _exact_sum(p, x, y):
+    return sum((c * x**i * y**j for (i, j), c in p.terms.items()), F(0))
+
+
+def _float_sum(p, x, y):
+    """`float_terms()` summed term by term as c·x^i·y^j, the float arithmetic of `BiPoly.eval`."""
+    total = 0.0
+    for c, i, j in p.float_terms():
+        total += c * x**i * y**j
+    return total
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(_polys, min_size=1, max_size=4), _rationals, _rationals, _floats, _floats)
+@example([BiPoly.zero()], F(-1, 3), F(2, 5), -0.0, 0.5)
+@example([BiPoly.zero(), BiPoly.const(F(-7, 10**40)), X**5 * Y], F(-3, 10**30 + 1), F(-10**6, 7), -1.5, -2.0)
+@example([X**3 - Y, BiPoly.const(2)], F(0), F(5), 0.0, -0.0)
+def test_eval_many_is_each_polynomial_summed_alone(polys, x, y, u, v):
+    # exact: direct Fraction sums of c·x^i·y^j; float: the per-polynomial sum, bit for bit
+    for a, b in ((x, y), (x.numerator, y.numerator)):
+        values = polycore.eval_many(polys, a, b)
+        assert all(type(value) is Fraction for value in values)
+        assert values == tuple(_exact_sum(p, a, b) for p in polys)
+    for a, b in ((u, v), (u, y), (x, v)):
+        got = polycore.eval_many(polys, a, b)
+        assert [value.hex() for value in got] == [_float_sum(p, float(a), float(b)).hex() for p in polys]
+
+
 def test_compiled_field_is_built_once():
     f = PolyField(X * Y - X**3, Y**2 - 1)
     assert f.compiled() is f.compiled()
